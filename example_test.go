@@ -9,6 +9,7 @@ import (
 	"os"
 	"sort"
 	"strings"
+	"sync"
 
 	"xpro"
 )
@@ -295,11 +296,19 @@ func ExampleNetwork_SLOReport() {
 // traffic (which admission never sheds — only the full pool itself
 // refuses it), and a batch submission against the standing queue is
 // refused at the door with a typed *ShedError naming the reason.
+//
+// The single worker is parked inside its first classification while
+// the queue fills, so what the queue holds is set by the submissions
+// alone, not by how fast the worker drains it.
 func ExampleFleet_priority() {
-	chest, err := xpro.New(xpro.Config{Case: "E1"})
+	chest, err := xpro.New(xpro.Config{Case: "E1", Resilience: xpro.DefaultResilience()})
 	if err != nil {
 		log.Fatal(err)
 	}
+	// A resilient engine logs every classification to its event sink
+	// before returning it; this sink holds the first one.
+	sink := &parkingSink{parked: make(chan struct{}), release: make(chan struct{})}
+	chest.Observer().SetEventSink(sink)
 	net, err := xpro.NewNetwork(map[string]*xpro.Engine{"chest": chest})
 	if err != nil {
 		log.Fatal(err)
@@ -314,6 +323,10 @@ func ExampleFleet_priority() {
 
 	seg := chest.TestSet()[0].Samples
 	alert := xpro.FleetRequest{Subject: "chest", Samples: seg, Priority: xpro.PriorityAlert}
+	if _, err := fleet.SubmitRequest(context.Background(), alert); err != nil {
+		log.Fatal(err)
+	}
+	<-sink.parked
 	var errAlert error
 	for i := 0; i < 100000; i++ { // flood until the bounded queue is full
 		if _, errAlert = fleet.SubmitRequest(context.Background(), alert); errAlert != nil {
@@ -324,6 +337,7 @@ func ExampleFleet_priority() {
 
 	batch := xpro.FleetRequest{Subject: "chest", Samples: seg, Priority: xpro.PriorityBatch}
 	_, errBatch := fleet.SubmitRequest(context.Background(), batch)
+	close(sink.release)
 	var shed *xpro.ShedError
 	if !errors.As(errBatch, &shed) {
 		log.Fatal(errBatch)
@@ -336,6 +350,22 @@ func ExampleFleet_priority() {
 	// batch shed reason: occupancy
 	// shed priority: batch
 	// alert sheds by admission: 0
+}
+
+// parkingSink is an event sink whose first write blocks until release
+// is closed, parking the goroutine that logs it; parked is closed when
+// it arrives.
+type parkingSink struct {
+	parked, release chan struct{}
+	once            sync.Once
+}
+
+func (s *parkingSink) Write(p []byte) (int, error) {
+	s.once.Do(func() {
+		close(s.parked)
+		<-s.release
+	})
+	return len(p), nil
 }
 
 // ExampleNetwork_threeTier plans a two-subject network over the

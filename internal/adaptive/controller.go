@@ -1,12 +1,16 @@
 package adaptive
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"time"
 
 	"xpro/internal/partition"
 	"xpro/internal/telemetry"
+	"xpro/internal/topology"
 	"xpro/internal/xsystem"
 )
 
@@ -82,7 +86,13 @@ type Controller struct {
 	probLimit int
 	decisions []Decision
 
+	// floors memoizes certified lower bounds on the λ = 0 min-cut
+	// energy M(f), sorted by inflation f. It only saves solves — the
+	// decisions are the same without it — so it is not durable state.
+	floors []floorPoint
+
 	evals, swaps, rollbacks *telemetry.Counter
+	certified               *telemetry.Counter
 	gaugeLoss, gaugeOutage  *telemetry.Gauge
 	gaugeCells              *telemetry.Gauge
 	evalWall                *telemetry.Quantile
@@ -123,6 +133,8 @@ func NewController(cfg Config, sys *xsystem.System, limit float64, metrics *tele
 			"Hot swaps of the active cut performed by the adaptive controller."),
 		rollbacks: metrics.Counter("xpro_recut_rollbacks_total",
 			"Probation rollbacks to the previous cut."),
+		certified: metrics.Counter("xpro_recut_floor_certified_total",
+			"Re-pricings the min-cut energy floor answered without the generator sweep."),
 		gaugeLoss: metrics.Gauge("xpro_adaptive_est_loss",
 			"EWMA per-attempt packet-loss estimate of the channel."),
 		gaugeOutage: metrics.Gauge("xpro_adaptive_est_outage",
@@ -165,6 +177,9 @@ func (c *Controller) publishEstimate(est Estimate) {
 // the active cut stands. Hysteresis applies: no change within the
 // dwell window, while a fresh cut is on probation, or for an
 // improvement below the threshold.
+//
+// A re-pricing skips the generator sweep when the min-cut energy floor
+// proves no candidate can pass the swap test (see floorClears).
 func (c *Controller) Evaluate(now float64) (*Change, error) {
 	c.evals.Inc()
 	est := c.est.Estimate()
@@ -179,37 +194,19 @@ func (c *Controller) Evaluate(now float64) (*Change, error) {
 	defer func() { c.evalWall.ObserveWall(time.Since(start).Seconds()) }()
 
 	// Re-price every cut under the estimated channel: same graph, same
-	// hardware, derated link. Delay is re-priced too — a cut whose
-	// crossing payloads need too many retransmissions to meet T_XPro on
-	// the channel as it is now is not a candidate, however cheap its
-	// energy looks.
+	// hardware, derated link.
 	prob := *c.sys.Problem()
 	prob.Link = est.EffectiveModel(c.sys.Link, c.cfg.MaxInflation)
-	esys := *c.sys
-	esys.Link = prob.Link
-	delayOf := func(p partition.Placement) float64 { return esys.DelayOf(p).Total() }
-	var cand partition.Placement
-	if res, err := prob.Generate(delayOf, c.limit); err == nil {
-		cand = res.Placement
-	}
-	inSensor := partition.InSensor(c.sys.Graph)
-	if cand == nil {
-		// No cut meets T_XPro on this channel — the derated link is too
-		// slow even for the single-end engines' residual traffic. The
-		// in-sensor cut puts the least on the air and loses the least;
-		// hold position there until the channel recovers.
-		cand = inSensor
-	} else if delayOf(inSensor) <= c.limit && prob.SensorEnergy(inSensor) < prob.SensorEnergy(cand) {
-		// The sweep's λ ladder is finite; make sure the in-sensor engine
-		// is always in the running when it is delay-feasible.
-		cand = inSensor
-	}
-	if cand.Equal(c.active) {
+	activeE := prob.SensorEnergy(c.active)
+	if c.floorClears(&prob, est.Inflation(c.cfg.MaxInflation), activeE*(1-c.cfg.ImprovementThreshold)) {
+		c.certified.Inc()
+		if testHookFloorCertified != nil {
+			testHookFloorCertified(c, &prob, activeE)
+		}
 		return nil, nil
 	}
-	activeE := prob.SensorEnergy(c.active)
-	candE := prob.SensorEnergy(cand)
-	if candE >= activeE*(1-c.cfg.ImprovementThreshold) {
+	cand, candE := c.sweep(&prob, activeE)
+	if cand == nil {
 		return nil, nil
 	}
 
@@ -239,6 +236,118 @@ func (c *Controller) Evaluate(now float64) (*Change, error) {
 	sc, _ := c.active.Counts()
 	c.gaugeCells.Set(float64(sc))
 	return &Change{Kind: "swap", Placement: c.active, System: ns}, nil
+}
+
+// sweep runs the delay-constrained generator on the re-priced problem
+// and returns the cut to swap to with its energy, or nil when the
+// active cut (priced at activeE) stands.
+func (c *Controller) sweep(prob *partition.Problem, activeE float64) (partition.Placement, float64) {
+	// Delay is re-priced too — a cut whose crossing payloads need too
+	// many retransmissions to meet T_XPro on the channel as it is now
+	// is not a candidate, however cheap its energy looks.
+	esys := *c.sys
+	esys.Link = prob.Link
+	delayOf := func(p partition.Placement) float64 { return esys.DelayOf(p).Total() }
+	var cand partition.Placement
+	if res, err := prob.Generate(delayOf, c.limit); err == nil {
+		cand = res.Placement
+	}
+	inSensor := partition.InSensor(c.sys.Graph)
+	if cand == nil {
+		// No cut meets T_XPro on this channel — the derated link is too
+		// slow even for the single-end engines' residual traffic. The
+		// in-sensor cut puts the least on the air and loses the least;
+		// hold position there until the channel recovers.
+		cand = inSensor
+	} else if delayOf(inSensor) <= c.limit && prob.SensorEnergy(inSensor) < prob.SensorEnergy(cand) {
+		// The sweep's λ ladder is finite; make sure the in-sensor engine
+		// is always in the running when it is delay-feasible.
+		cand = inSensor
+	}
+	if cand.Equal(c.active) {
+		return nil, 0
+	}
+	candE := prob.SensorEnergy(cand)
+	if candE >= activeE*(1-c.cfg.ImprovementThreshold) {
+		return nil, 0
+	}
+	return cand, candE
+}
+
+// testHookFloorCertified, when set by a test, is called on every
+// evaluation the energy floor answered, with the re-priced problem and
+// the active cut's energy under it.
+var testHookFloorCertified func(c *Controller, prob *partition.Problem, activeE float64)
+
+// floorPoint is one solved inflation: lo is a certified lower bound on
+// the λ = 0 min-cut energy M(f).
+type floorPoint struct{ f, lo float64 }
+
+// maxFloors caps the floor memo; a full memo still answers from its
+// points and solves the rest without keeping them.
+const maxFloors = 32
+
+// floorRelSlack covers float rounding relative to the energies
+// compared: summation in SensorEnergy, the solver's float flows and the
+// chord arithmetic, each far below it.
+const floorRelSlack = 1e-9
+
+// cutSlack bounds how far the energy of the λ = 0 cut the solver
+// returns can sit above the true minimum. Dinic stops once every
+// residual is within eps = 1e-12 (internal/maxflow), so the returned
+// cut's capacity exceeds the flow, itself at most the true minimum, by
+// at most 2·eps per edge. The edge count bounds the λ = 0 s-t graph's:
+// F→D, one edge per source reader and per cell, and per transfer group
+// a tx and an rx edge plus two per consumer.
+func cutSlack(g *topology.Graph) float64 {
+	const eps = 1e-12
+	edges := 1 + len(g.SourceReaders()) + len(g.Cells)
+	for _, tg := range g.TransferGroups() {
+		edges += 2 + 2*len(tg.Consumers)
+	}
+	return 2 * float64(edges) * eps
+}
+
+// floorClears reports whether the energy floor at inflation f is at
+// least bar, so that no placement can cost less than bar under prob.
+// At λ = 0 every s-t cut's capacity is a placement's sensor energy, so
+// the min-cut energy M(f), less the solver's slack, is that floor.
+//
+// Every placement's energy is affine in f with non-negative
+// coefficients (compute and sensing are fixed, link energies scale
+// with f), so M(f), their minimum, is concave and non-decreasing.
+// Memoized points therefore bound M(f) without a solve: the chord
+// between the two points that bracket f lies below it, and so does the
+// nearest point below f when f lies past the last one. Only when that
+// bound falls short is M(f) solved, and the solved point memoized.
+func (c *Controller) floorClears(prob *partition.Problem, f, bar float64) bool {
+	lo, i, solved := c.memoFloor(f)
+	if lo >= bar || solved {
+		return lo >= bar
+	}
+	_, m := prob.MinCut()
+	lo = m*(1-floorRelSlack) - cutSlack(prob.Graph)
+	if len(c.floors) < maxFloors {
+		c.floors = slices.Insert(c.floors, i, floorPoint{f: f, lo: lo})
+	}
+	return lo >= bar
+}
+
+// memoFloor returns the memo's lower bound on M(f), -Inf when no point
+// lies at or below f, the index where f sits in the memo, and whether
+// f itself was solved.
+func (c *Controller) memoFloor(f float64) (lo float64, i int, solved bool) {
+	i, solved = slices.BinarySearchFunc(c.floors, f, func(p floorPoint, f float64) int { return cmp.Compare(p.f, f) })
+	switch {
+	case solved:
+		return c.floors[i].lo, i, true
+	case i == 0:
+		return math.Inf(-1), i, false
+	case i == len(c.floors):
+		return c.floors[i-1].lo, i, false
+	}
+	a, b := c.floors[i-1], c.floors[i]
+	return a.lo + (b.lo-a.lo)*(f-a.f)/(b.f-a.f), i, false
 }
 
 // ObserveEvent feeds one classified event back into the loop: the
