@@ -149,6 +149,21 @@ func Div(x, y Num) Num {
 	return sat64(q)
 }
 
+// divRound returns n/d for d > 0, rounded half away from zero and
+// saturated — Div's rounding on a raw dividend. With a constant d it
+// compiles to a multiply instead of a hardware divide.
+func divRound(n, d int64) Num {
+	q, r := n/d, n%d
+	if 2*absInt64(r) >= d {
+		if n < 0 {
+			q--
+		} else {
+			q++
+		}
+	}
+	return sat64(q)
+}
+
 func absInt64(v int64) int64 {
 	if v < 0 {
 		return -v
@@ -196,22 +211,22 @@ func Sqrt(x Num) Num {
 // followed by a degree-5 polynomial for e^r — the same
 // shift-and-polynomial structure a fixed-point hardware exp unit uses.
 func Exp(x Num) Num {
-	// Saturation bounds: e^10.4 ≈ 32859 > Max range; e^-11.1 < Eps.
-	if x > FromFloat(10.39) {
+	if x > expMax {
 		return Max
 	}
-	if x < FromFloat(-11.1) {
+	if x < expMin {
 		return 0
 	}
 	const ln2 = Num(45426) // round(ln2 · 2^16)
-	// k = round(x / ln2)
-	k := int32(Div(x, ln2)+Half) >> Shift
+	// k = round(x / ln2); every division below is Div by a constant.
+	k := int32(divRound(int64(x)<<Shift, int64(ln2))+Half) >> Shift
 	r := Sub(x, Num(int64(k)*int64(ln2)))
 	// e^r ≈ 1 + r + r²/2 + r³/6 + r⁴/24 + r⁵/120 (Horner form).
-	term := Add(One, Div(r, FromInt(5)))
-	term = Add(One, Mul(Div(r, FromInt(4)), term))
-	term = Add(One, Mul(Div(r, FromInt(3)), term))
-	term = Add(One, Mul(Div(r, FromInt(2)), term))
+	rr := int64(r) << Shift
+	term := Add(One, divRound(rr, 5<<Shift))
+	term = Add(One, Mul(divRound(rr, 4<<Shift), term))
+	term = Add(One, Mul(divRound(rr, 3<<Shift), term))
+	term = Add(One, Mul(divRound(rr, 2<<Shift), term))
 	term = Add(One, Mul(r, term))
 	// Scale by 2^k.
 	if k >= 0 {
@@ -224,6 +239,12 @@ func Exp(x Num) Num {
 	}
 	return Num(int64(term) >> sh)
 }
+
+// Exp's saturation bounds: e^10.4 ≈ 32859 > Max range; e^-11.1 < Eps.
+var (
+	expMax = FromFloat(10.39)
+	expMin = FromFloat(-11.1)
+)
 
 // Recip returns 1/x (the S-ALU reciprocal primitive).
 func Recip(x Num) Num { return Div(One, x) }

@@ -309,3 +309,59 @@ func BenchmarkExp(b *testing.B) {
 		_ = Exp(x)
 	}
 }
+
+// expReference is Exp as it was before its bounds were hoisted and its
+// constant divisions specialized: the general Div on every step.
+func expReference(x Num) Num {
+	if x > FromFloat(10.39) {
+		return Max
+	}
+	if x < FromFloat(-11.1) {
+		return 0
+	}
+	const ln2 = Num(45426)
+	k := int32(Div(x, ln2)+Half) >> Shift
+	r := Sub(x, Num(int64(k)*int64(ln2)))
+	term := Add(One, Div(r, FromInt(5)))
+	term = Add(One, Mul(Div(r, FromInt(4)), term))
+	term = Add(One, Mul(Div(r, FromInt(3)), term))
+	term = Add(One, Mul(Div(r, FromInt(2)), term))
+	term = Add(One, Mul(r, term))
+	if k >= 0 {
+		return sat64(int64(term) << uint(k))
+	}
+	sh := uint(-k)
+	if sh >= 47 {
+		return 0
+	}
+	return Num(int64(term) >> sh)
+}
+
+// TestExpMatchesReference checks Exp against the general-divider
+// reference on every Q16.16 input between its saturation bounds, and
+// 16 LSBs beyond each.
+func TestExpMatchesReference(t *testing.T) {
+	bad := 0
+	for x := FromFloat(-11.1) - 16; x <= FromFloat(10.39)+16; x++ {
+		if got, want := Exp(x), expReference(x); got != want {
+			if bad++; bad <= 5 {
+				t.Errorf("Exp(%d) = %d, reference %d", x, got, want)
+			}
+		}
+	}
+	if bad > 5 {
+		t.Errorf("%d inputs differ in all", bad)
+	}
+}
+
+// TestDivRoundMatchesDiv: the constant-divisor path rounds exactly as
+// Div does, signs and saturation included.
+func TestDivRoundMatchesDiv(t *testing.T) {
+	for _, y := range []Num{2 << Shift, 3 << Shift, 4 << Shift, 5 << Shift, 45426, 1, 7} {
+		for _, x := range []Num{0, 1, -1, 2, -2, Half, -Half, One, -One, Max, Min, Max - 1, Min + 1, 12345, -12345} {
+			if got, want := divRound(int64(x)<<Shift, int64(y)), Div(x, y); got != want {
+				t.Errorf("divRound(%d<<16, %d) = %d, Div = %d", x, y, got, want)
+			}
+		}
+	}
+}

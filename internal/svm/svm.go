@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync/atomic"
 
 	"xpro/internal/fixed"
 	"xpro/internal/linalg"
@@ -90,6 +91,11 @@ func (p Params) withDefaults(dim int) Params {
 }
 
 // Model is a trained binary SVM. Labels are −1/+1.
+//
+// The fields are read-only once the model has made its first
+// fixed-point decision: DecisionFixed quantizes them to Q16.16 once and
+// reuses that image. Every constructor (Train, TrainMVP, Prune,
+// topology.Synthetic) finishes writing the fields before returning.
 type Model struct {
 	Kernel  KernelKind
 	Gamma   float64
@@ -100,6 +106,42 @@ type Model struct {
 	// (collapsing the SVs to one dot product, as an in-sensor linear
 	// SVM cell would).
 	W []float64
+
+	fx atomic.Pointer[fixedModel]
+}
+
+// fixedModel is a Model's Q16.16 image: every parameter DecisionFixed
+// reads, quantized once.
+type fixedModel struct {
+	linear      bool
+	gamma, bias fixed.Num
+	w           []fixed.Num
+	vectors     [][]fixed.Num
+	coeffs      []fixed.Num
+}
+
+// fixedImage returns the model's Q16.16 image, building and publishing
+// it on first use. Concurrent first uses build equal images; one wins.
+func (m *Model) fixedImage() *fixedModel {
+	if q := m.fx.Load(); q != nil {
+		return q
+	}
+	q := &fixedModel{
+		linear: m.Kernel == Linear && m.W != nil,
+		gamma:  fixed.FromFloat(m.Gamma),
+		bias:   fixed.FromFloat(m.Bias),
+	}
+	if q.linear {
+		q.w = fixed.FromSlice(m.W)
+	} else {
+		q.vectors = make([][]fixed.Num, len(m.Vectors))
+		for i, v := range m.Vectors {
+			q.vectors[i] = fixed.FromSlice(v)
+		}
+		q.coeffs = fixed.FromSlice(m.Coeffs)
+	}
+	m.fx.CompareAndSwap(nil, q)
+	return m.fx.Load()
 }
 
 // ErrBadTrainingSet reports an unusable training set.
@@ -306,24 +348,26 @@ func (m *Model) Dim() int {
 // exactly as the in-sensor SVM functional cell computes it: the S-ALU's
 // multiply/accumulate plus the super-computation exp primitive for the
 // RBF kernel (§3.1.1).
+//
+// The parameters come from the model's Q16.16 image (see Model), so a
+// call quantizes nothing.
 func (m *Model) DecisionFixed(x []fixed.Num) fixed.Num {
-	if m.Kernel == Linear && m.W != nil {
-		acc := fixed.FromFloat(m.Bias)
-		for d, w := range m.W {
-			acc = fixed.Add(acc, fixed.Mul(fixed.FromFloat(w), x[d]))
+	q := m.fixedImage()
+	acc := q.bias
+	if q.linear {
+		for d, w := range q.w {
+			acc = fixed.Add(acc, fixed.Mul(w, x[d]))
 		}
 		return acc
 	}
-	gamma := fixed.FromFloat(m.Gamma)
-	acc := fixed.FromFloat(m.Bias)
-	for i, v := range m.Vectors {
+	for i, v := range q.vectors {
 		var d2 fixed.Num
 		for d := range v {
-			diff := fixed.Sub(fixed.FromFloat(v[d]), x[d])
+			diff := fixed.Sub(v[d], x[d])
 			d2 = fixed.Add(d2, fixed.Mul(diff, diff))
 		}
-		kv := fixed.Exp(fixed.Neg(fixed.Mul(gamma, d2)))
-		acc = fixed.Add(acc, fixed.Mul(fixed.FromFloat(m.Coeffs[i]), kv))
+		kv := fixed.Exp(fixed.Neg(fixed.Mul(q.gamma, d2)))
+		acc = fixed.Add(acc, fixed.Mul(q.coeffs[i], kv))
 	}
 	return acc
 }

@@ -216,3 +216,79 @@ func BenchmarkDecisionRBF(b *testing.B) {
 		_ = m.Decision(x[i%len(x)])
 	}
 }
+
+// decisionFixedReference is DecisionFixed quantizing every parameter on
+// every call, as it did before models kept a Q16.16 image.
+func decisionFixedReference(m *Model, x []fixed.Num) fixed.Num {
+	if m.Kernel == Linear && m.W != nil {
+		acc := fixed.FromFloat(m.Bias)
+		for d, w := range m.W {
+			acc = fixed.Add(acc, fixed.Mul(fixed.FromFloat(w), x[d]))
+		}
+		return acc
+	}
+	gamma := fixed.FromFloat(m.Gamma)
+	acc := fixed.FromFloat(m.Bias)
+	for i, v := range m.Vectors {
+		var d2 fixed.Num
+		for d := range v {
+			diff := fixed.Sub(fixed.FromFloat(v[d]), x[d])
+			d2 = fixed.Add(d2, fixed.Mul(diff, diff))
+		}
+		kv := fixed.Exp(fixed.Neg(fixed.Mul(gamma, d2)))
+		acc = fixed.Add(acc, fixed.Mul(fixed.FromFloat(m.Coeffs[i]), kv))
+	}
+	return acc
+}
+
+// TestDecisionFixedMatchesPerCallQuantization: the cached Q16.16 image
+// gives the per-call-quantizing decision bit for bit, on RBF and linear
+// models, over random inputs including saturating ones.
+func TestDecisionFixedMatchesPerCallQuantization(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	x, y := blobs(rng, 120, 4, 1.5)
+	for _, kind := range []KernelKind{RBF, Linear} {
+		m, err := Train(x, y, Params{Kernel: kind, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2000; i++ {
+			in := make([]fixed.Num, 4)
+			for d := range in {
+				switch rng.Intn(4) {
+				case 0:
+					in[d] = fixed.Num(rng.Int31()) - fixed.Num(rng.Int31()) // saturating
+				case 1:
+					in[d] = []fixed.Num{fixed.Max, fixed.Min, 0}[rng.Intn(3)]
+				default:
+					in[d] = fixed.FromFloat(rng.NormFloat64() * 2)
+				}
+			}
+			if got, want := m.DecisionFixed(in), decisionFixedReference(m, in); got != want {
+				t.Fatalf("%v model, input %v: DecisionFixed %d, reference %d", kind, in, got, want)
+			}
+		}
+	}
+}
+
+// TestDecisionFixedConcurrentFirstUse: goroutines racing on a fresh
+// model's first fixed-point decision all see the same image.
+func TestDecisionFixedConcurrentFirstUse(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	x, y := ring(rng, 80)
+	m, err := Train(x, y, Params{Kernel: RBF, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := []fixed.Num{fixed.FromFloat(0.3), fixed.FromFloat(-0.2)}
+	want := decisionFixedReference(m, in)
+	done := make(chan fixed.Num)
+	for g := 0; g < 4; g++ {
+		go func() { done <- m.DecisionFixed(in) }()
+	}
+	for g := 0; g < 4; g++ {
+		if got := <-done; got != want {
+			t.Fatalf("concurrent DecisionFixed %d, want %d", got, want)
+		}
+	}
+}

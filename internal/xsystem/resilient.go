@@ -307,27 +307,21 @@ func (r *run) sendPayload(bits int64, values int, fromSensor bool) (*frame.RxRep
 	return nil, false
 }
 
-// xfer memoizes one crossing payload: it is sent at most once per
-// event, however many consumers read it. rx (when the transport is
-// value-aware) pins what the receive side saw; counted guards the
-// one-time imputation tally.
-type xfer struct {
-	bits       int64
-	values     int
-	fromSensor bool
-	attempted  bool
-	ok         bool
-	counted    bool
-	rx         *frame.RxReport
+// leg is one crossing's per-event state: the payload is attempted at
+// most once per event, however many consumers read it. rx (when the
+// transport is value-aware) pins what the receive side saw; counted
+// guards the one-time imputation tally.
+type leg struct {
+	attempted, ok, counted bool
+	rx                     *frame.RxReport
 }
 
-func (r *run) ensure(x *xfer) bool {
-	if x == nil {
-		return false
-	}
+// ensure sends x's payload on its first use this event and reports
+// whether it arrived.
+func (r *run) ensure(x *leg, bits int64, values int, fromSensor bool) bool {
 	if !x.attempted {
 		x.attempted = true
-		x.rx, x.ok = r.sendPayload(x.bits, x.values, x.fromSensor)
+		x.rx, x.ok = r.sendPayload(bits, values, fromSensor)
 	}
 	return x.ok
 }
@@ -351,13 +345,13 @@ func (s *System) ClassifyOver(seg biosig.Segment, opt *ResilientOptions) (Outcom
 
 	g := s.Graph
 	p := s.Placement
+	pl := s.plan
 	state := opt.Plan.At(opt.now())
 
 	r := &run{opt: opt, out: &out, link: s.Link}
 	// The compute schedule is fixed hardware / fixed software: charge it
 	// up front, then add what the faulty link actually costs.
-	d := s.DelayPerEvent()
-	out.SpentSeconds = d.FrontEnd + d.BackEnd
+	out.SpentSeconds = pl.delay.FrontEnd + pl.delay.BackEnd
 	// Sensing runs regardless of how the event goes; compute and radio
 	// energy accrue below as cells execute and attempts go on the air.
 	out.SensorEnergy = s.problem.SensingEnergy
@@ -365,7 +359,7 @@ func (s *System) ClassifyOver(seg biosig.Segment, opt *ResilientOptions) (Outcom
 	// An aggregator stall blocks every back-end cell until the window
 	// ends; the wait comes out of the deadline budget.
 	if state.AggStall {
-		if _, na := p.Counts(); na > 0 || !p.OnSensor(g.Output) {
+		if pl.aggCells > 0 || !p.OnSensor(g.Output) {
 			wait := opt.Plan.Until(opt.now(), faults.AggStall) - opt.now()
 			if r.overBudget(wait) {
 				out.DeadlineExceeded = true
@@ -375,40 +369,21 @@ func (s *System) ClassifyOver(seg biosig.Segment, opt *ResilientOptions) (Outcom
 		}
 	}
 
-	// Crossing payloads, memoized per event: the raw segment (when a
-	// source reader sits on the aggregator), one per crossing transfer
-	// group, and the final result (when the output sits on the sensor).
-	var rawX *xfer
-	for _, id := range g.SourceReaders() {
-		if !p.OnSensor(id) {
-			rawX = &xfer{bits: g.SourceBits, values: g.SegLen, fromSensor: true}
-			break
-		}
+	// Crossing payloads, memoized per event: one leg per crossing
+	// transfer group, then the raw segment (when a source reader sits on
+	// the aggregator); the final result is sent below.
+	legs := make([]leg, len(pl.groups)+1)
+	raw := &legs[len(pl.groups)]
+	ensureRaw := func() bool {
+		return pl.rawCrosses && r.ensure(raw, g.SourceBits, g.SegLen, true)
 	}
-	groups := g.TransferGroups()
-	groupX := make([]*xfer, len(groups))
-	// byPair[consumer][producer] lists the crossing groups feeding that
-	// consumer from that producer.
-	byPair := make(map[topology.CellID]map[topology.CellID][]int)
-	for gi, tg := range groups {
-		fromS := p.OnSensor(tg.From)
-		for _, c := range tg.Consumers {
-			if p.OnSensor(c) == fromS {
-				continue
-			}
-			if groupX[gi] == nil {
-				groupX[gi] = &xfer{bits: tg.Bits, values: tg.Values, fromSensor: fromS}
-			}
-			if byPair[c] == nil {
-				byPair[c] = make(map[topology.CellID][]int)
-			}
-			byPair[c][tg.From] = append(byPair[c][tg.From], gi)
-		}
-	}
-	crossed := func(consumer, producer topology.CellID) bool {
+	// crossed sends every crossing group the in-edge at CSR slot k waits
+	// on, and reports whether all of them arrived.
+	crossed := func(k int) bool {
 		ok := true
-		for _, gi := range byPair[consumer][producer] {
-			if !r.ensure(groupX[gi]) {
+		for _, gi := range pl.pairGroups(k) {
+			tg := &pl.groups[gi]
+			if !r.ensure(&legs[gi], tg.Bits, tg.Values, p.OnSensor(tg.From)) {
 				ok = false
 			}
 		}
@@ -425,33 +400,24 @@ func (s *System) ClassifyOver(seg biosig.Segment, opt *ResilientOptions) (Outcom
 	// (quantization happens in the gather path as always).
 	dirtyView := func(producer topology.CellID) []float64 {
 		var view []float64
-		for gi := range groups {
-			tg := &groups[gi]
-			x := groupX[gi]
-			if tg.From != producer || x == nil || !x.attempted || !x.ok || !x.rx.Dirty() {
+		for _, gi := range pl.producedGroups(producer) {
+			tg := &pl.groups[gi]
+			x := &legs[gi]
+			if !x.attempted || !x.ok || !x.rx.Dirty() {
 				continue
 			}
 			if view == nil {
 				view = append([]float64(nil), outputs[producer].asFloat()...)
 			}
-			// The group's slice of the producer's full output: a DWT cell
-			// emits detail ‖ approx, each its own group.
-			off := 0
-			if tg.Class == topology.PayloadApprox {
-				off = g.Cells[producer].OutValues
-			}
+			// The group's slice of the producer's full output.
 			n := tg.Values
-			if off >= len(view) {
+			if tg.off >= len(view) {
 				continue
 			}
-			if off+n > len(view) {
-				n = len(view) - off
+			if tg.off+n > len(view) {
+				n = len(view) - tg.off
 			}
-			per := int64(0)
-			if tg.Values > 0 {
-				per = tg.Bits / int64(tg.Values)
-			}
-			imputed := applyDamage(view[off:off+n], per, x.rx, opt.imputePolicy())
+			imputed := applyDamage(view[tg.off:tg.off+n], tg.per, x.rx, opt.imputePolicy())
 			if !x.counted {
 				x.counted = true
 				x.rx.Imputed = imputed
@@ -473,18 +439,34 @@ func (s *System) ClassifyOver(seg biosig.Segment, opt *ResilientOptions) (Outcom
 		if g.SegLen > 0 {
 			per = g.SourceBits / int64(g.SegLen)
 		}
-		imputed := applyDamage(samples, per, rawX.rx, opt.imputePolicy())
-		if !rawX.counted {
-			rawX.counted = true
-			rawX.rx.Imputed = imputed
+		imputed := applyDamage(samples, per, raw.rx, opt.imputePolicy())
+		if !raw.counted {
+			raw.counted = true
+			raw.rx.Imputed = imputed
 			out.ImputedValues += imputed
 		}
 		evRx = newEvent(g, biosig.Segment{Samples: samples, Label: seg.Label})
 		return evRx
 	}
+
+	// fetch resolves one in-edge's producer value as the current cell
+	// sees it: crossing edges whose payload arrived damaged read the
+	// receiver's reconstruction instead of the producer verbatim.
+	var id topology.CellID
+	var ins []topology.Edge
+	fetch := func(i int) value {
+		e := ins[i]
+		if e.From != topology.SourceID && p.OnSensor(e.From) != p.OnSensor(id) {
+			if view := dirtyView(e.From); view != nil {
+				return value{fl: view}
+			}
+		}
+		return outputs[e.From]
+	}
 	lost := make([]bool, len(g.Cells))
+	availAll := make([]bool, len(pl.ins))
 	complete := true
-	for _, id := range s.order {
+	for _, id = range pl.order {
 		c := g.Cells[id]
 		if state.Brownout && p.OnSensor(id) {
 			// The cell array is below its operating threshold; sensing
@@ -493,31 +475,20 @@ func (s *System) ClassifyOver(seg biosig.Segment, opt *ResilientOptions) (Outcom
 			complete = false
 			continue
 		}
-		ins := g.InEdges(id)
-		avail := make([]bool, len(ins))
+		k0 := pl.inStart[id]
+		ins = pl.ins[k0:pl.inStart[id+1]]
+		avail := availAll[k0 : k0+len(ins)]
 		for i, e := range ins {
 			switch {
 			case e.From == topology.SourceID:
-				avail[i] = p.OnSensor(id) || r.ensure(rawX)
+				avail[i] = p.OnSensor(id) || ensureRaw()
 			case lost[e.From]:
 				avail[i] = false
 			case p.OnSensor(e.From) != p.OnSensor(id):
-				avail[i] = crossed(id, e.From)
+				avail[i] = crossed(k0 + i)
 			default:
 				avail[i] = true
 			}
-		}
-		// fetch resolves one in-edge's producer value as this cell sees
-		// it: crossing edges whose payload arrived damaged read the
-		// receiver's reconstruction instead of the producer verbatim.
-		fetch := func(i int) value {
-			e := ins[i]
-			if e.From != topology.SourceID && p.OnSensor(e.From) != p.OnSensor(id) {
-				if view := dirtyView(e.From); view != nil {
-					return value{fl: view}
-				}
-			}
-			return outputs[e.From]
 		}
 		if c.Role == topology.RoleFusion {
 			if p.OnSensor(id) {
@@ -558,7 +529,7 @@ func (s *System) ClassifyOver(seg biosig.Segment, opt *ResilientOptions) (Outcom
 			out.SensorEnergy += s.HW.Energy(id)
 		}
 		cellEv := ev
-		if !p.OnSensor(id) && rawX != nil && rawX.ok && rawX.rx.Dirty() {
+		if !p.OnSensor(id) && pl.rawCrosses && raw.ok && raw.rx.Dirty() {
 			cellEv = rxEvent()
 		}
 		v, err := s.evalCell(c, ins, fetch, cellEv)

@@ -89,6 +89,7 @@ func (s *System) Stream(in <-chan biosig.Segment) <-chan StreamResult {
 	}
 
 	g := s.Graph
+	pl := s.plan
 	edgeCh := make([]chan value, len(g.Edges))
 	for i := range edgeCh {
 		edgeCh[i] = make(chan value, streamDepth)
@@ -96,14 +97,6 @@ func (s *System) Stream(in <-chan biosig.Segment) <-chan StreamResult {
 	eventCh := make([]chan *event, len(g.Cells))
 	for i := range eventCh {
 		eventCh[i] = make(chan *event, streamDepth)
-	}
-	inEdgeIdx := make([][]int, len(g.Cells))
-	outEdgeIdx := make([][]int, len(g.Cells))
-	for ei, e := range g.Edges {
-		if e.From != topology.SourceID {
-			outEdgeIdx[e.From] = append(outEdgeIdx[e.From], ei)
-		}
-		inEdgeIdx[e.To] = append(inEdgeIdx[e.To], ei)
 	}
 	outCh := make(chan value, streamDepth)
 
@@ -114,14 +107,16 @@ func (s *System) Stream(in <-chan biosig.Segment) <-chan StreamResult {
 			if c.ID == g.Output {
 				defer close(outCh)
 			}
-			ins := g.InEdges(c.ID)
+			ins := pl.inEdges(c.ID)
+			inEdge := pl.inEdge[pl.inStart[c.ID]:pl.inStart[c.ID+1]]
+			outEdge := pl.outEdge[pl.outStart[c.ID]:pl.outStart[c.ID+1]]
 			for {
 				ev, ok := recv(st, eventCh[c.ID])
 				if !ok {
 					return
 				}
 				vals := make([]value, len(ins))
-				for k, ei := range inEdgeIdx[c.ID] {
+				for k, ei := range inEdge {
 					if ins[k].From == topology.SourceID {
 						continue // carried by ev
 					}
@@ -136,7 +131,7 @@ func (s *System) Stream(in <-chan biosig.Segment) <-chan StreamResult {
 					st.fail(fmt.Errorf("xsystem: cell %s: %w", c.Name, err))
 					return
 				}
-				for _, ei := range outEdgeIdx[c.ID] {
+				for _, ei := range outEdge {
 					if !send(st, edgeCh[ei], out) {
 						return
 					}

@@ -23,6 +23,8 @@ type TieredSystem struct {
 	// TierPlacement is the current k-way placement; System.Placement is
 	// always its Collapse(0).
 	TierPlacement partition.TierPlacement
+
+	tplan *tierPlan
 }
 
 // NewTiered lifts a 2-end system onto the given tier chain and solves
@@ -64,7 +66,9 @@ func newTieredWith(s *System, tp *partition.TieredProblem, p partition.TierPlace
 	if err != nil {
 		return nil, err
 	}
-	return &TieredSystem{System: runtime, Tiered: tp, TierPlacement: p.Clone()}, nil
+	ts := &TieredSystem{System: runtime, Tiered: tp, TierPlacement: p.Clone()}
+	ts.tplan = ts.compileTiers(ts.TierPlacement)
+	return ts, nil
 }
 
 // WithTierPlacement returns a sibling system running placement p — the

@@ -254,76 +254,52 @@ func (r *trun) sendHop(h int, bits int64, values int, up bool) (*frame.RxReport,
 	return nil, false
 }
 
-// tierXfer memoizes one payload's hop span: legs[j] is the crossing of
-// hop base+j, attempted at most once per event. A consumer on tier t
-// needs legs 0..t−base−1 all delivered; a leg that failed blocks every
-// leg above it (the payload never reached that hop's sender).
-type tierXfer struct {
-	bits   int64
-	values int
-	base   partition.Tier
-	legs   []hopLeg
-}
-
-type hopLeg struct {
-	attempted, ok, counted bool
-	rx                     *frame.RxReport
-}
-
-func newTierXfer(bits int64, values int, base, top partition.Tier) *tierXfer {
-	return &tierXfer{bits: bits, values: values, base: base, legs: make([]hopLeg, int(top-base))}
-}
-
-// ensureTo walks the span's legs up to (not including) tier t,
-// sending each unattempted one, and reports whether the payload
-// reached tier t.
-func (r *trun) ensureTo(x *tierXfer, t partition.Tier) bool {
-	if x == nil {
-		return false
-	}
-	for j := 0; j < int(t-x.base) && j < len(x.legs); j++ {
-		leg := &x.legs[j]
-		if !leg.attempted {
-			leg.attempted = true
-			leg.rx, leg.ok = r.sendHop(int(x.base)+j, x.bits, x.values, true)
+// ensureTo walks span's legs up to (not including) tier t — a consumer
+// on tier t needs legs 0..t−base−1 all delivered — sending each
+// unattempted one, and reports whether the payload reached tier t. A
+// leg that failed blocks every leg above it (the payload never reached
+// that hop's sender).
+func (r *trun) ensureTo(legs []leg, sp hopSpan, bits int64, values int, t partition.Tier) bool {
+	for j := 0; j < int(t-sp.base) && j < int(sp.top-sp.base); j++ {
+		x := &legs[sp.legOff+j]
+		if !x.attempted {
+			x.attempted = true
+			x.rx, x.ok = r.sendHop(int(sp.base)+j, bits, values, true)
 		}
-		if !leg.ok {
+		if !x.ok {
 			return false
 		}
 	}
 	return true
 }
 
-// dirtyTo reports whether any delivered leg below tier t carries
-// receive-side damage.
-func (x *tierXfer) dirtyTo(t partition.Tier) bool {
-	if x == nil {
-		return false
-	}
-	for j := 0; j < int(t-x.base) && j < len(x.legs); j++ {
-		leg := x.legs[j]
-		if leg.attempted && leg.ok && leg.rx.Dirty() {
+// dirtyTo reports whether any delivered leg of span below tier t
+// carries receive-side damage.
+func dirtyTo(legs []leg, sp hopSpan, t partition.Tier) bool {
+	for j := 0; j < int(t-sp.base) && j < int(sp.top-sp.base); j++ {
+		x := &legs[sp.legOff+j]
+		if x.attempted && x.ok && x.rx.Dirty() {
 			return true
 		}
 	}
 	return false
 }
 
-// applyLegs composes the span's receive damage onto view, hop by hop
-// in crossing order — hop u's smears and imputations feed hop u+1's
+// applyLegs composes span's receive damage onto view, hop by hop in
+// crossing order — hop u's smears and imputations feed hop u+1's
 // transmission, exactly as the payload physically relayed. Each leg's
 // imputed count is tallied once per event however many consumers
 // decode it.
-func (r *trun) applyLegs(view []float64, per int64, x *tierXfer, t partition.Tier) {
-	for j := 0; j < int(t-x.base) && j < len(x.legs); j++ {
-		leg := &x.legs[j]
-		if !leg.attempted || !leg.ok || !leg.rx.Dirty() {
+func (r *trun) applyLegs(view []float64, per int64, legs []leg, sp hopSpan, t partition.Tier) {
+	for j := 0; j < int(t-sp.base) && j < int(sp.top-sp.base); j++ {
+		x := &legs[sp.legOff+j]
+		if !x.attempted || !x.ok || !x.rx.Dirty() {
 			continue
 		}
-		imputed := applyDamage(view, per, leg.rx, r.opt.imputePolicy())
-		if !leg.counted {
-			leg.counted = true
-			leg.rx.Imputed = imputed
+		imputed := applyDamage(view, per, x.rx, r.opt.imputePolicy())
+		if !x.counted {
+			x.counted = true
+			x.rx.Imputed = imputed
 			r.out.ImputedValues += imputed
 		}
 	}
@@ -369,24 +345,18 @@ func (ts *TieredSystem) ClassifyOver(seg biosig.Segment, opt *TieredOptions) (Ti
 
 	g := ts.Graph
 	tpl := ts.TierPlacement
+	pl, tp := ts.plan, ts.tplan
 	state := opt.Plan.At(opt.now())
 	r := &trun{ts: ts, opt: opt, out: &out}
 
 	// The compute schedule is the collapsed two-natured runtime's:
 	// charge it up front, then add what the faulty hops actually cost.
-	d := ts.DelayPerEvent()
-	out.SpentSeconds = d.FrontEnd + d.BackEnd
+	out.SpentSeconds = pl.delay.FrontEnd + pl.delay.BackEnd
 	out.SensorEnergy = ts.problem.SensingEnergy
 
 	// An aggregator stall preempts every upper-tier cell until the
 	// window ends; the wait comes out of the shared deadline budget.
-	upperCells := 0
-	for _, t := range tpl {
-		if t > 0 {
-			upperCells++
-		}
-	}
-	if state.AggStall && upperCells > 0 {
+	if state.AggStall && tp.upperCells > 0 {
 		wait := opt.Plan.Until(opt.now(), faults.AggStall) - opt.now()
 		if r.overBudget(wait) {
 			out.DeadlineExceeded = true
@@ -398,43 +368,15 @@ func (ts *TieredSystem) ClassifyOver(seg biosig.Segment, opt *TieredOptions) (Ti
 	// Crossing payloads, memoized per (payload, hop): the raw segment
 	// (when the source readers sit above tier 0), one span per crossing
 	// transfer group, and the final result march below.
-	srcTier := partition.Tier(0)
-	if readers := g.SourceReaders(); len(readers) > 0 {
-		srcTier = tpl[readers[0]]
-	}
-	var rawX *tierXfer
-	if srcTier > 0 {
-		rawX = newTierXfer(g.SourceBits, g.SegLen, 0, srcTier)
-	}
-	groups := g.TransferGroups()
-	groupX := make([]*tierXfer, len(groups))
-	byPair := make(map[topology.CellID]map[topology.CellID][]int)
-	for gi, tg := range groups {
-		from := tpl[tg.From]
-		top := from
-		for _, c := range tg.Consumers {
-			if tpl[c] > top {
-				top = tpl[c]
-			}
-		}
-		if top == from {
-			continue
-		}
-		groupX[gi] = newTierXfer(tg.Bits, tg.Values, from, top)
-		for _, c := range tg.Consumers {
-			if tpl[c] == from {
-				continue
-			}
-			if byPair[c] == nil {
-				byPair[c] = make(map[topology.CellID][]int)
-			}
-			byPair[c][tg.From] = append(byPair[c][tg.From], gi)
-		}
-	}
-	crossed := func(consumer, producer topology.CellID) bool {
+	legs := make([]leg, tp.legs)
+	srcTier := tp.srcTier
+	// crossed sends every crossing group the in-edge at CSR slot k waits
+	// on up to tier t, and reports whether all of them arrived.
+	crossed := func(k int, t partition.Tier) bool {
 		ok := true
-		for _, gi := range byPair[consumer][producer] {
-			if !r.ensureTo(groupX[gi], tpl[consumer]) {
+		for _, gi := range tp.pairGroups(k) {
+			tg := &pl.groups[gi]
+			if !r.ensureTo(legs, tp.spans[gi], tg.Bits, tg.Values, t) {
 				ok = false
 			}
 		}
@@ -448,31 +390,22 @@ func (ts *TieredSystem) ClassifyOver(seg biosig.Segment, opt *TieredOptions) (Ti
 	// producer's crossing output when any traversed hop damaged it.
 	dirtyView := func(producer topology.CellID, t partition.Tier) []float64 {
 		var view []float64
-		for gi := range groups {
-			tg := &groups[gi]
-			x := groupX[gi]
-			if tg.From != producer || x == nil || !x.dirtyTo(t) {
+		for _, gi := range pl.producedGroups(producer) {
+			tg := &pl.groups[gi]
+			if !dirtyTo(legs, tp.spans[gi], t) {
 				continue
 			}
 			if view == nil {
 				view = append([]float64(nil), outputs[producer].asFloat()...)
 			}
-			off := 0
-			if tg.Class == topology.PayloadApprox {
-				off = g.Cells[producer].OutValues
-			}
 			n := tg.Values
-			if off >= len(view) {
+			if tg.off >= len(view) {
 				continue
 			}
-			if off+n > len(view) {
-				n = len(view) - off
+			if tg.off+n > len(view) {
+				n = len(view) - tg.off
 			}
-			per := int64(0)
-			if tg.Values > 0 {
-				per = tg.Bits / int64(tg.Values)
-			}
-			r.applyLegs(view[off:off+n], per, x, t)
+			r.applyLegs(view[tg.off:tg.off+n], tg.per, legs, tp.spans[gi], t)
 		}
 		return view
 	}
@@ -489,42 +422,46 @@ func (ts *TieredSystem) ClassifyOver(seg biosig.Segment, opt *TieredOptions) (Ti
 		if g.SegLen > 0 {
 			per = g.SourceBits / int64(g.SegLen)
 		}
-		r.applyLegs(samples, per, rawX, srcTier)
+		r.applyLegs(samples, per, legs, tp.raw, srcTier)
 		evRx = newEvent(g, biosig.Segment{Samples: samples, Label: seg.Label})
 		return evRx
 	}
 
+	var id topology.CellID
+	var ins []topology.Edge
+	fetch := func(i int) value {
+		e := ins[i]
+		if e.From != topology.SourceID && tpl[e.From] != tpl[id] {
+			if view := dirtyView(e.From, tpl[id]); view != nil {
+				return value{fl: view}
+			}
+		}
+		return outputs[e.From]
+	}
 	lost := make([]bool, len(g.Cells))
+	availAll := make([]bool, len(pl.ins))
 	complete := true
-	for _, id := range ts.order {
+	for _, id = range pl.order {
 		c := g.Cells[id]
 		if state.Brownout && tpl[id] == 0 {
 			lost[id] = true
 			complete = false
 			continue
 		}
-		ins := g.InEdges(id)
-		avail := make([]bool, len(ins))
+		k0 := pl.inStart[id]
+		ins = pl.ins[k0:pl.inStart[id+1]]
+		avail := availAll[k0 : k0+len(ins)]
 		for i, e := range ins {
 			switch {
 			case e.From == topology.SourceID:
-				avail[i] = tpl[id] == 0 || r.ensureTo(rawX, tpl[id])
+				avail[i] = tpl[id] == 0 || srcTier > 0 && r.ensureTo(legs, tp.raw, g.SourceBits, g.SegLen, tpl[id])
 			case lost[e.From]:
 				avail[i] = false
 			case tpl[e.From] != tpl[id]:
-				avail[i] = crossed(id, e.From)
+				avail[i] = crossed(k0+i, tpl[id])
 			default:
 				avail[i] = true
 			}
-		}
-		fetch := func(i int) value {
-			e := ins[i]
-			if e.From != topology.SourceID && tpl[e.From] != tpl[id] {
-				if view := dirtyView(e.From, tpl[id]); view != nil {
-					return value{fl: view}
-				}
-			}
-			return outputs[e.From]
 		}
 		if c.Role == topology.RoleFusion {
 			if tpl[id] == 0 {
@@ -565,7 +502,7 @@ func (ts *TieredSystem) ClassifyOver(seg biosig.Segment, opt *TieredOptions) (Ti
 			out.SensorEnergy += ts.cellEnergyAt(0, id)
 		}
 		cellEv := ev
-		if tpl[id] > 0 && rawX != nil && rawX.dirtyTo(tpl[id]) {
+		if tpl[id] > 0 && dirtyTo(legs, tp.raw, tpl[id]) {
 			cellEv = rxEvent()
 		}
 		v, err := ts.evalCell(c, ins, fetch, cellEv)

@@ -42,6 +42,13 @@ import (
 )
 
 // System is a fully configured cross-end engine instance.
+//
+// Building a system (New, WithPlacement) compiles its placement into an
+// immutable execution plan (plan.go) priced from HW, CPU and Link as
+// they are at that moment: DelayPerEvent, EnergyPerEvent and the event
+// walks read the plan. Treat Graph, HW, CPU, Link and Placement as
+// read-only afterwards; derive a sibling with WithPlacement instead.
+// DelayOf alone prices from the receiver's current Link, CPU and HW.
 type System struct {
 	Graph     *topology.Graph
 	Ens       *ensemble.Ensemble
@@ -62,7 +69,7 @@ type System struct {
 	Tracer *telemetry.Tracer
 
 	problem *partition.Problem
-	order   []topology.CellID
+	plan    *placementPlan
 }
 
 // metrics returns the effective registry (never nil-dereferenced:
@@ -127,7 +134,7 @@ func New(g *topology.Graph, ens *ensemble.Ensemble, proc celllib.Process, link w
 			return cpu.CellCost(g.Cells[id].Spec).Delay
 		},
 	}
-	return &System{
+	s := &System{
 		Graph:        g,
 		Ens:          ens,
 		HW:           hw,
@@ -136,8 +143,9 @@ func New(g *topology.Graph, ens *ensemble.Ensemble, proc celllib.Process, link w
 		Placement:    p,
 		SampleRateHz: sampleRateHz,
 		problem:      prob,
-		order:        order,
-	}, nil
+	}
+	s.plan = s.compilePlacement(compileGraph(g, order))
+	return s, nil
 }
 
 // Problem exposes the pricing problem used by this system (shared with
@@ -159,6 +167,7 @@ func (s *System) WithPlacement(p partition.Placement) (*System, error) {
 	}
 	ns := *s
 	ns.Placement = append(partition.Placement(nil), p...)
+	ns.plan = ns.compilePlacement(s.plan.graphPlan)
 	return &ns, nil
 }
 
@@ -192,10 +201,13 @@ func (e Energy) SensorWireless() float64 { return e.SensorTx + e.SensorRx }
 // AggregatorTotal is the aggregator's per-event energy.
 func (e Energy) AggregatorTotal() float64 { return e.AggCompute + e.AggRx + e.AggTx }
 
-// EnergyPerEvent computes the full per-event energy breakdown.
-func (s *System) EnergyPerEvent() Energy {
+// EnergyPerEvent returns the full per-event energy breakdown of the
+// system's placement, compiled when the system was built.
+func (s *System) EnergyPerEvent() Energy { return s.plan.energy }
+
+// energyOf prices placement p's per-event energy over graph plan gp.
+func (s *System) energyOf(gp *graphPlan, p partition.Placement) Energy {
 	g := s.Graph
-	p := s.Placement
 	var e Energy
 	e.Sensing = s.problem.SensingEnergy
 	for _, id := range p.SensorCells() {
@@ -205,7 +217,7 @@ func (s *System) EnergyPerEvent() Energy {
 		e.AggCompute += s.CPU.CellCost(g.Cells[id].Spec).Energy
 	}
 	rawSent := false
-	for _, id := range g.SourceReaders() {
+	for _, id := range gp.readers {
 		if !p.OnSensor(id) {
 			rawSent = true
 			break
@@ -216,7 +228,8 @@ func (s *System) EnergyPerEvent() Energy {
 		e.SensorTx += tr.TxEnergy
 		e.AggRx += tr.RxEnergy
 	}
-	for _, tg := range g.TransferGroups() {
+	for i := range gp.groups {
+		tg := &gp.groups[i]
 		fromS := p.OnSensor(tg.From)
 		crosses := false
 		for _, c := range tg.Consumers {
@@ -260,24 +273,32 @@ type Delay struct {
 // Total is the end-to-end per-event delay.
 func (d Delay) Total() float64 { return d.FrontEnd + d.Wireless + d.BackEnd }
 
-// DelayPerEvent computes the delay breakdown for the system's placement.
-func (s *System) DelayPerEvent() Delay { return s.DelayOf(s.Placement) }
+// DelayPerEvent returns the delay breakdown of the system's placement,
+// compiled when the system was built.
+func (s *System) DelayPerEvent() Delay { return s.plan.delay }
 
 // DelayOf computes the delay breakdown for an arbitrary placement — the
-// delay model handed to the Automatic XPro Generator.
+// delay model handed to the Automatic XPro Generator. It reads only the
+// placement-independent half of the plan and prices from the receiver's
+// current Link, CPU and HW, so a System copy with a swapped Link (the
+// adaptive controller's derated re-pricing) prices on that link.
 func (s *System) DelayOf(p partition.Placement) Delay {
+	return s.delayOf(s.plan.graphPlan, p)
+}
+
+func (s *System) delayOf(gp *graphPlan, p partition.Placement) Delay {
 	g := s.Graph
 	var d Delay
 
 	// Front end: longest path over in-sensor cells (intra-end
 	// communication is free, §2.2).
 	finish := make([]float64, len(g.Cells))
-	for _, id := range s.order {
+	for _, id := range gp.order {
 		if !p.OnSensor(id) {
 			continue
 		}
 		start := 0.0
-		for _, e := range g.InEdges(id) {
+		for _, e := range gp.inEdges(id) {
 			if e.From == topology.SourceID || !p.OnSensor(e.From) {
 				continue
 			}
@@ -293,7 +314,7 @@ func (s *System) DelayOf(p partition.Placement) Delay {
 
 	// Wireless: all crossing payloads, serialized on the link.
 	rawSent := false
-	for _, id := range g.SourceReaders() {
+	for _, id := range gp.readers {
 		if !p.OnSensor(id) {
 			rawSent = true
 			break
@@ -302,7 +323,8 @@ func (s *System) DelayOf(p partition.Placement) Delay {
 	if rawSent {
 		d.Wireless += s.Link.Cost(g.SourceBits).Delay
 	}
-	for _, tg := range g.TransferGroups() {
+	for i := range gp.groups {
+		tg := &gp.groups[i]
 		fromS := p.OnSensor(tg.From)
 		for _, c := range tg.Consumers {
 			if p.OnSensor(c) != fromS {
@@ -448,13 +470,15 @@ func (s *System) Classify(seg biosig.Segment) (int, error) {
 	m.Quantile("xpro_classify_wall_seconds",
 		"Wall time of one Classify call (windowed quantile sketch on host uptime).",
 		0).ObserveWall(time.Since(start).Seconds())
-	ns, na := s.Placement.Counts()
-	m.Counter(telemetry.WithLabels("xpro_cells_executed_total", map[string]string{"end": "sensor"}),
-		"Functional-cell activations by end.").Add(float64(ns))
-	m.Counter(telemetry.WithLabels("xpro_cells_executed_total", map[string]string{"end": "aggregator"}),
-		"Functional-cell activations by end.").Add(float64(na))
+	m.Counter(cellsExecutedSensor, "Functional-cell activations by end.").Add(float64(s.plan.sensorCells))
+	m.Counter(cellsExecutedAggregator, "Functional-cell activations by end.").Add(float64(s.plan.aggCells))
 	return label, nil
 }
+
+var (
+	cellsExecutedSensor     = telemetry.WithLabels("xpro_cells_executed_total", map[string]string{"end": "sensor"})
+	cellsExecutedAggregator = telemetry.WithLabels("xpro_cells_executed_total", map[string]string{"end": "aggregator"})
+)
 
 func (s *System) classify(seg biosig.Segment, start time.Time) (int, error) {
 	if s.Ens == nil {
@@ -464,6 +488,7 @@ func (s *System) classify(seg biosig.Segment, start time.Time) (int, error) {
 		return 0, fmt.Errorf("xsystem: segment length %d, engine built for %d", len(seg.Samples), s.Graph.SegLen)
 	}
 	g := s.Graph
+	pl := s.plan
 	outputs := make([]value, len(g.Cells))
 
 	tr := s.tracer()
@@ -472,25 +497,22 @@ func (s *System) classify(seg biosig.Segment, start time.Time) (int, error) {
 		evID = tr.NextEvent()
 	}
 	ev := newEvent(s.Graph, seg)
-	for _, id := range s.order {
+	var ins []topology.Edge
+	fetch := func(i int) value { return outputs[ins[i].From] }
+	for _, id := range pl.order {
 		c := g.Cells[id]
-		ins := g.InEdges(id)
-		fetch := func(i int) value { return outputs[ins[i].From] }
+		ins = pl.inEdges(id)
 		var t0 time.Time
 		if tr != nil {
 			t0 = time.Now()
 		}
 		out, err := s.evalCell(c, ins, fetch, ev)
 		if tr != nil {
-			end := "aggregator"
-			if s.Placement.OnSensor(id) {
-				end = "sensor"
-			}
-			energy, delay := s.CellCost(id)
+			cc := &pl.cost[id]
 			span := telemetry.Span{
-				Event: evID, Name: c.Name, End: end,
+				Event: evID, Name: c.Name, End: cc.end,
 				Start: t0, Wall: time.Since(t0),
-				EnergyJoules: energy, DelaySeconds: delay,
+				EnergyJoules: cc.energy, DelaySeconds: cc.delay,
 			}
 			if err != nil {
 				span.Err = err.Error()
@@ -503,12 +525,11 @@ func (s *System) classify(seg biosig.Segment, start time.Time) (int, error) {
 		outputs[id] = out
 	}
 	if tr != nil {
-		d := s.DelayPerEvent()
 		tr.Add(telemetry.Span{
 			Event: evID, Name: "classify", End: "event",
 			Start: start, Wall: time.Since(start),
-			EnergyJoules: s.EnergyPerEvent().SensorTotal(),
-			DelaySeconds: d.Total(),
+			EnergyJoules: pl.energy.SensorTotal(),
+			DelaySeconds: pl.delay.Total(),
 		})
 	}
 

@@ -10,7 +10,6 @@ import (
 
 	"xpro/internal/adaptive"
 	"xpro/internal/biosig"
-	"xpro/internal/ensemble"
 	"xpro/internal/eventsim"
 	"xpro/internal/faults"
 	"xpro/internal/partition"
@@ -319,7 +318,7 @@ type resilient struct {
 // buildResilient assembles the fault-tolerance layer during engine
 // construction. Returns nil when the config requests none.
 func buildResilient(cfg Config, sys *xsystem.System, g *topology.Graph,
-	ens *ensemble.Ensemble, obs *Observer) (*resilient, error) {
+	obs *Observer) (*resilient, error) {
 	if cfg.Resilience == nil && cfg.FaultPlan == nil && cfg.Adaptive == nil && cfg.Integrity == nil {
 		return nil, nil
 	}
@@ -383,13 +382,13 @@ func buildResilient(cfg Config, sys *xsystem.System, g *topology.Graph,
 		}
 	}
 	// The all-sensor extreme of the same s-t graph: the fallback cut
-	// events route through when the cross-end path cannot complete.
-	fb, err := xsystem.New(g, ens, cfg.Process.internal(), sys.Link, sys.CPU,
-		partition.InSensor(g), cfg.SampleRateHz)
+	// events route through when the cross-end path cannot complete. A
+	// sibling of the engine's system, it shares its characterization,
+	// pricing problem and compiled graph.
+	fb, err := sys.WithPlacement(partition.InSensor(g))
 	if err != nil {
 		return nil, fmt.Errorf("xpro: building fallback cut: %w", err)
 	}
-	fb.Metrics = obs.reg
 	period := 0.0
 	if ev := sys.EventsPerSecond(); ev > 0 {
 		period = 1 / ev

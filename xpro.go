@@ -250,7 +250,8 @@ type Config struct {
 // far the most expensive step of New, and Process/Wireless/Kind/pruning
 // choices never affect it, so design-space sweeps (Compare, Recommend)
 // reuse one trained ensemble. Cached ensembles and test sets are
-// read-only after construction and safe to share across engines.
+// read-only after construction and safe to share across engines; the
+// entry also keeps the ensemble's software accuracy on its test set.
 var trained = struct {
 	sync.Mutex
 	m map[string]*trainedEntry
@@ -259,18 +260,19 @@ var trained = struct {
 type trainedEntry struct {
 	ens  *ensemble.Ensemble
 	test *biosig.Dataset
+	acc  float64
 }
 
-func trainedEnsemble(caseSym string, seed int64, protocol Protocol) (*ensemble.Ensemble, *biosig.Dataset, error) {
+func trainedEnsemble(caseSym string, seed int64, protocol Protocol) (*trainedEntry, error) {
 	key := fmt.Sprintf("%s/%d/%d", caseSym, seed, protocol)
 	trained.Lock()
 	defer trained.Unlock()
 	if e, ok := trained.m[key]; ok {
-		return e.ens, e.test, nil
+		return e, nil
 	}
 	spec, err := biosig.CaseBySymbol(caseSym)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	d := biosig.Generate(spec)
 	rng := rand.New(rand.NewSource(seed))
@@ -283,10 +285,15 @@ func trainedEnsemble(caseSym string, seed int64, protocol Protocol) (*ensemble.E
 	}
 	ens, err := ensemble.Train(train, tcfg)
 	if err != nil {
-		return nil, nil, fmt.Errorf("xpro: training %s: %w", caseSym, err)
+		return nil, fmt.Errorf("xpro: training %s: %w", caseSym, err)
 	}
-	trained.m[key] = &trainedEntry{ens: ens, test: test}
-	return ens, test, nil
+	acc, err := ens.Accuracy(test)
+	if err != nil {
+		return nil, err
+	}
+	e := &trainedEntry{ens: ens, test: test, acc: acc}
+	trained.m[key] = e
+	return e, nil
 }
 
 // Engine is a fully built XPro instance: a trained classifier
@@ -343,7 +350,7 @@ func attachObserver(sys *xsystem.System, obs *Observer) {
 func newEngine(cfg Config, sys *xsystem.System, ens *ensemble.Ensemble,
 	g *topology.Graph, test *biosig.Dataset, gen partition.Result,
 	acc float64, obs *Observer) (*Engine, error) {
-	res, err := buildResilient(cfg, sys, g, ens, obs)
+	res, err := buildResilient(cfg, sys, g, obs)
 	if err != nil {
 		return nil, err
 	}
@@ -438,10 +445,11 @@ func New(cfg Config) (*Engine, error) {
 		seed = cfg.Seed
 	}
 
-	ens, test, err := trainedEnsemble(cfg.Case, seed, cfg.Protocol)
+	entry, err := trainedEnsemble(cfg.Case, seed, cfg.Protocol)
 	if err != nil {
 		return nil, err
 	}
+	ens, test, acc := entry.ens, entry.test, entry.acc
 	if cfg.PruneKeep != 0 {
 		// The negated form also rejects NaN, which fails every comparison.
 		if !(cfg.PruneKeep > 0 && cfg.PruneKeep < 1) {
@@ -451,10 +459,10 @@ func New(cfg Config) (*Engine, error) {
 		if err != nil {
 			return nil, err
 		}
-	}
-	acc, err := ens.Accuracy(test)
-	if err != nil {
-		return nil, err
+		// The pruned ensemble is new: its accuracy is its own.
+		if acc, err = ens.Accuracy(test); err != nil {
+			return nil, err
+		}
 	}
 	g, err := topology.Build(ens, spec.SegLen)
 	if err != nil {

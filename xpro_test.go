@@ -201,6 +201,29 @@ func TestPruneKeep(t *testing.T) {
 	}
 }
 
+// TestCachedSoftwareAccuracy: the software accuracy kept with a cached
+// trained ensemble is the one a fresh evaluation gives, and a pruned
+// engine reports its own ensemble's.
+func TestCachedSoftwareAccuracy(t *testing.T) {
+	for _, cfg := range []Config{
+		{Case: "E1", Kind: InSensor},
+		{Case: "E1", Kind: InSensor},
+		{Case: "E1", Kind: InSensor, PruneKeep: 0.5},
+	} {
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := e.ens.Accuracy(e.test)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := e.SoftwareAccuracy(); got != want {
+			t.Errorf("PruneKeep %v: SoftwareAccuracy %v, fresh evaluation %v", cfg.PruneKeep, got, want)
+		}
+	}
+}
+
 func TestTimelineAndSimulatedDelay(t *testing.T) {
 	eng, err := New(Config{Case: "C2", Kind: TrivialCut})
 	if err != nil {
