@@ -173,29 +173,6 @@ func hubStormHops(ts *xsystem.TieredSystem, storm *faults.Plan, pol faults.Polic
 	return hops, nil
 }
 
-// hubStormRungs prebuilds the collapse rungs: rungs[c] serves the home
-// placement clamped to tiers ≤ c with result delivery re-homed onto
-// the cap, rungs[nh] is the full chain.
-func hubStormRungs(ts *xsystem.TieredSystem) ([]*xsystem.TieredSystem, error) {
-	nh := len(ts.Tiered.Hops)
-	home := ts.TierPlacement.Clone()
-	res := ts.Tiered.ResultTier
-	rungs := make([]*xsystem.TieredSystem, nh+1)
-	for c := 0; c <= nh; c++ {
-		capT := partition.Tier(c)
-		r := res
-		if capT < r {
-			r = capT
-		}
-		rung, err := ts.WithResultDelivery(home.CapAt(capT), r)
-		if err != nil {
-			return nil, err
-		}
-		rungs[c] = rung
-	}
-	return rungs, nil
-}
-
 // TieredRunner drives the tier-collapse variant one event at a time.
 // Its whole mutable state — clock, per-hop links and breakers, ladder
 // — snapshots and restores, so a mid-storm crash–recover cycle can be
@@ -242,7 +219,7 @@ func NewTieredRunner(ts *xsystem.TieredSystem, cfg HubStormConfig) (*TieredRunne
 	if err != nil {
 		return nil, err
 	}
-	rungs, err := hubStormRungs(ts)
+	rungs, err := ts.CollapseRungs()
 	if err != nil {
 		return nil, err
 	}
@@ -473,7 +450,7 @@ func hubStormFixed(ts *xsystem.TieredSystem, segs []biosig.Segment, cfg HubStorm
 	if err != nil {
 		return v, err
 	}
-	rungs, err := hubStormRungs(ts)
+	rungs, err := ts.CollapseRungs()
 	if err != nil {
 		return v, err
 	}

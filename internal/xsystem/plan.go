@@ -17,9 +17,12 @@ import (
 //     readers;
 //   - placementPlan, per 2-end placement: the Delay and Energy books,
 //     each cell's end and modeled (energy, delay), the per-end cell
-//     counts, and the crossing groups with their per-consumer lists;
-//   - tierPlan, per k-way placement: the source tier, the upper-cell
-//     count, each crossing group's hop span and the per-consumer lists.
+//     counts, and the placement as a 1-hop tierPlan;
+//   - tierPlan, per placement over a tier chain (a k-way placement, or
+//     a 2-end one as the chain sensor → aggregator): each cell's tier,
+//     the result tier, the source tier, the upper-cell count, tier-0
+//     compute energies, each crossing group's hop span and the
+//     per-consumer crossing lists.
 //
 // Per-event state — transfer legs, cell outputs, lost flags, ledgers —
 // is not part of any plan and stays per call.
@@ -169,10 +172,9 @@ type placementPlan struct {
 	cost   []cellCost
 	// sensorCells and aggCells count the cells on each end.
 	sensorCells, aggCells int
-	// rawCrosses is true when a source reader sits on the aggregator:
-	// the raw segment then crosses the link.
-	rawCrosses bool
-	crossings
+	// chain is the placement as a 1-hop tier plan (the sensor is tier 0,
+	// the aggregator tier 1), the form the resilient walk runs.
+	chain *tierPlan
 }
 
 // compilePlacement compiles s.Placement against s's graph plan and cost
@@ -183,6 +185,7 @@ func (s *System) compilePlacement(gp *graphPlan) *placementPlan {
 	pl.delay = s.delayOf(gp, p)
 	pl.energy = s.energyOf(gp, p)
 	pl.sensorCells, pl.aggCells = p.Counts()
+	tiers := make(partition.TierPlacement, len(p))
 	for i := range p {
 		id := topology.CellID(i)
 		cc := cellCost{end: "aggregator"}
@@ -191,33 +194,49 @@ func (s *System) compilePlacement(gp *graphPlan) *placementPlan {
 		}
 		cc.energy, cc.delay = s.CellCost(id)
 		pl.cost[i] = cc
+		tiers[i] = partition.Tier(p[i])
 	}
-	for _, id := range gp.readers {
-		if !p.OnSensor(id) {
-			pl.rawCrosses = true
-			break
-		}
-	}
-	pl.crossings = gp.compileCrossings(func(id topology.CellID) int { return int(p[id]) })
+	pl.chain = gp.compileTiers(tiers, partition.Tier(partition.Aggregator), s.HW.Energy)
 	return pl
 }
 
-// hopSpan is the hops one payload climbs in a tiered walk: it leaves
-// tier base and is consumed up to tier top, one leg per hop; its
-// per-event leg state lives at legs[legOff : legOff+top−base].
+// hopSpan is the hops one payload crosses in a walk: it leaves tier
+// base and is consumed up to tier top — or, when top < base, down to
+// it — one leg per hop; its per-event leg state lives at
+// legs[legOff : legOff+|top−base|], in crossing order.
 type hopSpan struct {
 	base, top partition.Tier
 	legOff    int
 }
 
-// tierPlan is the compiled form of one k-way placement.
+// toward returns the hops span sp crosses on the way to a consumer on
+// tier t: the first hop, the step to the next (+1 climbing, −1
+// descending) and how many of the span's legs lie on the way.
+func (sp hopSpan) toward(t partition.Tier) (h, step, n int) {
+	switch {
+	case t > sp.base && sp.top > sp.base:
+		return int(sp.base), 1, int(min(t, sp.top) - sp.base)
+	case t < sp.base && sp.top < sp.base:
+		return int(sp.base) - 1, -1, int(sp.base - max(t, sp.top))
+	}
+	return 0, 0, 0
+}
+
+// tierPlan is the compiled form of one placement over a tier chain: a
+// k-way placement, or a 2-end one as its 1-hop chain.
 type tierPlan struct {
+	// tiers is each cell's tier; result is where the final result is
+	// delivered.
+	tiers  partition.TierPlacement
+	result partition.Tier
 	// srcTier is the tier of the source readers; the raw segment climbs
 	// hops 0..srcTier−1 along raw.
 	srcTier partition.Tier
 	raw     hopSpan
-	// upperCells counts the cells above tier 0.
-	upperCells int
+	// upperCells counts the cells above tier 0; sensorEnergy[id] is the
+	// compute energy tier-0 cell id charges the sensor.
+	upperCells   int
+	sensorEnergy []float64
 	// spans[gi] is group gi's hop span (top == base: it never crosses).
 	spans []hopSpan
 	// legs is the number of per-event hop legs, raw span included.
@@ -225,31 +244,39 @@ type tierPlan struct {
 	crossings
 }
 
-// compileTiers compiles k-way placement p over ts's graph plan.
-func (ts *TieredSystem) compileTiers(p partition.TierPlacement) *tierPlan {
-	gp := ts.plan.graphPlan
-	tp := &tierPlan{spans: make([]hopSpan, len(gp.groups))}
+// compileTiers compiles placement p over graph plan gp, delivering
+// results to tier result and pricing tier-0 compute with energy0. A
+// span runs one way: up to its highest consumer, or down to its lowest
+// when nothing above its producer consumes it. k-way placements are
+// tier-monotone and a 2-end placement has a single hop, so no span
+// needs both.
+func (gp *graphPlan) compileTiers(p partition.TierPlacement, result partition.Tier, energy0 func(topology.CellID) float64) *tierPlan {
+	tp := &tierPlan{tiers: p, result: result, spans: make([]hopSpan, len(gp.groups)), sensorEnergy: make([]float64, len(p))}
 	if len(gp.readers) > 0 {
 		tp.srcTier = p[gp.readers[0]]
 	}
 	tp.raw = hopSpan{base: 0, top: tp.srcTier}
 	tp.legs = int(tp.srcTier)
-	for _, t := range p {
+	for i, t := range p {
 		if t > 0 {
 			tp.upperCells++
+		} else {
+			tp.sensorEnergy[i] = energy0(topology.CellID(i))
 		}
 	}
 	for gi := range gp.groups {
 		tg := &gp.groups[gi]
 		from := p[tg.From]
-		top := from
+		lo, hi := from, from
 		for _, c := range tg.Consumers {
-			if p[c] > top {
-				top = p[c]
-			}
+			lo, hi = min(lo, p[c]), max(hi, p[c])
+		}
+		top := hi
+		if hi == from {
+			top = lo
 		}
 		tp.spans[gi] = hopSpan{base: from, top: top, legOff: tp.legs}
-		tp.legs += int(top - from)
+		tp.legs += int(hi - lo)
 	}
 	tp.crossings = gp.compileCrossings(func(id topology.CellID) int { return int(p[id]) })
 	return tp

@@ -279,7 +279,7 @@ func TestPlanMatchesGraph(t *testing.T) {
 					t.Fatalf("%s: cell %d cost %+v, want %v/%v", name, id, cc, e, d)
 				}
 			}
-			checkCrossings(t, name, g, gp, s.plan.crossings, func(id topology.CellID) int { return int(p[id]) })
+			checkCrossings(t, name, g, gp, s.plan.chain.crossings, func(id topology.CellID) int { return int(p[id]) })
 		}
 
 		// Tier level, on random tier-monotone placements and their

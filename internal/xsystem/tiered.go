@@ -67,8 +67,18 @@ func newTieredWith(s *System, tp *partition.TieredProblem, p partition.TierPlace
 		return nil, err
 	}
 	ts := &TieredSystem{System: runtime, Tiered: tp, TierPlacement: p.Clone()}
-	ts.tplan = ts.compileTiers(ts.TierPlacement)
+	ts.tplan = runtime.plan.compileTiers(ts.TierPlacement, tp.ResultTier,
+		func(id topology.CellID) float64 { return ts.cellEnergyAt(0, id) })
 	return ts, nil
+}
+
+// cellEnergyAt prices cell id's compute on tier t, honoring the
+// problem's CellEnergy override.
+func (ts *TieredSystem) cellEnergyAt(t partition.Tier, id topology.CellID) float64 {
+	if ts.Tiered.CellEnergy != nil {
+		return ts.Tiered.CellEnergy(t, id)
+	}
+	return ts.HW.Energy(id) * ts.Tiered.Tiers[t].ComputeScale
 }
 
 // WithTierPlacement returns a sibling system running placement p — the
@@ -90,6 +100,24 @@ func (ts *TieredSystem) WithResultDelivery(p partition.TierPlacement, result par
 	tp := *ts.Tiered
 	tp.ResultTier = result
 	return newTieredWith(ts.System, &tp, p)
+}
+
+// CollapseRungs builds the rungs of the tier-collapse ladder once:
+// rungs[c] runs the placement clamped to tiers ≤ c, with result
+// delivery re-homed onto the cap when it lies below the configured
+// ResultTier, and rungs[len(Hops)] is the full chain.
+func (ts *TieredSystem) CollapseRungs() ([]*TieredSystem, error) {
+	nh := len(ts.Tiered.Hops)
+	rungs := make([]*TieredSystem, nh+1)
+	for c := range rungs {
+		capT := partition.Tier(c)
+		rung, err := ts.WithResultDelivery(ts.TierPlacement.CapAt(capT), min(capT, ts.Tiered.ResultTier))
+		if err != nil {
+			return nil, err
+		}
+		rungs[c] = rung
+	}
+	return rungs, nil
 }
 
 // RecutHop re-optimizes one hop's boundary (see

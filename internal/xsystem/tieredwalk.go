@@ -12,16 +12,20 @@ import (
 	"xpro/internal/wireless"
 )
 
-// This file implements the resilient N-tier execution mode: the tiered
-// sibling of System.ClassifyOver. A k-way placement crosses k−1 hops
-// (sensor→hub, hub→gateway, …) and each is an independent physical
-// channel with its own fault plan, retry budget, circuit breaker and
-// integrity framing. Every payload walks its hop span one hop at a
-// time — a group produced on tier u and consumed on tier t crosses
-// hops u..t−1, each crossing attempted at most once per event however
-// many consumers need it — and every attempt's air time, backoff wait
-// and energy is charged against the one shared deadline/energy budget,
-// exactly as the 2-end walk charges its single link.
+// This file implements the resilient event walk, the one both
+// ClassifyOver entry points run. A placement over a chain of k tiers
+// crosses k−1 hops (sensor→hub, hub→gateway, …), and a 2-end placement
+// is the 1-hop chain sensor (tier 0) → aggregator (tier 1) over
+// System.Link. Each hop is an independent physical channel with its own
+// transport, retry loop, circuit breaker and integrity framing. Every
+// payload walks its hop span one hop at a time — a group produced on
+// tier u and consumed on tier t crosses the hops between them, each
+// crossing attempted at most once per event however many consumers
+// need it — and every attempt's air time, backoff wait and energy is
+// charged against one shared deadline/energy budget. The walk keeps
+// computing with whatever arrived: a cell with a lost input is itself
+// lost, except the fusion cell, which fuses the base-classifier scores
+// that did arrive.
 
 // HopTransport is one hop's fallible channel in a tiered walk. A nil
 // Link is the infallible datasheet hop: payloads never fail, but their
@@ -51,7 +55,8 @@ type TieredOptions struct {
 	// backoff shape and fusion quorum — one budget shared by all hops.
 	Policy faults.Policy
 	// Integrity, when set, arms per-frame sequencing + CRC on every hop
-	// crossing, exactly as in the 2-end walk.
+	// crossing, exactly as ResilientOptions.Integrity does on the 2-end
+	// link.
 	Integrity *faults.Framing
 }
 
@@ -120,10 +125,33 @@ func (e *HopOutageError) Error() string {
 
 func (e *HopOutageError) Unwrap() error { return e.Cause }
 
-// trun is the per-event budget and bookkeeping of one tiered walk.
+// hop is one hop of a walk: its datasheet link, charged when the hop
+// has no transport, and the sender its entry point armed. The k-tier
+// entry arms each HopTransport with tiered set: an open breaker fails
+// the hop's crossings fast, and a hard failure surfaces as a
+// *HopOutageError. The 2-end entry arms its ResilientOptions transport:
+// the breaker only records each payload's fate, and a failure stays the
+// transport's own error.
+type hop struct {
+	partition.Hop
+	tr      Transport
+	breaker *faults.Breaker
+	tiered  bool
+}
+
+// leg is one hop crossing's per-event state: the payload is attempted
+// at most once per event, however many consumers read it. rx (when the
+// transport is value-aware) pins what the receive side saw; counted
+// guards the one-time imputation tally.
+type leg struct {
+	attempted, ok, counted bool
+	rx                     *frame.RxReport
+}
+
+// trun is the per-event budget and bookkeeping of one walk.
 type trun struct {
-	ts      *TieredSystem
-	opt     *TieredOptions
+	opt     TieredOptions
+	hops    []hop
 	out     *TieredOutcome
 	lastErr error
 	exhaust bool
@@ -134,19 +162,10 @@ func (r *trun) overBudget(extra float64) bool {
 	return d > 0 && r.out.SpentSeconds+extra > d
 }
 
-// hopTransport returns hop h's transport, nil when the hop is
-// configured infallible.
-func (r *trun) hopTransport(h int) *HopTransport {
-	if h < len(r.opt.Hops) {
-		return &r.opt.Hops[h]
-	}
-	return nil
-}
-
 // chargeCleanHop accounts the datasheet cost of one payload on an
 // infallible hop, including the integrity envelope when framing is on.
 func (r *trun) chargeCleanHop(h int, bits int64, up bool) {
-	hop := r.ts.Tiered.Hops[h]
+	hop := &r.hops[h]
 	tr := hop.Link.Cost(bits)
 	if r.opt.Integrity != nil {
 		eb := wireless.Packets(bits) * frame.IntegrityBits
@@ -177,20 +196,21 @@ func (r *trun) charge(h int, tr wireless.Transfer, up bool) {
 	}
 }
 
-// sendHop moves one payload across hop h (up: tier h → h+1) with retry
-// + backoff under the remaining budget, reporting how it arrived. The
-// policy-level loop mirrors the 2-end sendPayload exactly; only the
-// transport, breaker and ledgers are per-hop.
+// sendHop moves one payload across hop h (up: tier h → h+1, else
+// down) with retry + backoff under the remaining budget, reporting how
+// it arrived. A value-aware transport reports corruption, smears and
+// values to impute and books the values on the wire; an opaque one
+// reports nothing and books neither.
 func (r *trun) sendHop(h int, bits int64, values int, up bool) (*frame.RxReport, bool) {
-	hop := r.hopTransport(h)
-	if hop == nil || hop.Link == nil {
+	hop := &r.hops[h]
+	if hop.tr == nil {
 		r.chargeCleanHop(h, bits, up)
 		r.out.TransfersOK++
 		r.out.HopTransfersOK[h]++
 		r.out.WireValues += values
 		return nil, true
 	}
-	if hop.Breaker != nil && !hop.Breaker.Allow() {
+	if hop.tiered && hop.breaker != nil && !hop.breaker.Allow() {
 		// Fail fast: the hop is known-bad, spend nothing on it.
 		r.out.SkippedTransfers++
 		r.out.HopSkipped[h]++
@@ -204,8 +224,16 @@ func (r *trun) sendHop(h int, bits int64, values int, up bool) (*frame.RxReport,
 		r.out.HopSkipped[h]++
 		return nil, false
 	}
+	vt, _ := hop.tr.(ValueTransport)
 	for attempt := 0; ; attempt++ {
-		tr, rx, err := hop.Link.SendValues(bits, values, r.opt.Integrity)
+		var tr wireless.Transfer
+		var rx *frame.RxReport
+		var err error
+		if vt != nil {
+			tr, rx, err = vt.SendValues(bits, values, r.opt.Integrity)
+		} else {
+			tr, err = hop.tr.Send(bits)
+		}
 		r.charge(h, tr, up)
 		if rx != nil {
 			r.out.FramesSent += rx.Frames
@@ -218,20 +246,23 @@ func (r *trun) sendHop(h int, bits int64, values int, up bool) (*frame.RxReport,
 		if err == nil {
 			r.out.TransfersOK++
 			r.out.HopTransfersOK[h]++
-			r.out.WireValues += values
-			if hop.Breaker != nil {
-				hop.Breaker.RecordSuccess()
+			if vt != nil {
+				r.out.WireValues += values
+			}
+			if hop.breaker != nil {
+				hop.breaker.RecordSuccess()
 			}
 			return rx, true
 		}
+		r.lastErr = err
 		if faults.IsLinkDown(err) {
 			r.out.HardOutage = true
 			r.out.HopOutage[h] = true
-			var ld *faults.ErrLinkDown
-			errors.As(err, &ld)
-			r.lastErr = &HopOutageError{Hop: h, At: ld.At, Until: ld.Until, Retries: attempt, Cause: err}
-		} else {
-			r.lastErr = err
+			if hop.tiered {
+				var ld *faults.ErrLinkDown
+				errors.As(err, &ld)
+				r.lastErr = &HopOutageError{Hop: h, At: ld.At, Until: ld.Until, Retries: attempt, Cause: err}
+			}
 		}
 		if attempt >= r.opt.Policy.MaxRetries {
 			break
@@ -246,25 +277,25 @@ func (r *trun) sendHop(h int, bits int64, values int, up bool) (*frame.RxReport,
 		r.out.Retries++
 		r.out.HopRetries[h]++
 	}
-	if hop.Breaker != nil {
-		hop.Breaker.RecordFailure()
+	if hop.breaker != nil {
+		hop.breaker.RecordFailure()
 	}
 	r.out.LostTransfers++
 	r.out.HopLost[h]++
 	return nil, false
 }
 
-// ensureTo walks span's legs up to (not including) tier t — a consumer
-// on tier t needs legs 0..t−base−1 all delivered — sending each
-// unattempted one, and reports whether the payload reached tier t. A
-// leg that failed blocks every leg above it (the payload never reached
-// that hop's sender).
+// ensureTo walks span's legs toward tier t, sending each unattempted
+// one, and reports whether the payload reached tier t. A leg that
+// failed blocks every leg beyond it (the payload never reached that
+// hop's sender).
 func (r *trun) ensureTo(legs []leg, sp hopSpan, bits int64, values int, t partition.Tier) bool {
-	for j := 0; j < int(t-sp.base) && j < int(sp.top-sp.base); j++ {
+	h, step, n := sp.toward(t)
+	for j := 0; j < n; j++ {
 		x := &legs[sp.legOff+j]
 		if !x.attempted {
 			x.attempted = true
-			x.rx, x.ok = r.sendHop(int(sp.base)+j, bits, values, true)
+			x.rx, x.ok = r.sendHop(h+j*step, bits, values, step > 0)
 		}
 		if !x.ok {
 			return false
@@ -273,10 +304,11 @@ func (r *trun) ensureTo(legs []leg, sp hopSpan, bits int64, values int, t partit
 	return true
 }
 
-// dirtyTo reports whether any delivered leg of span below tier t
-// carries receive-side damage.
+// dirtyTo reports whether any delivered leg of span on the way to tier
+// t carries receive-side damage.
 func dirtyTo(legs []leg, sp hopSpan, t partition.Tier) bool {
-	for j := 0; j < int(t-sp.base) && j < int(sp.top-sp.base); j++ {
+	_, _, n := sp.toward(t)
+	for j := 0; j < n; j++ {
 		x := &legs[sp.legOff+j]
 		if x.attempted && x.ok && x.rx.Dirty() {
 			return true
@@ -291,7 +323,8 @@ func dirtyTo(legs []leg, sp hopSpan, t partition.Tier) bool {
 // imputed count is tallied once per event however many consumers
 // decode it.
 func (r *trun) applyLegs(view []float64, per int64, legs []leg, sp hopSpan, t partition.Tier) {
-	for j := 0; j < int(t-sp.base) && j < int(sp.top-sp.base); j++ {
+	_, _, n := sp.toward(t)
+	for j := 0; j < n; j++ {
 		x := &legs[sp.legOff+j]
 		if !x.attempted || !x.ok || !x.rx.Dirty() {
 			continue
@@ -305,15 +338,6 @@ func (r *trun) applyLegs(view []float64, per int64, legs []leg, sp hopSpan, t pa
 	}
 }
 
-// cellEnergyAt prices cell id's compute on tier t, honoring the
-// problem's CellEnergy override.
-func (ts *TieredSystem) cellEnergyAt(t partition.Tier, id topology.CellID) float64 {
-	if ts.Tiered.CellEnergy != nil {
-		return ts.Tiered.CellEnergy(t, id)
-	}
-	return ts.HW.Energy(id) * ts.Tiered.Tiers[t].ComputeScale
-}
-
 // ClassifyOver executes the k-way partitioned pipeline on one segment
 // with every hop crossing subject to its own transport, faults and
 // breaker under opt's shared policy budget. It returns the best label
@@ -325,34 +349,51 @@ func (ts *TieredSystem) ClassifyOver(seg biosig.Segment, opt *TieredOptions) (Ti
 		opt = &TieredOptions{}
 	}
 	nh := len(ts.Tiered.Hops)
-	var out TieredOutcome
 	if len(opt.Hops) > nh {
-		return out, fmt.Errorf("xsystem: %d hop transports for a %d-hop chain", len(opt.Hops), nh)
+		return TieredOutcome{}, fmt.Errorf("xsystem: %d hop transports for a %d-hop chain", len(opt.Hops), nh)
 	}
-	if ts.Ens == nil {
+	hops := make([]hop, nh)
+	for h := range hops {
+		hops[h] = hop{Hop: ts.Tiered.Hops[h], tiered: true}
+		if h < len(opt.Hops) && opt.Hops[h].Link != nil {
+			hops[h].tr, hops[h].breaker = opt.Hops[h].Link, opt.Hops[h].Breaker
+		}
+	}
+	return ts.walk(seg, ts.tplan, hops, *opt)
+}
+
+// walk executes the pipeline on one segment over tier plan tp, crossing
+// hop h through hops[h] under opt's node-level plan, clock, policy and
+// framing (opt.Hops is the entry point's business, not the walk's).
+func (s *System) walk(seg biosig.Segment, tp *tierPlan, hops []hop, opt TieredOptions) (TieredOutcome, error) {
+	nh := len(hops)
+	var out TieredOutcome
+	if s.Ens == nil {
 		return out, errors.New("xsystem: cost-analysis-only system has no classifier (built with nil ensemble)")
 	}
-	if len(seg.Samples) != ts.Graph.SegLen {
-		return out, fmt.Errorf("xsystem: segment length %d, engine built for %d", len(seg.Samples), ts.Graph.SegLen)
+	if len(seg.Samples) != s.Graph.SegLen {
+		return out, fmt.Errorf("xsystem: segment length %d, engine built for %d", len(seg.Samples), s.Graph.SegLen)
 	}
-	out.HopTransfersOK = make([]int, nh)
-	out.HopRetries = make([]int, nh)
-	out.HopLost = make([]int, nh)
-	out.HopSkipped = make([]int, nh)
+	// The per-hop books share three backing arrays, each slice capped at
+	// its own nh entries.
+	books, air := make([]int, 4*nh), make([]float64, 2*nh)
+	out.HopTransfersOK, out.HopRetries = books[:nh:nh], books[nh:2*nh:2*nh]
+	out.HopLost, out.HopSkipped = books[2*nh:3*nh:3*nh], books[3*nh:]
 	out.HopOutage = make([]bool, nh)
-	out.HopEnergyJ = make([]float64, nh)
-	out.HopAirSeconds = make([]float64, nh)
+	out.HopEnergyJ, out.HopAirSeconds = air[:nh:nh], air[nh:]
 
-	g := ts.Graph
-	tpl := ts.TierPlacement
-	pl, tp := ts.plan, ts.tplan
+	g := s.Graph
+	tpl := tp.tiers
+	pl := s.plan
 	state := opt.Plan.At(opt.now())
-	r := &trun{ts: ts, opt: opt, out: &out}
+	r := &trun{opt: opt, hops: hops, out: &out}
 
 	// The compute schedule is the collapsed two-natured runtime's:
 	// charge it up front, then add what the faulty hops actually cost.
+	// Sensing runs regardless of how the event goes; compute and radio
+	// energy accrue below as cells execute and attempts go on the air.
 	out.SpentSeconds = pl.delay.FrontEnd + pl.delay.BackEnd
-	out.SensorEnergy = ts.problem.SensingEnergy
+	out.SensorEnergy = s.problem.SensingEnergy
 
 	// An aggregator stall preempts every upper-tier cell until the
 	// window ends; the wait comes out of the shared deadline budget.
@@ -371,7 +412,7 @@ func (ts *TieredSystem) ClassifyOver(seg biosig.Segment, opt *TieredOptions) (Ti
 	legs := make([]leg, tp.legs)
 	srcTier := tp.srcTier
 	// crossed sends every crossing group the in-edge at CSR slot k waits
-	// on up to tier t, and reports whether all of them arrived.
+	// on to tier t, and reports whether all of them arrived.
 	crossed := func(k int, t partition.Tier) bool {
 		ok := true
 		for _, gi := range tp.pairGroups(k) {
@@ -387,7 +428,10 @@ func (ts *TieredSystem) ClassifyOver(seg biosig.Segment, opt *TieredOptions) (Ti
 	outputs := make([]value, len(g.Cells))
 
 	// dirtyView reconstructs what a consumer on tier t received of a
-	// producer's crossing output when any traversed hop damaged it.
+	// producer's crossing output when any traversed hop damaged it —
+	// undetected corruption, smeared slots or imputed losses. Nil means
+	// the arrival was pristine and the consumer reads the producer
+	// verbatim (quantization happens in the gather path as always).
 	dirtyView := func(producer topology.CellID, t partition.Tier) []float64 {
 		var view []float64
 		for _, gi := range pl.producedGroups(producer) {
@@ -398,6 +442,7 @@ func (ts *TieredSystem) ClassifyOver(seg biosig.Segment, opt *TieredOptions) (Ti
 			if view == nil {
 				view = append([]float64(nil), outputs[producer].asFloat()...)
 			}
+			// The group's slice of the producer's full output.
 			n := tg.Values
 			if tg.off >= len(view) {
 				continue
@@ -427,6 +472,9 @@ func (ts *TieredSystem) ClassifyOver(seg biosig.Segment, opt *TieredOptions) (Ti
 		return evRx
 	}
 
+	// fetch resolves one in-edge's producer value as the current cell
+	// sees it: crossing edges whose payload arrived damaged read the
+	// receiver's reconstruction instead of the producer verbatim.
 	var id topology.CellID
 	var ins []topology.Edge
 	fetch := func(i int) value {
@@ -444,6 +492,9 @@ func (ts *TieredSystem) ClassifyOver(seg biosig.Segment, opt *TieredOptions) (Ti
 	for _, id = range pl.order {
 		c := g.Cells[id]
 		if state.Brownout && tpl[id] == 0 {
+			// The sensing tier's cell array is below its operating
+			// threshold; sensing itself survives, so raw data can still
+			// stream out.
 			lost[id] = true
 			complete = false
 			continue
@@ -465,9 +516,9 @@ func (ts *TieredSystem) ClassifyOver(seg biosig.Segment, opt *TieredOptions) (Ti
 		}
 		if c.Role == topology.RoleFusion {
 			if tpl[id] == 0 {
-				out.SensorEnergy += ts.cellEnergyAt(0, id)
+				out.SensorEnergy += tp.sensorEnergy[id]
 			}
-			v, used := ts.fusePartial(c, ins, avail, fetch)
+			v, used := s.fusePartial(c, ins, avail, fetch)
 			out.VotesTotal = len(ins)
 			out.VotesUsed = used
 			minVotes := opt.Policy.MinVotes
@@ -499,13 +550,13 @@ func (ts *TieredSystem) ClassifyOver(seg biosig.Segment, opt *TieredOptions) (Ti
 			continue
 		}
 		if tpl[id] == 0 {
-			out.SensorEnergy += ts.cellEnergyAt(0, id)
+			out.SensorEnergy += tp.sensorEnergy[id]
 		}
 		cellEv := ev
 		if tpl[id] > 0 && dirtyTo(legs, tp.raw, tpl[id]) {
 			cellEv = rxEvent()
 		}
-		v, err := ts.evalCell(c, ins, fetch, cellEv)
+		v, err := s.evalCell(c, ins, fetch, cellEv)
 		if err != nil {
 			return out, fmt.Errorf("xsystem: cell %s: %w", c.Name, err)
 		}
@@ -531,7 +582,7 @@ func (ts *TieredSystem) ClassifyOver(seg biosig.Segment, opt *TieredOptions) (Ti
 	// March the result to its delivery tier, one hop at a time; failure
 	// partway leaves a valid label local to the output's tier.
 	out.Delivered = true
-	ot, resT := tpl[g.Output], ts.Tiered.ResultTier
+	ot, resT := tpl[g.Output], tp.result
 	if ot != resT {
 		lo, hi, up := ot, resT, true
 		if ot > resT {

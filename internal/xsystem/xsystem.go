@@ -110,9 +110,6 @@ func New(g *topology.Graph, ens *ensemble.Ensemble, proc celllib.Process, link w
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("xsystem: %w", err)
 	}
-	if len(p) != len(g.Cells) {
-		return nil, fmt.Errorf("xsystem: placement covers %d cells, graph has %d", len(p), len(g.Cells))
-	}
 	if err := cpu.Validate(); err != nil {
 		return nil, err
 	}
@@ -133,6 +130,9 @@ func New(g *topology.Graph, ens *ensemble.Ensemble, proc celllib.Process, link w
 		AggDelay: func(id topology.CellID) float64 {
 			return cpu.CellCost(g.Cells[id].Spec).Delay
 		},
+	}
+	if err := checkPlacement(prob, p); err != nil {
+		return nil, err
 	}
 	s := &System{
 		Graph:        g,
@@ -159,16 +159,31 @@ func (s *System) Problem() *partition.Problem { return s.problem }
 // the hot-swap primitive of the adaptive repartitioning controller:
 // installing the returned system is one pointer store.
 func (s *System) WithPlacement(p partition.Placement) (*System, error) {
-	if len(p) != len(s.Graph.Cells) {
-		return nil, fmt.Errorf("xsystem: placement covers %d cells, graph has %d", len(p), len(s.Graph.Cells))
-	}
-	if !s.problem.GroupedOK(p) {
-		return nil, errors.New("xsystem: placement splits a source-reader group across ends")
+	if err := checkPlacement(s.problem, p); err != nil {
+		return nil, err
 	}
 	ns := *s
 	ns.Placement = append(partition.Placement(nil), p...)
 	ns.plan = ns.compilePlacement(s.plan.graphPlan)
 	return &ns, nil
+}
+
+// checkPlacement is the one check New and WithPlacement make of a 2-end
+// placement over pr's graph: one entry per cell, each Sensor or
+// Aggregator, with the source readers all on one end.
+func checkPlacement(pr *partition.Problem, p partition.Placement) error {
+	if len(p) != len(pr.Graph.Cells) {
+		return fmt.Errorf("xsystem: placement covers %d cells, graph has %d", len(p), len(pr.Graph.Cells))
+	}
+	for id, e := range p {
+		if e != partition.Sensor && e != partition.Aggregator {
+			return fmt.Errorf("xsystem: placement puts cell %d on end %d, neither sensor nor aggregator", id, int(e))
+		}
+	}
+	if !pr.GroupedOK(p) {
+		return errors.New("xsystem: placement splits a source-reader group across ends")
+	}
+	return nil
 }
 
 // EventsPerSecond returns the segment-analysis rate.

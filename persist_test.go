@@ -2,11 +2,15 @@ package xpro
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"strings"
 	"testing"
+
+	"xpro/internal/partition"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -172,5 +176,47 @@ func TestLoadRejectsNewerVersion(t *testing.T) {
 	}
 	if !strings.Contains(msg, fmt.Sprint(persistVersion+1)) || !strings.Contains(msg, fmt.Sprintf("max %d", persistVersion)) {
 		t.Errorf("error should name both versions: %q", msg)
+	}
+}
+
+// A snapshot whose checksum is intact but whose placement is not a
+// 2-end placement — a cell on an end that does not exist, or the
+// source readers split across ends — must fail to load instead of
+// running the cell somewhere the engine cannot name.
+func TestLoadRejectsInvalidPlacement(t *testing.T) {
+	eng, err := New(Config{Case: "C1", Kind: InSensor})
+	if err != nil {
+		t.Fatal(err)
+	}
+	readers := eng.graph.SourceReaders()
+	if len(readers) < 2 {
+		t.Fatalf("C1 has %d source readers, need two to split them", len(readers))
+	}
+	outOfRange := append(partition.Placement(nil), eng.sys().Placement...)
+	outOfRange[0] = partition.End(7)
+	split := append(partition.Placement(nil), eng.sys().Placement...)
+	split[readers[1]] = 1 - split[readers[0]]
+	for name, p := range map[string]partition.Placement{"end 7": outOfRange, "split readers": split} {
+		var payload bytes.Buffer
+		if err := gob.NewEncoder(&payload).Encode(enginePersist{
+			Version:   persistVersion,
+			Config:    eng.cfg,
+			Ens:       eng.ens,
+			Gen:       eng.gen,
+			Placement: p,
+			Accuracy:  eng.acc,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		snap := append(append([]byte(nil), snapshotMagic...), payload.Bytes()...)
+		snap = binary.BigEndian.AppendUint32(snap, crc32.ChecksumIEEE(payload.Bytes()))
+		restored, err := Load(bytes.NewReader(snap))
+		if err == nil || restored != nil {
+			t.Fatalf("%s: Load returned engine %t and error %v, want only an error", name, restored != nil, err)
+		}
+		var integ *SnapshotIntegrityError
+		if errors.As(err, &integ) {
+			t.Fatalf("%s: checksum rejected (%v); the crafted envelope must be valid", name, err)
+		}
 	}
 }

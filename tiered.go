@@ -241,9 +241,10 @@ func (p *TierPlan) install(next partition.TierPlacement) error {
 	}
 	p.swap(ts)
 	// A manual move while the ladder serves the full chain re-homes the
-	// ladder too: the new placement is what collapses cap from now on.
+	// ladder too: the new placement is what collapses cap from now on,
+	// so the rungs cut from the old one are dropped.
 	if p.rt != nil && p.rt.steady == p.rt.fullCap() {
-		p.rt.uncapped = next.Clone()
+		p.rt.rungs = nil
 	}
 	return nil
 }

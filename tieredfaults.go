@@ -126,10 +126,11 @@ type tierRuntime struct {
 	framing *faults.Framing
 	period  float64
 	seed    int64
-	// uncapped is the home placement collapse rungs are cut from;
-	// resultTier is where results must be delivered at full cap.
-	uncapped   partition.TierPlacement
-	resultTier partition.Tier
+	// rungs[c] serves the home placement clamped to tiers ≤ c, with
+	// result delivery re-homed onto the cap (xsystem CollapseRungs);
+	// nil after a manual move re-homed the ladder, until the next
+	// lookup rebuilds it.
+	rungs []*xsystem.TieredSystem
 	// steady is the cap the currently installed serving system was cut
 	// for (invariant: p.ts serves rung(steady) between transitions).
 	steady partition.Tier
@@ -185,12 +186,15 @@ func (p *TierPlan) Arm(cfg *TierResilience) error {
 		})
 	}
 	clock := &faults.Clock{}
+	rungs, err := p.ts.CollapseRungs()
+	if err != nil {
+		return err
+	}
 	rt := &tierRuntime{
 		policy: pol, clock: clock, seed: cfg.Seed,
-		uncapped:   p.ts.TierPlacement.Clone(),
-		resultTier: p.ts.Tiered.ResultTier,
-		steady:     partition.Tier(nh),
-		outages:    make([]uint64, nh),
+		rungs:   rungs,
+		steady:  partition.Tier(nh),
+		outages: make([]uint64, nh),
 	}
 	if cfg.Framed {
 		rt.framing = &faults.Framing{}
@@ -345,16 +349,20 @@ func publicHopError(err error) *HopOutageError {
 	}
 }
 
-// rungLocked builds the serving sibling for cap: the home placement
+// rungLocked returns the serving sibling for cap: the home placement
 // clamped to tiers ≤ cap, with result delivery re-homed onto the cap
-// so the walk never marches results across hops known dead. Callers
-// hold p.mu.
+// so the walk never marches results across hops known dead. It reads
+// the prebuilt rung slice, rebuilding it from the serving system after
+// a manual move re-homed the ladder. Callers hold p.mu.
 func (p *TierPlan) rungLocked(cap partition.Tier) (*xsystem.TieredSystem, error) {
-	res := p.rt.resultTier
-	if cap < res {
-		res = cap
+	if p.rt.rungs == nil {
+		rungs, err := p.ts.CollapseRungs()
+		if err != nil {
+			return nil, err
+		}
+		p.rt.rungs = rungs
 	}
-	return p.ts.WithResultDelivery(p.rt.uncapped.CapAt(cap), res)
+	return p.rt.rungs[cap], nil
 }
 
 // installRungLocked makes cap the steady serving rung: the sibling is
