@@ -12,7 +12,7 @@ import (
 // sibling), instead of on every event:
 //
 //   - graphPlan, placement-independent, built once in New and shared by
-//     pointer with every sibling: CSR in-/out-edges, the transfer groups
+//     pointer with every sibling: CSR in-edges, the transfer groups
 //     with their slice offsets and per-value wire widths, and the source
 //     readers;
 //   - placementPlan, per 2-end placement: the Delay and Energy books,
@@ -40,12 +40,10 @@ type transferGroup struct {
 type graphPlan struct {
 	order []topology.CellID
 	// Cell id's in-edges, in Graph.Edges order, are
-	// ins[inStart[id]:inStart[id+1]]; inEdge holds their Graph.Edges
-	// indices. Out-edges are indexed the same way through outStart.
-	inStart, inEdge   []int
-	ins               []topology.Edge
-	outStart, outEdge []int
-	groups            []transferGroup
+	// ins[inStart[id]:inStart[id+1]].
+	inStart []int
+	ins     []topology.Edge
+	groups  []transferGroup
 	// Cell id's groups, ascending, are prodGroups[prodStart[id]:prodStart[id+1]].
 	prodStart, prodGroups []int
 	readers               []topology.CellID
@@ -55,30 +53,17 @@ func compileGraph(g *topology.Graph, order []topology.CellID) *graphPlan {
 	n := len(g.Cells)
 	gp := &graphPlan{order: order, readers: g.SourceReaders()}
 	gp.inStart = make([]int, n+1)
-	gp.outStart = make([]int, n+1)
 	for _, e := range g.Edges {
 		gp.inStart[e.To+1]++
-		if e.From != topology.SourceID {
-			gp.outStart[e.From+1]++
-		}
 	}
 	for i := 0; i < n; i++ {
 		gp.inStart[i+1] += gp.inStart[i]
-		gp.outStart[i+1] += gp.outStart[i]
 	}
 	gp.ins = make([]topology.Edge, len(g.Edges))
-	gp.inEdge = make([]int, len(g.Edges))
-	gp.outEdge = make([]int, gp.outStart[n])
 	inNext := append([]int(nil), gp.inStart[:n]...)
-	outNext := append([]int(nil), gp.outStart[:n]...)
-	for ei, e := range g.Edges {
-		k := inNext[e.To]
+	for _, e := range g.Edges {
+		gp.ins[inNext[e.To]] = e
 		inNext[e.To]++
-		gp.ins[k], gp.inEdge[k] = e, ei
-		if e.From != topology.SourceID {
-			gp.outEdge[outNext[e.From]] = ei
-			outNext[e.From]++
-		}
 	}
 
 	tgs := g.TransferGroups()

@@ -207,21 +207,6 @@ func TestPlanMatchesGraph(t *testing.T) {
 			if got, want := gp.inEdges(topology.CellID(id)), g.InEdges(topology.CellID(id)); !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
 				t.Fatalf("%s: cell %d in-edges %v, graph %v", pg.name, id, got, want)
 			}
-			for k := gp.inStart[id]; k < gp.inStart[id+1]; k++ {
-				if g.Edges[gp.inEdge[k]] != gp.ins[k] {
-					t.Fatalf("%s: in-edge slot %d indexes edge %d, not its own", pg.name, k, gp.inEdge[k])
-				}
-			}
-			out := gp.outEdge[gp.outStart[id]:gp.outStart[id+1]]
-			var wantOut []int
-			for ei, e := range g.Edges {
-				if e.From == topology.CellID(id) {
-					wantOut = append(wantOut, ei)
-				}
-			}
-			if len(out)+len(wantOut) > 0 && !reflect.DeepEqual(out, wantOut) {
-				t.Fatalf("%s: cell %d out-edges %v, graph %v", pg.name, id, out, wantOut)
-			}
 		}
 		tgs := g.TransferGroups()
 		if len(tgs) != len(gp.groups) {

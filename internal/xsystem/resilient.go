@@ -11,15 +11,16 @@ import (
 )
 
 // This file holds the 2-end face of the fault-tolerant execution mode.
-// The plain Classify treats the link as infallible: values cross
-// instantly and nothing fails. ClassifyOver instead moves every
-// crossing payload through a Transport that may drop it (a lossy
-// wireless.Channel, a fault-injected faults.Link), retries with capped
-// exponential backoff under a per-event modeled deadline budget, and
-// keeps computing with whatever arrived. It does so by running the one
-// resilient walk (tieredwalk.go) over the placement as a 1-hop chain;
-// this file keeps the 2-end options, outcome and error types, the
-// receive-side damage model and partial fusion.
+// The plain Classify walks the placement over the infallible link:
+// nothing fails, and each crossing costs its datasheet air time and
+// energy. ClassifyOver instead moves every crossing payload through a
+// Transport that may drop it (a lossy wireless.Channel, a
+// fault-injected faults.Link), retries with capped exponential backoff
+// under a per-event modeled deadline budget, and keeps computing with
+// whatever arrived. Both run the one walk (tieredwalk.go) over the
+// placement as a 1-hop chain; this file keeps the 2-end options,
+// outcome and error types, the receive-side damage model and partial
+// fusion.
 
 // Transport moves one payload across the link, possibly failing.
 // *wireless.Channel and *faults.Link implement it; a nil Transport is
@@ -150,7 +151,7 @@ func (s *System) ClassifyOver(seg biosig.Segment, opt *ResilientOptions) (Outcom
 	hops := [1]hop{{Hop: partition.Hop{Link: s.Link}, tr: opt.Transport, breaker: opt.Breaker}}
 	out, err := s.walk(seg, s.plan.chain, hops[:], TieredOptions{
 		Plan: opt.Plan, Clock: opt.Clock, Policy: opt.Policy, Integrity: opt.Integrity,
-	})
+	}, spanSink{})
 	return out.Outcome, err
 }
 

@@ -3,17 +3,20 @@ package xsystem
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"xpro/internal/biosig"
 	"xpro/internal/faults"
 	"xpro/internal/frame"
 	"xpro/internal/partition"
+	"xpro/internal/telemetry"
 	"xpro/internal/topology"
 	"xpro/internal/wireless"
 )
 
-// This file implements the resilient event walk, the one both
-// ClassifyOver entry points run. A placement over a chain of k tiers
+// This file implements the event walk, the one every entry point runs:
+// both ClassifyOver methods, and plain Classify over one infallible
+// hop. A placement over a chain of k tiers
 // crosses k−1 hops (sensor→hub, hub→gateway, …), and a 2-end placement
 // is the 1-hop chain sensor (tier 0) → aggregator (tier 1) over
 // System.Link. Each hop is an independent physical channel with its own
@@ -148,11 +151,14 @@ type leg struct {
 	rx                     *frame.RxReport
 }
 
-// trun is the per-event budget and bookkeeping of one walk.
+// trun is the per-event budget and bookkeeping of one walk. It holds
+// the outcome by value, and the walk passes its hops to each method:
+// Go's escape analysis does not tell a struct's fields apart, so a
+// pointer kept here would reach the heap with lastErr, which the walk
+// wraps in a heap *NoResultError.
 type trun struct {
 	opt     TieredOptions
-	hops    []hop
-	out     *TieredOutcome
+	out     TieredOutcome
 	lastErr error
 	exhaust bool
 }
@@ -164,8 +170,8 @@ func (r *trun) overBudget(extra float64) bool {
 
 // chargeCleanHop accounts the datasheet cost of one payload on an
 // infallible hop, including the integrity envelope when framing is on.
-func (r *trun) chargeCleanHop(h int, bits int64, up bool) {
-	hop := &r.hops[h]
+func (r *trun) chargeCleanHop(hops []hop, h int, bits int64, up bool) {
+	hop := &hops[h]
 	tr := hop.Link.Cost(bits)
 	if r.opt.Integrity != nil {
 		eb := wireless.Packets(bits) * frame.IntegrityBits
@@ -201,10 +207,10 @@ func (r *trun) charge(h int, tr wireless.Transfer, up bool) {
 // it arrived. A value-aware transport reports corruption, smears and
 // values to impute and books the values on the wire; an opaque one
 // reports nothing and books neither.
-func (r *trun) sendHop(h int, bits int64, values int, up bool) (*frame.RxReport, bool) {
-	hop := &r.hops[h]
+func (r *trun) sendHop(hops []hop, h int, bits int64, values int, up bool) (*frame.RxReport, bool) {
+	hop := &hops[h]
 	if hop.tr == nil {
-		r.chargeCleanHop(h, bits, up)
+		r.chargeCleanHop(hops, h, bits, up)
 		r.out.TransfersOK++
 		r.out.HopTransfersOK[h]++
 		r.out.WireValues += values
@@ -289,13 +295,13 @@ func (r *trun) sendHop(h int, bits int64, values int, up bool) (*frame.RxReport,
 // one, and reports whether the payload reached tier t. A leg that
 // failed blocks every leg beyond it (the payload never reached that
 // hop's sender).
-func (r *trun) ensureTo(legs []leg, sp hopSpan, bits int64, values int, t partition.Tier) bool {
+func (r *trun) ensureTo(hops []hop, legs []leg, sp hopSpan, bits int64, values int, t partition.Tier) bool {
 	h, step, n := sp.toward(t)
 	for j := 0; j < n; j++ {
 		x := &legs[sp.legOff+j]
 		if !x.attempted {
 			x.attempted = true
-			x.rx, x.ok = r.sendHop(h+j*step, bits, values, step > 0)
+			x.rx, x.ok = r.sendHop(hops, h+j*step, bits, values, step > 0)
 		}
 		if !x.ok {
 			return false
@@ -359,21 +365,58 @@ func (ts *TieredSystem) ClassifyOver(seg biosig.Segment, opt *TieredOptions) (Ti
 			hops[h].tr, hops[h].breaker = opt.Hops[h].Link, opt.Hops[h].Breaker
 		}
 	}
-	return ts.walk(seg, ts.tplan, hops, *opt)
+	return ts.walk(seg, ts.tplan, hops, *opt, spanSink{})
+}
+
+// spanSink records one span per executed cell of one traced event: the
+// cell's name, end, measured wall time and modeled per-activation cost.
+// The zero sink records nothing.
+type spanSink struct {
+	tr    *telemetry.Tracer
+	event uint64
+}
+
+// start returns a traced cell's start time; the zero time when
+// untraced.
+func (sk spanSink) start() time.Time {
+	if sk.tr == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// cell records cell c's span, begun at t0, priced from pl's 2-end
+// books.
+func (sk spanSink) cell(pl *placementPlan, c topology.Cell, t0 time.Time, err error) {
+	if sk.tr == nil {
+		return
+	}
+	cc := &pl.cost[c.ID]
+	span := telemetry.Span{
+		Event: sk.event, Name: c.Name, End: cc.end,
+		Start: t0, Wall: time.Since(t0),
+		EnergyJoules: cc.energy, DelaySeconds: cc.delay,
+	}
+	if err != nil {
+		span.Err = err.Error()
+	}
+	sk.tr.Add(span)
 }
 
 // walk executes the pipeline on one segment over tier plan tp, crossing
 // hop h through hops[h] under opt's node-level plan, clock, policy and
-// framing (opt.Hops is the entry point's business, not the walk's).
-func (s *System) walk(seg biosig.Segment, tp *tierPlan, hops []hop, opt TieredOptions) (TieredOutcome, error) {
+// framing (opt.Hops is the entry point's business, not the walk's), and
+// records each executed cell's span into spans.
+func (s *System) walk(seg biosig.Segment, tp *tierPlan, hops []hop, opt TieredOptions, spans spanSink) (TieredOutcome, error) {
 	nh := len(hops)
-	var out TieredOutcome
 	if s.Ens == nil {
-		return out, errors.New("xsystem: cost-analysis-only system has no classifier (built with nil ensemble)")
+		return TieredOutcome{}, errors.New("xsystem: cost-analysis-only system has no classifier (built with nil ensemble)")
 	}
 	if len(seg.Samples) != s.Graph.SegLen {
-		return out, fmt.Errorf("xsystem: segment length %d, engine built for %d", len(seg.Samples), s.Graph.SegLen)
+		return TieredOutcome{}, fmt.Errorf("xsystem: segment length %d, engine built for %d", len(seg.Samples), s.Graph.SegLen)
 	}
+	r := &trun{opt: opt}
+	out := &r.out
 	// The per-hop books share three backing arrays, each slice capped at
 	// its own nh entries.
 	books, air := make([]int, 4*nh), make([]float64, 2*nh)
@@ -386,7 +429,6 @@ func (s *System) walk(seg biosig.Segment, tp *tierPlan, hops []hop, opt TieredOp
 	tpl := tp.tiers
 	pl := s.plan
 	state := opt.Plan.At(opt.now())
-	r := &trun{opt: opt, hops: hops, out: &out}
 
 	// The compute schedule is the collapsed two-natured runtime's:
 	// charge it up front, then add what the faulty hops actually cost.
@@ -401,7 +443,7 @@ func (s *System) walk(seg biosig.Segment, tp *tierPlan, hops []hop, opt TieredOp
 		wait := opt.Plan.Until(opt.now(), faults.AggStall) - opt.now()
 		if r.overBudget(wait) {
 			out.DeadlineExceeded = true
-			return out, &NoResultError{Outcome: out.Outcome}
+			return *out, &NoResultError{Outcome: out.Outcome}
 		}
 		out.SpentSeconds += wait
 	}
@@ -417,7 +459,7 @@ func (s *System) walk(seg biosig.Segment, tp *tierPlan, hops []hop, opt TieredOp
 		ok := true
 		for _, gi := range tp.pairGroups(k) {
 			tg := &pl.groups[gi]
-			if !r.ensureTo(legs, tp.spans[gi], tg.Bits, tg.Values, t) {
+			if !r.ensureTo(hops, legs, tp.spans[gi], tg.Bits, tg.Values, t) {
 				ok = false
 			}
 		}
@@ -486,8 +528,8 @@ func (s *System) walk(seg biosig.Segment, tp *tierPlan, hops []hop, opt TieredOp
 		}
 		return outputs[e.From]
 	}
-	lost := make([]bool, len(g.Cells))
-	availAll := make([]bool, len(pl.ins))
+	flags := make([]bool, len(g.Cells)+len(pl.ins))
+	lost, availAll := flags[:len(g.Cells)], flags[len(g.Cells):]
 	complete := true
 	for _, id = range pl.order {
 		c := g.Cells[id]
@@ -505,7 +547,7 @@ func (s *System) walk(seg biosig.Segment, tp *tierPlan, hops []hop, opt TieredOp
 		for i, e := range ins {
 			switch {
 			case e.From == topology.SourceID:
-				avail[i] = tpl[id] == 0 || srcTier > 0 && r.ensureTo(legs, tp.raw, g.SourceBits, g.SegLen, tpl[id])
+				avail[i] = tpl[id] == 0 || srcTier > 0 && r.ensureTo(hops, legs, tp.raw, g.SourceBits, g.SegLen, tpl[id])
 			case lost[e.From]:
 				avail[i] = false
 			case tpl[e.From] != tpl[id]:
@@ -518,6 +560,7 @@ func (s *System) walk(seg biosig.Segment, tp *tierPlan, hops []hop, opt TieredOp
 			if tpl[id] == 0 {
 				out.SensorEnergy += tp.sensorEnergy[id]
 			}
+			t0 := spans.start()
 			v, used := s.fusePartial(c, ins, avail, fetch)
 			out.VotesTotal = len(ins)
 			out.VotesUsed = used
@@ -534,6 +577,7 @@ func (s *System) walk(seg biosig.Segment, tp *tierPlan, hops []hop, opt TieredOp
 				out.PartialFusion = true
 				complete = false
 			}
+			spans.cell(pl, c, t0, nil)
 			outputs[id] = v
 			continue
 		}
@@ -556,15 +600,17 @@ func (s *System) walk(seg biosig.Segment, tp *tierPlan, hops []hop, opt TieredOp
 		if tpl[id] > 0 && dirtyTo(legs, tp.raw, tpl[id]) {
 			cellEv = rxEvent()
 		}
+		t0 := spans.start()
 		v, err := s.evalCell(c, ins, fetch, cellEv)
+		spans.cell(pl, c, t0, err)
 		if err != nil {
-			return out, fmt.Errorf("xsystem: cell %s: %w", c.Name, err)
+			return *out, fmt.Errorf("xsystem: cell %s: %w", c.Name, err)
 		}
 		outputs[id] = v
 	}
 
 	if lost[g.Output] {
-		return out, &NoResultError{Cause: r.lastErr, Outcome: out.Outcome}
+		return *out, &NoResultError{Cause: r.lastErr, Outcome: out.Outcome}
 	}
 	final := outputs[g.Output]
 	switch {
@@ -573,7 +619,7 @@ func (s *System) walk(seg biosig.Segment, tp *tierPlan, hops []hop, opt TieredOp
 	case final.fx != nil && len(final.fx) > 0:
 		out.Score = final.fx[0].Float()
 	default:
-		return out, &NoResultError{Cause: r.lastErr, Outcome: out.Outcome}
+		return *out, &NoResultError{Cause: r.lastErr, Outcome: out.Outcome}
 	}
 	if out.Score >= 0 {
 		out.Label = 1
@@ -592,7 +638,7 @@ func (s *System) walk(seg biosig.Segment, tp *tierPlan, hops []hop, opt TieredOp
 		dirty := false
 		ok := true
 		for h := lo; h < hi && ok; h++ {
-			rx, legOK := r.sendHop(int(h), wireless.ValueBits, 1, up)
+			rx, legOK := r.sendHop(hops, int(h), wireless.ValueBits, 1, up)
 			ok = legOK
 			if legOK && rx.Dirty() {
 				dirty = true
@@ -616,5 +662,5 @@ func (s *System) walk(seg biosig.Segment, tp *tierPlan, hops []hop, opt TieredOp
 		complete = false
 	}
 	out.Complete = complete && out.Delivered
-	return out, nil
+	return *out, nil
 }

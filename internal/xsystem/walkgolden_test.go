@@ -22,19 +22,22 @@ import (
 	"xpro/internal/faults"
 	"xpro/internal/partition"
 	"xpro/internal/sensornode"
+	"xpro/internal/serve"
 	"xpro/internal/telemetry"
 	"xpro/internal/topology"
 	"xpro/internal/wireless"
 )
 
-// The walk golden digests pin every observable result of the three
-// event walks — System.Classify (labels, the traced spans' modeled
-// fields, and Stream's labels), System.ClassifyOver and
+// The walk golden digests pin every observable result of the event
+// walk through its three entry points — System.Classify (labels, the
+// traced spans' modeled fields, and the labels of an ordered stream of
+// per-event Classify calls), System.ClassifyOver and
 // TieredSystem.ClassifyOver (every Outcome/TieredOutcome field and the
 // error text) — over the six cases, a spread of placements and the
 // fault plans the runtime meets. The digests were recorded from the
-// walks as they were before the execution plan was compiled; any
-// ledger drift changes a digest. Re-record deliberately with
+// separate walks the package had before the execution plan was
+// compiled, when streams ran a goroutine-per-cell network; any ledger
+// drift changes a digest. Re-record deliberately with
 //
 //	go test -run TestWalkGoldenDigests -update-walk-golden ./internal/xsystem/
 
@@ -249,7 +252,7 @@ func walkGoldenDigests(t testing.TB) map[string]string {
 			key := cf.sym + "/" + names[pi]
 
 			// The infallible walk: labels, then the traced spans' modeled
-			// fields, then Stream's labels.
+			// fields, then the labels of an ordered stream.
 			h := sha256.New()
 			tr := telemetry.NewTracer(len(segs) * (len(g.Cells) + 1))
 			traced := *sys
@@ -263,14 +266,22 @@ func walkGoldenDigests(t testing.TB) map[string]string {
 			for _, sp := range tr.Spans() {
 				fmt.Fprintf(h, "span=%d/%s/%s/%.17g/%.17g/%s;", sp.Event, sp.Name, sp.End, sp.EnergyJoules, sp.DelaySeconds, sp.Err)
 			}
-			in := make(chan biosig.Segment, len(segs))
-			for _, seg := range segs {
-				in <- seg
-			}
-			close(in)
-			for r := range traced.Stream(in) {
-				fmt.Fprintf(h, "stream=%d/%d;", r.Index, r.Label)
-				digestErr(h, r.Err)
+			jobs := make(chan func() string)
+			go func() {
+				defer close(jobs)
+				for i, seg := range segs {
+					jobs <- func() string {
+						label, err := traced.Classify(seg)
+						row := fmt.Sprintf("stream=%d/%d;", i, label)
+						if err != nil {
+							row += fmt.Sprintf("err=%s;", err.Error())
+						}
+						return row
+					}
+				}
+			}()
+			for row := range serve.Ordered(jobs, 2, 4) {
+				fmt.Fprint(h, row)
 			}
 			out[key+"/classify"] = hex.EncodeToString(h.Sum(nil))
 

@@ -457,25 +457,40 @@ func (v value) asFloat() []float64 {
 	return fixed.ToSlice(v.fx)
 }
 
-// ErrNotClassified reports a pipeline that produced no output.
-var ErrNotClassified = errors.New("xsystem: pipeline produced no classification")
-
 // Classify executes the partitioned pipeline on one segment and returns
 // the predicted label (0 or 1). Sensor-side cells compute in Q16.16,
 // aggregator-side cells in float64; values crossing the link are
-// converted, exactly as the fixed-point payloads would be decoded.
+// converted, exactly as the fixed-point payloads would be decoded. It
+// runs the one event walk (tieredwalk.go) over the placement's 1-hop
+// chain with an infallible hop.
 //
 // Each call increments the registry's xpro_classify_* series, and when
 // a tracer is wired it records one span per executed cell plus a
-// whole-event "classify" span.
+// whole-event "classify" span carrying the placement's compiled books.
 func (s *System) Classify(seg biosig.Segment) (int, error) {
 	start := time.Now()
-	label, err := s.classify(seg, start)
+	spans := spanSink{tr: s.tracer()}
+	if spans.tr != nil {
+		spans.event = spans.tr.NextEvent()
+	}
+	hops := [1]hop{{Hop: partition.Hop{Link: s.Link}}}
+	out, err := s.walk(seg, s.plan.chain, hops[:], TieredOptions{}, spans)
 	m := s.metrics()
 	if err != nil {
 		m.Counter("xpro_classify_errors_total",
 			"Classify calls that returned an error.").Inc()
-		return label, err
+		return 0, err
+	}
+	if spans.tr != nil {
+		// The event span reports the compiled books, not the walk's
+		// ledger: the walk sums the same costs in another order, so its
+		// figures can differ in the last ulp.
+		spans.tr.Add(telemetry.Span{
+			Event: spans.event, Name: "classify", End: "event",
+			Start: start, Wall: time.Since(start),
+			EnergyJoules: s.plan.energy.SensorTotal(),
+			DelaySeconds: s.plan.delay.Total(),
+		})
 	}
 	m.Counter("xpro_classify_total",
 		"Segments classified through the partitioned pipeline.").Inc()
@@ -487,82 +502,13 @@ func (s *System) Classify(seg biosig.Segment) (int, error) {
 		0).ObserveWall(time.Since(start).Seconds())
 	m.Counter(cellsExecutedSensor, "Functional-cell activations by end.").Add(float64(s.plan.sensorCells))
 	m.Counter(cellsExecutedAggregator, "Functional-cell activations by end.").Add(float64(s.plan.aggCells))
-	return label, nil
+	return out.Label, nil
 }
 
 var (
 	cellsExecutedSensor     = telemetry.WithLabels("xpro_cells_executed_total", map[string]string{"end": "sensor"})
 	cellsExecutedAggregator = telemetry.WithLabels("xpro_cells_executed_total", map[string]string{"end": "aggregator"})
 )
-
-func (s *System) classify(seg biosig.Segment, start time.Time) (int, error) {
-	if s.Ens == nil {
-		return 0, errors.New("xsystem: cost-analysis-only system has no classifier (built with nil ensemble)")
-	}
-	if len(seg.Samples) != s.Graph.SegLen {
-		return 0, fmt.Errorf("xsystem: segment length %d, engine built for %d", len(seg.Samples), s.Graph.SegLen)
-	}
-	g := s.Graph
-	pl := s.plan
-	outputs := make([]value, len(g.Cells))
-
-	tr := s.tracer()
-	var evID uint64
-	if tr != nil {
-		evID = tr.NextEvent()
-	}
-	ev := newEvent(s.Graph, seg)
-	var ins []topology.Edge
-	fetch := func(i int) value { return outputs[ins[i].From] }
-	for _, id := range pl.order {
-		c := g.Cells[id]
-		ins = pl.inEdges(id)
-		var t0 time.Time
-		if tr != nil {
-			t0 = time.Now()
-		}
-		out, err := s.evalCell(c, ins, fetch, ev)
-		if tr != nil {
-			cc := &pl.cost[id]
-			span := telemetry.Span{
-				Event: evID, Name: c.Name, End: cc.end,
-				Start: t0, Wall: time.Since(t0),
-				EnergyJoules: cc.energy, DelaySeconds: cc.delay,
-			}
-			if err != nil {
-				span.Err = err.Error()
-			}
-			tr.Add(span)
-		}
-		if err != nil {
-			return 0, fmt.Errorf("xsystem: cell %s: %w", c.Name, err)
-		}
-		outputs[id] = out
-	}
-	if tr != nil {
-		tr.Add(telemetry.Span{
-			Event: evID, Name: "classify", End: "event",
-			Start: start, Wall: time.Since(start),
-			EnergyJoules: pl.energy.SensorTotal(),
-			DelaySeconds: pl.delay.Total(),
-		})
-	}
-
-	final := outputs[g.Output]
-	var score float64
-	switch {
-	case final.fl != nil && len(final.fl) > 0:
-		score = final.fl[0]
-	case final.fx != nil && len(final.fx) > 0:
-		score = final.fx[0].Float()
-	default:
-		return 0, ErrNotClassified
-	}
-	if score >= 0 {
-		return 1, nil
-	}
-	return 0, nil
-}
 
 // event carries one segment's source data in both representations.
 type event struct {

@@ -160,6 +160,17 @@ func TestClassifyRejectsWrongLength(t *testing.T) {
 	}
 }
 
+func TestClassifyNilEnsemble(t *testing.T) {
+	f := getFixture(t)
+	s, err := New(f.graph, nil, celllib.P90, wireless.Model2(), aggregator.CortexA8(), partition.InSensor(f.graph), sensornode.DefaultSampleRateHz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Classify(f.test.Segs[0]); err == nil {
+		t.Error("a cost-analysis-only system must reject Classify")
+	}
+}
+
 // Energy accounting must match the generator's pricing model exactly —
 // the s-t graph and the simulator describe the same machine.
 func TestEnergyMatchesProblem(t *testing.T) {

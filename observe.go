@@ -1,14 +1,14 @@
 package xpro
 
 import (
+	"context"
 	"errors"
-	"fmt"
 	"io"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
 
-	"xpro/internal/biosig"
 	"xpro/internal/eventsim"
 	"xpro/internal/telemetry"
 	"xpro/internal/wireless"
@@ -337,14 +337,16 @@ func (e *Engine) Observer() *Observer { return e.obs }
 // refresh on every Report.
 func (n *Network) Observer() *Observer { return n.obs }
 
-// ClassifyBatch classifies segments through the streaming execution
-// mode: the partitioned pipeline runs as a network of concurrent
-// functional cells and events overlap, exactly like the asynchronous
-// hardware (§3.1.1). Results are returned in input order; the first
-// failing segment aborts the batch.
+// ClassifyBatch classifies segments and returns their labels in input
+// order; the first failing segment aborts the batch. Without a
+// Resilience policy each segment runs the same event walk as Classify,
+// across up to GOMAXPROCS goroutines, and books the same per-event
+// counters and spans; with one, events run sequentially through the
+// resilience ladder (the modeled clock and breaker are a serial
+// timeline) and degraded answers are answers.
 func (e *Engine) ClassifyBatch(segments [][]float64) ([]int, error) {
 	start := time.Now()
-	labels, err := e.classifyBatch(segments)
+	labels, err := e.classifyBatchParallel(context.Background(), segments, runtime.GOMAXPROCS(0))
 	m := e.obs.reg
 	if err != nil {
 		m.Counter("xpro_classify_batch_errors_total",
@@ -361,51 +363,6 @@ func (e *Engine) ClassifyBatch(segments [][]float64) ([]int, error) {
 	m.Quantile("xpro_classify_batch_wall_seconds",
 		"Wall time of one batch classify call (windowed quantile sketch on host uptime).",
 		0).ObserveWall(time.Since(start).Seconds())
-	return labels, nil
-}
-
-func (e *Engine) classifyBatch(segments [][]float64) ([]int, error) {
-	if e.res != nil {
-		// The resilient path is a serial modeled timeline: events run
-		// through the degradation ladder one by one; degraded answers
-		// are answers, only genuine failures abort the batch.
-		labels := make([]int, len(segments))
-		for i, s := range segments {
-			res, err := e.res.classify(e, biosig.Segment{Samples: s})
-			if err != nil {
-				return nil, fmt.Errorf("xpro: segment %d: %w", i, err)
-			}
-			labels[i] = res.Label
-		}
-		return labels, nil
-	}
-	in := make(chan biosig.Segment)
-	results := e.sys().Stream(in)
-	// stop unblocks the feeder when the batch aborts early; the stream's
-	// own shutdown already drains its cell goroutines.
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		defer close(in)
-		for _, s := range segments {
-			select {
-			case in <- biosig.Segment{Samples: s}:
-			case <-stop:
-				return
-			}
-		}
-	}()
-	labels := make([]int, 0, len(segments))
-	for r := range results {
-		if r.Err != nil {
-			return nil, r.Err
-		}
-		labels = append(labels, r.Label)
-	}
-	if len(labels) != len(segments) {
-		return nil, fmt.Errorf("xpro: stream returned %d results for %d segments", len(labels), len(segments))
-	}
-	e.observePlainEvents(len(labels))
 	return labels, nil
 }
 

@@ -121,6 +121,10 @@ func TestClassifyBatch(t *testing.T) {
 		}
 		want[i] = w
 	}
+	obs := eng.Observer()
+	sensorCells, aggCells := `xpro_cells_executed_total{end="sensor"}`, `xpro_cells_executed_total{end="aggregator"}`
+	classified, sensorBefore, aggBefore := obs.MetricValue("xpro_classify_total"), obs.MetricValue(sensorCells), obs.MetricValue(aggCells)
+	_, spansBefore, _ := obs.TraceStats()
 	got, err := eng.ClassifyBatch(segs)
 	if err != nil {
 		t.Fatal(err)
@@ -133,15 +137,25 @@ func TestClassifyBatch(t *testing.T) {
 			t.Errorf("segment %d: batch label %d, sequential %d", i, got[i], want[i])
 		}
 	}
-	obs := eng.Observer()
 	if v := obs.MetricValue("xpro_classify_batch_total"); v != 1 {
 		t.Errorf("classify_batch_total = %v, want 1", v)
 	}
 	if v := obs.MetricValue("xpro_classify_batch_segments_total"); v != float64(n) {
 		t.Errorf("classify_batch_segments_total = %v, want %d", v, n)
 	}
-	if v := obs.MetricValue("xpro_stream_events_total"); v != float64(n) {
-		t.Errorf("stream_events_total = %v, want %d", v, n)
+	// A batch books what n single events book.
+	rep := eng.Report()
+	if v := obs.MetricValue("xpro_classify_total") - classified; v != float64(n) {
+		t.Errorf("batch added %v to classify_total, want %d", v, n)
+	}
+	if v := obs.MetricValue(sensorCells) - sensorBefore; v != float64(n*rep.SensorCells) {
+		t.Errorf("batch added %v sensor cell executions, want %d", v, n*rep.SensorCells)
+	}
+	if v := obs.MetricValue(aggCells) - aggBefore; v != float64(n*rep.AggregatorCells) {
+		t.Errorf("batch added %v aggregator cell executions, want %d", v, n*rep.AggregatorCells)
+	}
+	if _, spans, _ := obs.TraceStats(); spans-spansBefore != uint64(n*(rep.Cells+1)) {
+		t.Errorf("batch recorded %d spans, want %d events × (%d cells + 1)", spans-spansBefore, n, rep.Cells)
 	}
 }
 

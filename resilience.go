@@ -817,39 +817,16 @@ type StreamResult struct {
 
 // Stream classifies segments arriving on in until it is closed; results
 // arrive in input order and the returned channel closes after the last.
-// Without a Resilience policy events pipeline through the concurrent
-// cell network; with one, events run sequentially through the
-// resilience ladder (the modeled clock and breaker are a serial
-// timeline) and faults degrade results instead of erroring.
+// It is StreamParallel with a background context and GOMAXPROCS
+// workers: without a Resilience policy each event runs the Classify
+// walk on the worker pool; with one, events run sequentially through
+// the resilience ladder (the modeled clock and breaker are a serial
+// timeline) and faults degrade results instead of erroring. Errors are
+// per event: a segment that cannot be classified (a wrong length, say)
+// yields one result with Err set at its own Index, and the stream goes
+// on with the next segment. The caller must drain the returned channel.
 func (e *Engine) Stream(in <-chan []float64) <-chan StreamResult {
-	out := make(chan StreamResult)
-	if e.res != nil {
-		go func() {
-			defer close(out)
-			i := 0
-			for s := range in {
-				res, err := e.res.classify(e, biosig.Segment{Samples: s})
-				out <- StreamResult{Index: i, Result: res, Err: err}
-				i++
-			}
-		}()
-		return out
-	}
-	sysIn := make(chan biosig.Segment)
-	results := e.sys().Stream(sysIn)
-	go func() {
-		defer close(sysIn)
-		for s := range in {
-			sysIn <- biosig.Segment{Samples: s}
-		}
-	}()
-	go func() {
-		defer close(out)
-		for r := range results {
-			out <- StreamResult{Index: r.Index, Result: Result{Label: r.Label, Mode: ModeFull}, Err: r.Err}
-		}
-	}()
-	return out
+	return e.StreamParallel(context.Background(), in, 0)
 }
 
 // SimulatedFaultyDelays runs n consecutive events through the

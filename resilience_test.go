@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	"time"
 
 	"xpro/internal/faults"
 	"xpro/internal/xsystem"
@@ -250,8 +251,8 @@ func TestResilienceBatchAndStream(t *testing.T) {
 	}
 }
 
-// Stream without a policy pipelines through the concurrent cell network
-// and reports ModeFull.
+// Stream without a policy runs the Classify walk per event and reports
+// ModeFull.
 func TestStreamWithoutPolicy(t *testing.T) {
 	eng, err := New(Config{Case: "C1"})
 	if err != nil {
@@ -277,6 +278,72 @@ func TestStreamWithoutPolicy(t *testing.T) {
 	}
 	if n != 10 {
 		t.Fatalf("stream returned %d results", n)
+	}
+}
+
+// A segment that cannot be classified fails only its own event: the
+// error arrives at its index, the other segments are classified as
+// Classify would, and the producer is never left blocked.
+func TestStreamBadSegment(t *testing.T) {
+	eng, err := New(Config{Case: "C1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	test := eng.TestSet()
+	segs := [][]float64{test[0].Samples, {1, 2, 3}, test[1].Samples, test[2].Samples}
+	in := make(chan []float64)
+	fed := make(chan struct{})
+	go func() {
+		defer close(fed)
+		for _, s := range segs {
+			in <- s
+		}
+		close(in)
+	}()
+	var got []StreamResult
+	for r := range eng.Stream(in) {
+		got = append(got, r)
+	}
+	select {
+	case <-fed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the producer is still blocked after the stream closed")
+	}
+	if len(got) != len(segs) {
+		t.Fatalf("stream returned %d results for %d segments: %+v", len(got), len(segs), got)
+	}
+	for i, r := range got {
+		if r.Index != i {
+			t.Fatalf("result %d has index %d", i, r.Index)
+		}
+		if i == 1 {
+			if r.Err == nil {
+				t.Error("the wrong-length segment must fail its own event")
+			}
+			continue
+		}
+		if r.Err != nil {
+			t.Fatalf("segment %d: %v", i, r.Err)
+		}
+		want, err := eng.Classify(segs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Result.Label != want {
+			t.Errorf("segment %d: stream label %d, Classify %d", i, r.Result.Label, want)
+		}
+	}
+}
+
+func TestStreamEmptyInput(t *testing.T) {
+	eng, err := New(Config{Case: "C1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := make(chan []float64)
+	close(in)
+	for r := range eng.Stream(in) {
+		t.Errorf("empty stream produced %+v", r)
 	}
 }
 

@@ -337,8 +337,9 @@ func (e *Engine) generation() uint64 { return e.epoch.Load() }
 func (e *Engine) sys() *xsystem.System { return e.active.Load() }
 
 // attachObserver points a system's telemetry hooks (and its pricing
-// problem's) at the engine observer, so Classify, Stream and the
-// Automatic XPro Generator all record into the same registry.
+// problem's) at the engine observer, so every classify path (Classify,
+// ClassifyBatch, Stream, the fleet) and the Automatic XPro Generator
+// record into the same registry and tracer.
 func attachObserver(sys *xsystem.System, obs *Observer) {
 	sys.Metrics = obs.reg
 	sys.Tracer = obs.tracer
