@@ -10,7 +10,6 @@ import (
 
 	"xpro/internal/partition"
 	"xpro/internal/telemetry"
-	"xpro/internal/topology"
 	"xpro/internal/xsystem"
 )
 
@@ -90,6 +89,11 @@ type Controller struct {
 	// energy M(f), sorted by inflation f. It only saves solves — the
 	// decisions are the same without it — so it is not durable state.
 	floors []floorPoint
+	// floorGraph is the reference problem's s-t graph, built on the
+	// first floor solve and re-priced by every later one; slack is the
+	// solver's cut slack on it (see cutSlack).
+	floorGraph *partition.CutGraph
+	slack      float64
 
 	evals, swaps, rollbacks *telemetry.Counter
 	certified               *telemetry.Counter
@@ -126,6 +130,7 @@ func NewController(cfg Config, sys *xsystem.System, limit float64, metrics *tele
 		limit:  limit,
 		m:      metrics,
 		active: append(partition.Placement(nil), sys.Placement...),
+		slack:  cutSlack(sys.Problem().View(), len(sys.Graph.Cells)),
 
 		evals: metrics.Counter("xpro_recut_evals_total",
 			"Re-cut evaluations performed by the adaptive controller."),
@@ -296,13 +301,14 @@ const floorRelSlack = 1e-9
 // returns can sit above the true minimum. Dinic stops once every
 // residual is within eps = 1e-12 (internal/maxflow), so the returned
 // cut's capacity exceeds the flow, itself at most the true minimum, by
-// at most 2·eps per edge. The edge count bounds the λ = 0 s-t graph's:
-// F→D, one edge per source reader and per cell, and per transfer group
-// a tx and an rx edge plus two per consumer.
-func cutSlack(g *topology.Graph) float64 {
+// at most 2·eps per edge of positive capacity. The edge count bounds
+// the λ = 0 s-t graph's: F→D, one edge per source reader and per cell,
+// and per transfer group a tx and an rx edge plus two per consumer. (Its
+// back-end delay edges F→cell carry λ·delay, zero at λ = 0.)
+func cutSlack(v *partition.View, cells int) float64 {
 	const eps = 1e-12
-	edges := 1 + len(g.SourceReaders()) + len(g.Cells)
-	for _, tg := range g.TransferGroups() {
+	edges := 1 + len(v.Readers) + cells
+	for _, tg := range v.Groups {
 		edges += 2 + 2*len(tg.Consumers)
 	}
 	return 2 * float64(edges) * eps
@@ -325,8 +331,11 @@ func (c *Controller) floorClears(prob *partition.Problem, f, bar float64) bool {
 	if lo >= bar || solved {
 		return lo >= bar
 	}
-	_, m := prob.MinCut()
-	lo = m*(1-floorRelSlack) - cutSlack(prob.Graph)
+	if c.floorGraph == nil {
+		c.floorGraph = c.sys.Problem().NewCutGraph()
+	}
+	_, m := c.floorGraph.MinCut(prob)
+	lo = m*(1-floorRelSlack) - c.slack
 	if len(c.floors) < maxFloors {
 		c.floors = slices.Insert(c.floors, i, floorPoint{f: f, lo: lo})
 	}

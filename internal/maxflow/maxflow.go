@@ -7,6 +7,11 @@
 // in the residual graph form the in-sensor analytic part, the rest the
 // in-aggregator part. The infinite edges implement the "grouped"
 // constraint via the dummy source-data node D (Fig. 7).
+//
+// A Graph can be solved many times: SetCap re-prices edges in place and
+// Reset clears the flow, and the solver keeps its scratch (BFS levels
+// and queue, the DFS edge cursors, path and bottlenecks, the source
+// side) between solves, so a re-solve through Cut allocates nothing.
 package maxflow
 
 import (
@@ -25,15 +30,20 @@ type Edge struct {
 	From, To int
 	Cap      float64
 	Flow     float64
-	// rev is the index of the reverse edge in the adjacency list of To.
-	rev int
 }
 
-// Graph is a flow network over nodes 0..N-1.
+// Graph is a flow network over nodes 0..N-1. AddEdge stores each edge
+// at an even index and its residual reverse edge right after it, so the
+// reverse of edge i is edge i^1.
 type Graph struct {
 	n     int
 	adj   [][]int // node → indices into edges
 	edges []Edge
+
+	// Solver scratch, sized to n on the first solve and reused after.
+	level, iter, queue, path []int
+	avail                    []float64
+	side                     []bool
 }
 
 // New creates a flow network with n nodes.
@@ -58,10 +68,10 @@ func (g *Graph) AddEdge(from, to int, capacity float64) int {
 		panic(fmt.Sprintf("maxflow: negative capacity %v on edge (%d,%d)", capacity, from, to))
 	}
 	idx := len(g.edges)
-	g.edges = append(g.edges, Edge{From: from, To: to, Cap: capacity, rev: len(g.adj[to])})
+	g.edges = append(g.edges, Edge{From: from, To: to, Cap: capacity})
 	g.adj[from] = append(g.adj[from], idx)
 	// Residual reverse edge with zero capacity.
-	g.edges = append(g.edges, Edge{From: to, To: from, Cap: 0, rev: len(g.adj[from]) - 1})
+	g.edges = append(g.edges, Edge{From: to, To: from, Cap: 0})
 	g.adj[to] = append(g.adj[to], idx+1)
 	return idx
 }
@@ -78,13 +88,30 @@ func (g *Graph) Reset() {
 	}
 }
 
-// SetCap updates the capacity of edge idx (its reverse residual is
-// reset too). Reset must be called before re-solving.
+// SetCap updates the capacity of edge idx, an index AddEdge returned.
+// Only that edge changes: its residual reverse edge keeps capacity 0,
+// and the flow already on either is left as it is, so Reset must be
+// called before re-solving. After SetCap and Reset, a solve returns
+// what a freshly built graph with the same edges, in the same order,
+// would.
 func (g *Graph) SetCap(idx int, capacity float64) {
 	if capacity < 0 {
 		panic(fmt.Sprintf("maxflow: negative capacity %v", capacity))
 	}
 	g.edges[idx].Cap = capacity
+}
+
+// scratch sizes the solver's reusable buffers on the first solve.
+func (g *Graph) scratch() {
+	if len(g.level) == g.n {
+		return
+	}
+	g.level = make([]int, g.n)
+	g.iter = make([]int, g.n)
+	g.queue = make([]int, 0, g.n)
+	g.path = make([]int, 0, g.n)
+	g.avail = make([]float64, 0, g.n+1)
+	g.side = make([]bool, g.n)
 }
 
 // MaxFlow computes the maximum s→t flow with Dinic's algorithm and
@@ -93,59 +120,12 @@ func (g *Graph) MaxFlow(s, t int) float64 {
 	if s == t {
 		return 0
 	}
+	g.scratch()
 	total := 0.0
-	level := make([]int, g.n)
-	iter := make([]int, g.n)
-	queue := make([]int, 0, g.n)
-
-	bfs := func() bool {
-		for i := range level {
-			level[i] = -1
-		}
-		level[s] = 0
-		queue = queue[:0]
-		queue = append(queue, s)
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, ei := range g.adj[u] {
-				e := &g.edges[ei]
-				if level[e.To] < 0 && e.Cap-e.Flow > eps {
-					level[e.To] = level[u] + 1
-					queue = append(queue, e.To)
-				}
-			}
-		}
-		return level[t] >= 0
-	}
-
-	var dfs func(u int, f float64) float64
-	dfs = func(u int, f float64) float64 {
-		if u == t {
-			return f
-		}
-		for ; iter[u] < len(g.adj[u]); iter[u]++ {
-			ei := g.adj[u][iter[u]]
-			e := &g.edges[ei]
-			if level[e.To] != level[u]+1 || e.Cap-e.Flow <= eps {
-				continue
-			}
-			d := dfs(e.To, math.Min(f, e.Cap-e.Flow))
-			if d > eps {
-				e.Flow += d
-				g.edges[g.adj[e.To][e.rev]].Flow -= d
-				return d
-			}
-		}
-		return 0
-	}
-
-	for bfs() {
-		for i := range iter {
-			iter[i] = 0
-		}
+	for g.bfs(s, t) {
+		clear(g.iter)
 		for {
-			f := dfs(s, math.Inf(1))
+			f := g.augment(s, t)
 			if f <= eps {
 				break
 			}
@@ -155,25 +135,113 @@ func (g *Graph) MaxFlow(s, t int) float64 {
 	return total
 }
 
-// MinCut computes the minimum s-t cut. It returns the cut value, the
-// set of nodes on the source side (sourceSide[v] == true ⇔ v reachable
-// from s in the residual graph), and the indices of the cut edges.
-func (g *Graph) MinCut(s, t int) (value float64, sourceSide []bool, cutEdges []int) {
+// bfs labels every node with its distance from s over residual edges
+// and reports whether t is reachable.
+func (g *Graph) bfs(s, t int) bool {
+	level := g.level
+	for i := range level {
+		level[i] = -1
+	}
+	level[s] = 0
+	queue := append(g.queue[:0], s)
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		for _, ei := range g.adj[u] {
+			e := &g.edges[ei]
+			if level[e.To] < 0 && e.Cap-e.Flow > eps {
+				level[e.To] = level[u] + 1
+				queue = append(queue, e.To)
+			}
+		}
+	}
+	g.queue = queue
+	return level[t] >= 0
+}
+
+// augment pushes flow along one s→t path of the level graph and returns
+// the amount, 0 when none is left. It is the depth-first search of
+// Dinic's algorithm with an explicit path: each node's cursor iter[u]
+// skips the edges already found to lead nowhere, and a successful push
+// leaves the cursors where they are, so the next search retries the
+// same edges first. avail[d] is the bottleneck of the path's first d
+// edges, as the recursive search would have passed it down.
+func (g *Graph) augment(s, t int) float64 {
+	level, iter := g.level, g.iter
+	path, avail := g.path[:0], append(g.avail[:0], math.Inf(1))
+	u := s
+	for {
+		if u == t {
+			if f := avail[len(path)]; f > eps {
+				for _, ei := range path {
+					g.edges[ei].Flow += f
+					g.edges[ei^1].Flow -= f
+				}
+				g.path, g.avail = path, avail
+				return f
+			}
+		} else {
+			adj := g.adj[u]
+			for ; iter[u] < len(adj); iter[u]++ {
+				e := &g.edges[adj[iter[u]]]
+				if level[e.To] != level[u]+1 || e.Cap-e.Flow <= eps {
+					continue
+				}
+				break
+			}
+			if iter[u] < len(adj) {
+				ei := adj[iter[u]]
+				e := &g.edges[ei]
+				path = append(path, ei)
+				avail = append(avail, math.Min(avail[len(avail)-1], e.Cap-e.Flow))
+				u = e.To
+				continue
+			}
+		}
+		// Dead end: back up one edge and skip it.
+		if len(path) == 0 {
+			g.path, g.avail = path, avail
+			return 0
+		}
+		u = g.edges[path[len(path)-1]].From
+		path, avail = path[:len(path)-1], avail[:len(avail)-1]
+		iter[u]++
+	}
+}
+
+// Cut computes the minimum s-t cut and returns its value and the source
+// side (sourceSide[v] == true ⇔ v reachable from s in the residual
+// graph). sourceSide is the graph's own scratch: it is valid until the
+// next solve and must not be modified. Cut is MinCut without the
+// allocations, for callers that re-solve one graph.
+func (g *Graph) Cut(s, t int) (value float64, sourceSide []bool) {
 	value = g.MaxFlow(s, t)
-	sourceSide = make([]bool, g.n)
-	stack := []int{s}
-	sourceSide[s] = true
+	g.scratch()
+	side := g.side
+	clear(side)
+	stack := append(g.queue[:0], s)
+	side[s] = true
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, ei := range g.adj[u] {
-			e := g.edges[ei]
-			if !sourceSide[e.To] && e.Cap-e.Flow > eps {
-				sourceSide[e.To] = true
+			e := &g.edges[ei]
+			if !side[e.To] && e.Cap-e.Flow > eps {
+				side[e.To] = true
 				stack = append(stack, e.To)
 			}
 		}
 	}
+	g.queue = stack
+	return value, side
+}
+
+// MinCut computes the minimum s-t cut. It returns the cut value, the
+// set of nodes on the source side (sourceSide[v] == true ⇔ v reachable
+// from s in the residual graph), and the indices of the cut edges. The
+// returned slices belong to the caller.
+func (g *Graph) MinCut(s, t int) (value float64, sourceSide []bool, cutEdges []int) {
+	value, side := g.Cut(s, t)
+	sourceSide = append([]bool(nil), side...)
 	for i := 0; i < len(g.edges); i += 2 { // forward edges only
 		e := g.edges[i]
 		if sourceSide[e.From] && !sourceSide[e.To] && e.Cap > eps {

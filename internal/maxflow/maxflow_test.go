@@ -3,6 +3,7 @@ package maxflow
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -115,6 +116,80 @@ func TestResetAndSetCap(t *testing.T) {
 	g.Reset()
 	if got := g.MaxFlow(0, 1); got != 9 {
 		t.Errorf("after SetCap+Reset, flow = %v, want 9", got)
+	}
+}
+
+// SetCap + Reset re-solves one graph as if it were built afresh: on
+// random graphs whose capacities are re-priced many times, some to 0
+// and back and some to Inf, every re-solve returns exactly the flow
+// value and source side of a freshly built graph with the same edges,
+// through both Cut and MinCut.
+func TestSetCapResetMatchesFreshGraph(t *testing.T) {
+	type edge struct {
+		from, to int
+		cap      float64
+	}
+	randomCap := func(rng *rand.Rand) float64 {
+		switch rng.Intn(8) {
+		case 0:
+			return 0
+		case 1:
+			return Inf
+		case 2:
+			return float64(1 + rng.Intn(9))
+		}
+		return rng.Float64() * math.Pow(10, -float64(rng.Intn(10)))
+	}
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 3 + rng.Intn(18)
+		var es []edge
+		for u := 0; u < n; u++ {
+			for v := 0; v < n; v++ {
+				if u != v && rng.Float64() < 0.3 {
+					es = append(es, edge{u, v, randomCap(rng)})
+				}
+			}
+		}
+		g := New(n)
+		idx := make([]int, len(es))
+		for i, e := range es {
+			idx[i] = g.AddEdge(e.from, e.to, e.cap)
+		}
+		s, tk := 0, n-1
+		for round := 0; round < 12; round++ {
+			if round > 0 {
+				for i := range es {
+					if rng.Float64() < 0.4 {
+						es[i].cap = randomCap(rng)
+						g.SetCap(idx[i], es[i].cap)
+					}
+				}
+				g.Reset()
+			}
+			fresh := New(n)
+			for _, e := range es {
+				fresh.AddEdge(e.from, e.to, e.cap)
+			}
+			want, wantSide, wantCut := fresh.MinCut(s, tk)
+			var got float64
+			var side []bool
+			if round%2 == 0 {
+				got, side = g.Cut(s, tk)
+			} else {
+				var cut []int
+				got, side, cut = g.MinCut(s, tk)
+				if !reflect.DeepEqual(cut, wantCut) {
+					t.Fatalf("seed %d round %d: cut edges %v, fresh graph %v", seed, round, cut, wantCut)
+				}
+			}
+			if got != want {
+				t.Fatalf("seed %d round %d: re-solved flow %v, fresh graph %v", seed, round, got, want)
+			}
+			if !reflect.DeepEqual(side, wantSide) {
+				t.Fatalf("seed %d round %d: re-solved source side %v, fresh graph %v", seed, round, side, wantSide)
+			}
+		}
 	}
 }
 

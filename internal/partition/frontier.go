@@ -42,10 +42,8 @@ func (pr *Problem) Frontier(delayOf func(Placement) float64) ([]FrontierPoint, e
 			Lambda:    lambda,
 		})
 	}
-	for _, l := range lambdaLadder {
-		fg := pr.stGraph(l)
-		_, side, _ := fg.MinCut(0, 1)
-		add(pr.placementFromSide(side), l)
+	for _, c := range pr.sweep() {
+		add(c.p, c.lambda)
 	}
 	add(InSensor(pr.Graph), -1)
 	add(InAggregator(pr.Graph), -1)

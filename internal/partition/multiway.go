@@ -195,6 +195,8 @@ type TieredProblem struct {
 	// Metrics receives solver counters; nil falls back to
 	// telemetry.Default().
 	Metrics *telemetry.Registry
+
+	view *View
 }
 
 // DefaultThreeTier returns the canonical sensor → hub → cloud chain:
@@ -237,6 +239,24 @@ func DefaultChain(k int, body, uplink wireless.Model) ([]TierSpec, []Hop) {
 
 // NewTieredProblem validates the chain and applies defaults.
 func NewTieredProblem(g *topology.Graph, hw *sensornode.Hardware, tiers []TierSpec, hops []Hop, sensingEnergy float64) (*TieredProblem, error) {
+	tp, err := newTieredProblem(g, hw, tiers, hops, sensingEnergy)
+	if err == nil {
+		tp.view = newView(g)
+	}
+	return tp, err
+}
+
+// Tiered poses pr's graph, hardware and sensing energy on a k-tier
+// chain, as NewTieredProblem does, sharing pr's view.
+func (pr *Problem) Tiered(tiers []TierSpec, hops []Hop) (*TieredProblem, error) {
+	tp, err := newTieredProblem(pr.Graph, pr.HW, tiers, hops, pr.SensingEnergy)
+	if err == nil {
+		tp.view = pr.View()
+	}
+	return tp, err
+}
+
+func newTieredProblem(g *topology.Graph, hw *sensornode.Hardware, tiers []TierSpec, hops []Hop, sensingEnergy float64) (*TieredProblem, error) {
 	if g == nil || hw == nil {
 		return nil, fmt.Errorf("partition: tiered problem needs a graph and hardware")
 	}
@@ -266,6 +286,11 @@ func NewTieredProblem(g *topology.Graph, hw *sensornode.Hardware, tiers []TierSp
 		ExactCells:    DefaultExactCells,
 	}, nil
 }
+
+// structure returns the view of the problem's graph: the one its
+// constructor compiled or shared, also shared by the problem's copies,
+// or a freshly derived one for a hand-built problem.
+func (tp *TieredProblem) structure() *View { return tp.view.of(tp.Graph) }
 
 func (tp *TieredProblem) metrics() *telemetry.Registry {
 	if tp.Metrics != nil {
@@ -307,7 +332,7 @@ func (tp *TieredProblem) CheckPlacement(p TierPlacement) error {
 			return fmt.Errorf("partition: edge %d→%d climbs down tiers (%d→%d)", e.From, e.To, p[e.From], p[e.To])
 		}
 	}
-	readers := g.SourceReaders()
+	readers := tp.structure().Readers
 	for _, id := range readers[1:] {
 		if p[id] != p[readers[0]] {
 			return fmt.Errorf("partition: source readers split across tiers %d and %d", p[readers[0]], p[id])
@@ -355,13 +380,14 @@ func (tp *TieredProblem) spanCost(dataBits int64, from, lo, hi Tier) float64 {
 // space.
 func (tp *TieredProblem) Cost(p TierPlacement) float64 {
 	g := tp.Graph
+	v := tp.structure()
 	c := tp.SensingEnergy * tp.Tiers[0].EnergyWeight
 	for i, t := range p {
 		c += tp.cellEnergy(t, topology.CellID(i)) * tp.Tiers[t].EnergyWeight
 	}
 	// Raw segment: produced by the source on tier 0, consumed by every
 	// reader.
-	if readers := g.SourceReaders(); len(readers) > 0 {
+	if readers := v.Readers; len(readers) > 0 {
 		hi := Tier(0)
 		for _, id := range readers {
 			if p[id] > hi {
@@ -371,7 +397,8 @@ func (tp *TieredProblem) Cost(p TierPlacement) float64 {
 		c += tp.spanCost(g.SourceBits, 0, 0, hi)
 	}
 	// Each distinct payload is broadcast once per hop it crosses.
-	for _, tg := range g.TransferGroups() {
+	for i := range v.Groups {
+		tg := &v.Groups[i]
 		from := p[tg.From]
 		lo, hi := from, from
 		for _, cons := range tg.Consumers {
@@ -426,6 +453,7 @@ type TierBreakdown struct {
 // separate code path from Cost.
 func (tp *TieredProblem) Breakdown(p TierPlacement) TierBreakdown {
 	g := tp.Graph
+	v := tp.structure()
 	k := tp.K()
 	b := TierBreakdown{
 		Compute:       make([]float64, k),
@@ -447,7 +475,7 @@ func (tp *TieredProblem) Breakdown(p TierPlacement) TierBreakdown {
 			b.account(tp, int(h), dataBits, int(h)+1, int(h))
 		}
 	}
-	if readers := g.SourceReaders(); len(readers) > 0 {
+	if readers := v.Readers; len(readers) > 0 {
 		hi := Tier(0)
 		for _, id := range readers {
 			if p[id] > hi {
@@ -456,7 +484,8 @@ func (tp *TieredProblem) Breakdown(p TierPlacement) TierBreakdown {
 		}
 		cross(g.SourceBits, 0, 0, hi)
 	}
-	for _, tg := range g.TransferGroups() {
+	for i := range v.Groups {
+		tg := &v.Groups[i]
 		from := p[tg.From]
 		lo, hi := from, from
 		for _, cons := range tg.Consumers {
@@ -526,7 +555,7 @@ func (tp *TieredProblem) oracleProblem() *oracle.Problem {
 		}
 		op.Edges = append(op.Edges, [2]int{int(e.From), int(e.To)})
 	}
-	if readers := g.SourceReaders(); len(readers) > 1 {
+	if readers := tp.structure().Readers; len(readers) > 1 {
 		grp := make([]int, len(readers))
 		for i, id := range readers {
 			grp[i] = int(id)
@@ -668,11 +697,8 @@ func (tp *TieredProblem) refine(start TierPlacement) (TierPlacement, float64) {
 	m := tp.metrics()
 	moves := m.Counter("xpro_multiway_fm_moves_total",
 		"Accepted unit moves during k-way placement refinement.")
-	readers := g.SourceReaders()
-	readerSet := make(map[topology.CellID]bool, len(readers))
-	for _, id := range readers {
-		readerSet[id] = true
-	}
+	v := tp.structure()
+	readers := v.Readers
 	// Units in cell-ID order: the reader group once, at its lowest
 	// member ID, then every other cell as a singleton.
 	firstReader := topology.CellID(-1)
@@ -687,7 +713,7 @@ func (tp *TieredProblem) refine(start TierPlacement) (TierPlacement, float64) {
 	var units [][]topology.CellID
 	for i := range g.Cells {
 		id := topology.CellID(i)
-		if readerSet[id] {
+		if v.reader[id] {
 			if id == firstReader {
 				units = append(units, readers)
 			}
@@ -761,21 +787,11 @@ func (tp *TieredProblem) RecutHop(p TierPlacement, h int) (TierPlacement, float6
 		nodeT = 1 // high side (tier h+1)
 	)
 	cellNode := func(id topology.CellID) int { return 2 + int(id) }
-	groups := g.TransferGroups()
-	multi := 0
-	for _, tg := range groups {
-		if len(tg.Consumers) > 1 {
-			multi++
-		}
-	}
-	fg := maxflow.New(2 + len(g.Cells) + multi)
+	v := tp.structure()
+	fg := maxflow.New(2 + len(g.Cells) + v.multi)
 	nextAux := 2 + len(g.Cells)
 
-	readers := g.SourceReaders()
-	readerSet := make(map[topology.CellID]bool, len(readers))
-	for _, id := range readers {
-		readerSet[id] = true
-	}
+	readers := v.Readers
 	free := func(id topology.CellID) bool { return p[id] == lowT || p[id] == highT }
 
 	// Pin fixed cells; price free cells' tier-dependent unary terms as
@@ -826,7 +842,8 @@ func (tp *TieredProblem) RecutHop(p TierPlacement, h int) (TierPlacement, float6
 	// producer lands low and any consumer lands high. Single consumer
 	// uses a direct edge; broadcasts price the crossing once via an
 	// auxiliary node.
-	for _, tg := range groups {
+	for i := range v.Groups {
+		tg := &v.Groups[i]
 		if p[tg.From] > highT {
 			continue // produced above the hop, can never cross it
 		}

@@ -30,7 +30,6 @@ import (
 	"sort"
 	"time"
 
-	"xpro/internal/maxflow"
 	"xpro/internal/sensornode"
 	"xpro/internal/telemetry"
 	"xpro/internal/topology"
@@ -141,6 +140,10 @@ func Trivial(g *topology.Graph) Placement {
 }
 
 // Problem carries everything the generator needs to price a placement.
+//
+// A problem built by NewProblem carries its graph's View, compiled once
+// and shared by its copies, so pricing derives no structure per call. A
+// hand-built Problem works too, deriving the view on every call.
 type Problem struct {
 	Graph *topology.Graph
 	HW    *sensornode.Hardware
@@ -157,7 +160,26 @@ type Problem struct {
 	// Metrics receives the generator's runtime counters; nil falls back
 	// to telemetry.Default().
 	Metrics *telemetry.Registry
+
+	view *View
 }
+
+// NewProblem returns the pricing problem of graph g on hardware hw and
+// link, with g's view compiled once. aggDelay may be nil (see AggDelay).
+func NewProblem(g *topology.Graph, hw *sensornode.Hardware, link wireless.Model, sensingEnergy float64, aggDelay func(topology.CellID) float64) *Problem {
+	return &Problem{
+		Graph:         g,
+		HW:            hw,
+		Link:          link,
+		SensingEnergy: sensingEnergy,
+		AggDelay:      aggDelay,
+		view:          newView(g),
+	}
+}
+
+// View returns the view of the problem's graph: the compiled one when
+// the problem came from NewProblem, a freshly derived one otherwise.
+func (pr *Problem) View() *View { return pr.view.of(pr.Graph) }
 
 func (pr *Problem) metrics() *telemetry.Registry {
 	if pr.Metrics != nil {
@@ -172,25 +194,25 @@ func (pr *Problem) metrics() *telemetry.Registry {
 // final result transmission when fusion sits on the sensor.
 func (pr *Problem) SensorEnergy(p Placement) float64 {
 	g := pr.Graph
+	v := pr.View()
 	e := pr.SensingEnergy
-	for _, id := range p.SensorCells() {
-		e += pr.HW.Energy(id)
+	for i, end := range p {
+		if end == Sensor {
+			e += pr.HW.Energy(topology.CellID(i))
+		}
 	}
 	// Raw segment is transmitted when any source reader is in the
 	// aggregator.
-	rawSent := false
-	for _, id := range g.SourceReaders() {
+	for _, id := range v.Readers {
 		if !p.OnSensor(id) {
-			rawSent = true
+			e += pr.Link.Cost(g.SourceBits).TxEnergy
 			break
 		}
 	}
-	if rawSent {
-		e += pr.Link.Cost(g.SourceBits).TxEnergy
-	}
 	// Each distinct payload crosses the link at most once per direction
 	// (broadcast to all consumers on the other end).
-	for _, tg := range g.TransferGroups() {
+	for i := range v.Groups {
+		tg := &v.Groups[i]
 		fromS := p.OnSensor(tg.From)
 		anyOther := false
 		for _, c := range tg.Consumers {
@@ -217,7 +239,7 @@ func (pr *Problem) SensorEnergy(p Placement) float64 {
 // GroupedOK reports whether p keeps all source readers on the same end
 // (§3.2.2). Placements violating it are legal but provably suboptimal.
 func (pr *Problem) GroupedOK(p Placement) bool {
-	readers := pr.Graph.SourceReaders()
+	readers := pr.View().Readers
 	if len(readers) == 0 {
 		return true
 	}
@@ -230,115 +252,12 @@ func (pr *Problem) GroupedOK(p Placement) bool {
 	return true
 }
 
-// stGraph builds the s-t graph with capacities energy + lambda·delay.
-// Node layout: 0 = F (sensor), 1 = B (aggregator), 2 = D (raw data),
-// 3+i = cell i, then two auxiliary nodes per multi-consumer transfer
-// group (broadcast tx and rx pricing).
-func (pr *Problem) stGraph(lambda float64) *maxflow.Graph {
-	g := pr.Graph
-	const (
-		nodeF = 0
-		nodeB = 1
-		nodeD = 2
-	)
-	cellNode := func(id topology.CellID) int { return 3 + int(id) }
-	groups := g.TransferGroups()
-	multi := 0
-	for _, tg := range groups {
-		if len(tg.Consumers) > 1 {
-			multi++
-		}
-	}
-	fg := maxflow.New(3 + len(g.Cells) + 2*multi)
-	nextAux := 3 + len(g.Cells)
-
-	// F→D: cost of shipping the raw segment.
-	raw := pr.Link.Cost(g.SourceBits)
-	fg.AddEdge(nodeF, nodeD, raw.TxEnergy+lambda*raw.Delay)
-	// D→reader (∞): the grouped constraint.
-	for _, id := range g.SourceReaders() {
-		fg.AddEdge(nodeD, cellNode(id), maxflow.Inf)
-	}
-	// cell→B: in-sensor compute energy (+ result transmission for the
-	// output cell, paid whenever it stays on the sensor).
-	//
-	// The Lagrangian delay terms cover exactly the ADDITIVE components
-	// of the end-to-end model: wireless air time (on transfer edges and
-	// F→D) and, when an AggDelay model is present, the serialized
-	// back-end latency of offloaded cells (on F→cell edges). Sensor-side
-	// cell latencies are deliberately NOT penalized — in-sensor cells
-	// are parallel hardware whose critical path is bounded by T_F, so a
-	// sum-of-delays penalty would push the sweep away from exactly the
-	// placements that meet tight limits. As λ grows the sweep therefore
-	// walks from the energy-optimal cut toward the in-sensor engine,
-	// tracing delay-feasible intermediates; each candidate's true delay
-	// is still checked by the caller's delay model.
-	for i := range g.Cells {
-		id := topology.CellID(i)
-		w := pr.HW.Energy(id)
-		if id == g.Output {
-			res := pr.Link.Cost(wireless.ValueBits)
-			w += res.TxEnergy + lambda*res.Delay
-		}
-		fg.AddEdge(cellNode(id), nodeB, w)
-		if lambda > 0 && pr.AggDelay != nil {
-			if d := pr.AggDelay(id); d > 0 {
-				fg.AddEdge(nodeF, cellNode(id), lambda*d)
-			}
-		}
-	}
-	// Data dependencies, one transfer group at a time. Single-consumer
-	// groups use the paper's direct construction (u→v transmit, v→u
-	// receive). Multi-consumer groups price the broadcast once per
-	// direction via two auxiliary nodes:
-	//
-	//   u→T (tx), T→v (∞ each): T settles on the aggregator side, so
-	//   u→T is cut exactly when u is on the sensor and some consumer is
-	//   not;
-	//   v→R (∞ each), R→u (rx): R is dragged to the sensor side by any
-	//   sensor-side consumer, so R→u is cut exactly when u is on the
-	//   aggregator and some consumer is not.
-	for _, tg := range groups {
-		tr := pr.Link.Cost(tg.Bits)
-		u := cellNode(tg.From)
-		if len(tg.Consumers) == 1 {
-			v := cellNode(tg.Consumers[0])
-			fg.AddEdge(u, v, tr.TxEnergy+lambda*tr.Delay)
-			fg.AddEdge(v, u, tr.RxEnergy+lambda*tr.Delay)
-			continue
-		}
-		txAux, rxAux := nextAux, nextAux+1
-		nextAux += 2
-		fg.AddEdge(u, txAux, tr.TxEnergy+lambda*tr.Delay)
-		fg.AddEdge(rxAux, u, tr.RxEnergy+lambda*tr.Delay)
-		for _, c := range tg.Consumers {
-			fg.AddEdge(txAux, cellNode(c), maxflow.Inf)
-			fg.AddEdge(cellNode(c), rxAux, maxflow.Inf)
-		}
-	}
-	return fg
-}
-
-// placementFromSide converts a min-cut source side into a Placement.
-func (pr *Problem) placementFromSide(side []bool) Placement {
-	p := make(Placement, len(pr.Graph.Cells))
-	for i := range pr.Graph.Cells {
-		if side[3+i] {
-			p[i] = Sensor
-		} else {
-			p[i] = Aggregator
-		}
-	}
-	return p
-}
-
 // MinCut solves the unconstrained problem (§3.2.2) and returns the
-// energy-optimal placement and its modeled sensor energy.
+// energy-optimal placement and its modeled sensor energy. It builds the
+// s-t graph for this one solve; a caller that re-solves keeps a
+// CutGraph instead.
 func (pr *Problem) MinCut() (Placement, float64) {
-	fg := pr.stGraph(0)
-	_, side, _ := fg.MinCut(0, 1)
-	p := pr.placementFromSide(side)
-	return p, pr.SensorEnergy(p)
+	return pr.NewCutGraph().MinCut(pr)
 }
 
 // Result reports what the delay-constrained generator produced.
@@ -384,28 +303,8 @@ func (pr *Problem) Generate(delayOf func(Placement) float64, limit float64) (Res
 	start := time.Now()
 	mincutRuns := m.Counter("xpro_generate_mincut_runs_total",
 		"Min-cut solves performed by the Automatic XPro Generator.")
-	type cand struct {
-		p      Placement
-		lambda float64
-	}
-	var cands []cand
-	seen := func(p Placement) bool {
-		for _, c := range cands {
-			if c.p.Equal(p) {
-				return true
-			}
-		}
-		return false
-	}
-	for _, l := range lambdaLadder {
-		fg := pr.stGraph(l)
-		_, side, _ := fg.MinCut(0, 1)
-		mincutRuns.Inc()
-		p := pr.placementFromSide(side)
-		if !seen(p) {
-			cands = append(cands, cand{p: p, lambda: l})
-		}
-	}
+	cands := pr.sweep()
+	mincutRuns.Add(float64(len(lambdaLadder)))
 	// The Lagrangian sweep can jump over the feasibility boundary when
 	// many cells share one energy/delay ratio (they all flip at the same
 	// λ). Greedy repair fills that gap: walk each infeasible sweep cut
@@ -413,15 +312,15 @@ func (pr *Problem) Generate(delayOf func(Placement) float64, limit float64) (Res
 	// cell with the best delay reduction per unit of added energy.
 	repairSteps := m.Counter("xpro_generate_repair_steps_total",
 		"Greedy-repair placements explored to bridge Lagrangian feasibility gaps.")
-	for _, c := range append([]cand(nil), cands...) {
+	for _, c := range cands[:len(cands):len(cands)] {
 		if delayOf(c.p) <= limit {
 			continue
 		}
 		repaired := pr.greedyRepair(c.p, delayOf, limit)
 		repairSteps.Add(float64(len(repaired)))
 		for _, q := range repaired {
-			if !seen(q) {
-				cands = append(cands, cand{p: q, lambda: c.lambda})
+			if !sweptHas(cands, q) {
+				cands = append(cands, swept{p: q, lambda: c.lambda})
 			}
 		}
 	}
@@ -486,10 +385,7 @@ func (pr *Problem) Generate(delayOf func(Placement) float64, limit float64) (Res
 // source readers move as one unit.
 func (pr *Problem) greedyRepair(start Placement, delayOf func(Placement) float64, limit float64) []Placement {
 	g := pr.Graph
-	readerSet := make(map[topology.CellID]bool)
-	for _, id := range g.SourceReaders() {
-		readerSet[id] = true
-	}
+	v := pr.View()
 	cur := append(Placement(nil), start...)
 	curDelay := delayOf(cur)
 	curEnergy := pr.SensorEnergy(cur)
@@ -501,21 +397,21 @@ func (pr *Problem) greedyRepair(start Placement, delayOf func(Placement) float64
 			energy float64
 		}
 		var best *move
-		tried := make(map[topology.CellID]bool)
-		for _, id := range cur.AggregatorCells() {
-			if tried[id] {
+		readersTried := false
+		for i, end := range cur {
+			id := topology.CellID(i)
+			if end != Aggregator || (v.reader[id] && readersTried) {
 				continue
 			}
 			q := append(Placement(nil), cur...)
-			if readerSet[id] {
+			if v.reader[id] {
 				// Move the whole grouped set together.
-				for _, r := range g.SourceReaders() {
+				for _, r := range v.Readers {
 					q[r] = Sensor
-					tried[r] = true
 				}
+				readersTried = true
 			} else {
 				q[id] = Sensor
-				tried[id] = true
 			}
 			d := delayOf(q)
 			if d >= curDelay {
@@ -551,20 +447,17 @@ type Sensitivity struct {
 // load-bearing placement decisions, near-zero deltas mark ties.
 func (pr *Problem) Explain(p Placement) []Sensitivity {
 	g := pr.Graph
+	v := pr.View()
 	base := pr.SensorEnergy(p)
-	readerSet := make(map[topology.CellID]bool)
-	for _, id := range g.SourceReaders() {
-		readerSet[id] = true
-	}
 	out := make([]Sensitivity, len(g.Cells))
 	var groupDelta float64
 	groupDone := false
 	for i := range g.Cells {
 		id := topology.CellID(i)
 		q := append(Placement(nil), p...)
-		if readerSet[id] {
+		if v.reader[id] {
 			if !groupDone {
-				for _, r := range g.SourceReaders() {
+				for _, r := range v.Readers {
 					q[r] = flip(q[r])
 				}
 				groupDelta = pr.SensorEnergy(q) - base

@@ -49,7 +49,7 @@ func testProblem(t testing.TB) *Problem {
 		t.Fatal(err)
 	}
 	cachedGraph = g
-	cachedProblem = &Problem{Graph: g, HW: hw, Link: wireless.Model2(), SensingEnergy: sensing}
+	cachedProblem = NewProblem(g, hw, wireless.Model2(), sensing, nil)
 	return cachedProblem
 }
 
@@ -363,6 +363,7 @@ func BenchmarkGenerate(b *testing.B) {
 		_, na := p.Counts()
 		return float64(na)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := pr.Generate(delayOf, float64(len(pr.Graph.Cells))); err != nil {

@@ -13,8 +13,9 @@ import (
 //
 //   - graphPlan, placement-independent, built once in New and shared by
 //     pointer with every sibling: CSR in-edges, the transfer groups
-//     with their slice offsets and per-value wire widths, and the source
-//     readers;
+//     and source readers of the pricing problem's partition.View (the
+//     same slices, not a copy), and each group's slice offset and
+//     per-value wire width;
 //   - placementPlan, per 2-end placement: the Delay and Energy books,
 //     each cell's end and modeled (energy, delay), the per-end cell
 //     counts, and the placement as a 1-hop tierPlan;
@@ -27,11 +28,10 @@ import (
 // Per-event state — transfer legs, cell outputs, lost flags, ledgers —
 // is not part of any plan and stays per call.
 
-// transferGroup is a topology.TransferGroup with the offset of its slice
-// in the producer's output (a DWT cell emits detail ‖ approx, one group
-// each) and the wire width of one of its values.
-type transferGroup struct {
-	topology.TransferGroup
+// groupLayout places a transfer group's values in its producer's
+// output: the offset of its slice (a DWT cell emits detail ‖ approx,
+// one group each) and the wire width of one value.
+type groupLayout struct {
 	off int
 	per int64
 }
@@ -43,15 +43,18 @@ type graphPlan struct {
 	// ins[inStart[id]:inStart[id+1]].
 	inStart []int
 	ins     []topology.Edge
-	groups  []transferGroup
+	// groups and readers are the pricing problem's view
+	// (partition.View), shared, not copied; layout[gi] places groups[gi].
+	groups []topology.TransferGroup
+	layout []groupLayout
 	// Cell id's groups, ascending, are prodGroups[prodStart[id]:prodStart[id+1]].
 	prodStart, prodGroups []int
 	readers               []topology.CellID
 }
 
-func compileGraph(g *topology.Graph, order []topology.CellID) *graphPlan {
+func compileGraph(g *topology.Graph, order []topology.CellID, v *partition.View) *graphPlan {
 	n := len(g.Cells)
-	gp := &graphPlan{order: order, readers: g.SourceReaders()}
+	gp := &graphPlan{order: order, groups: v.Groups, readers: v.Readers}
 	gp.inStart = make([]int, n+1)
 	for _, e := range g.Edges {
 		gp.inStart[e.To+1]++
@@ -66,26 +69,23 @@ func compileGraph(g *topology.Graph, order []topology.CellID) *graphPlan {
 		inNext[e.To]++
 	}
 
-	tgs := g.TransferGroups()
-	gp.groups = make([]transferGroup, len(tgs))
+	gp.layout = make([]groupLayout, len(gp.groups))
 	gp.prodStart = make([]int, n+1)
-	for gi, tg := range tgs {
-		x := transferGroup{TransferGroup: tg}
+	for gi, tg := range gp.groups {
 		if tg.Class == topology.PayloadApprox {
-			x.off = g.Cells[tg.From].OutValues
+			gp.layout[gi].off = g.Cells[tg.From].OutValues
 		}
 		if tg.Values > 0 {
-			x.per = tg.Bits / int64(tg.Values)
+			gp.layout[gi].per = tg.Bits / int64(tg.Values)
 		}
-		gp.groups[gi] = x
 		gp.prodStart[tg.From+1]++
 	}
 	for i := 0; i < n; i++ {
 		gp.prodStart[i+1] += gp.prodStart[i]
 	}
-	gp.prodGroups = make([]int, len(tgs))
+	gp.prodGroups = make([]int, len(gp.groups))
 	prodNext := append([]int(nil), gp.prodStart[:n]...)
-	for gi, tg := range tgs {
+	for gi, tg := range gp.groups {
 		gp.prodGroups[prodNext[tg.From]] = gi
 		prodNext[tg.From]++
 	}

@@ -213,23 +213,28 @@ func TestPlanMatchesGraph(t *testing.T) {
 			t.Fatalf("%s: %d groups, graph has %d", pg.name, len(gp.groups), len(tgs))
 		}
 		for i, tg := range tgs {
-			got := gp.groups[i]
-			if !reflect.DeepEqual(got.TransferGroup, tg) {
-				t.Fatalf("%s: group %d = %+v, graph %+v", pg.name, i, got.TransferGroup, tg)
+			got, lay := gp.groups[i], gp.layout[i]
+			if !reflect.DeepEqual(got, tg) {
+				t.Fatalf("%s: group %d = %+v, graph %+v", pg.name, i, got, tg)
 			}
-			if tg.Values > 0 && got.per != tg.Bits/int64(tg.Values) {
-				t.Fatalf("%s: group %d per-value width %d of %+v", pg.name, i, got.per, tg)
+			if tg.Values > 0 && lay.per != tg.Bits/int64(tg.Values) {
+				t.Fatalf("%s: group %d per-value width %d of %+v", pg.name, i, lay.per, tg)
 			}
 			off := 0
 			if tg.Class == topology.PayloadApprox {
 				off = g.Cells[tg.From].OutValues
 			}
-			if got.off != off {
-				t.Fatalf("%s: group %d offset %d, want %d", pg.name, i, got.off, off)
+			if lay.off != off {
+				t.Fatalf("%s: group %d offset %d, want %d", pg.name, i, lay.off, off)
 			}
 		}
 		if !reflect.DeepEqual(gp.readers, g.SourceReaders()) {
 			t.Fatalf("%s: readers %v, graph %v", pg.name, gp.readers, g.SourceReaders())
+		}
+		// The plan shares the pricing problem's view instead of copying it.
+		v := sys.Problem().View()
+		if len(tgs) > 0 && &gp.groups[0] != &v.Groups[0] || len(gp.readers) > 0 && &gp.readers[0] != &v.Readers[0] {
+			t.Fatalf("%s: the plan copies the pricing problem's view", pg.name)
 		}
 
 		// Placement level, on random grouped 2-end placements and the

@@ -36,7 +36,7 @@ func NewTiered(s *System, tiers []partition.TierSpec, hops []partition.Hop) (*Ti
 	if s == nil {
 		return nil, fmt.Errorf("xsystem: nil system")
 	}
-	tp, err := partition.NewTieredProblem(s.Graph, s.HW, tiers, hops, s.Problem().SensingEnergy)
+	tp, err := s.Problem().Tiered(tiers, hops)
 	if err != nil {
 		return nil, err
 	}

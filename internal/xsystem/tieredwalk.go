@@ -477,7 +477,6 @@ func (s *System) walk(seg biosig.Segment, tp *tierPlan, hops []hop, opt TieredOp
 	dirtyView := func(producer topology.CellID, t partition.Tier) []float64 {
 		var view []float64
 		for _, gi := range pl.producedGroups(producer) {
-			tg := &pl.groups[gi]
 			if !dirtyTo(legs, tp.spans[gi], t) {
 				continue
 			}
@@ -485,14 +484,14 @@ func (s *System) walk(seg biosig.Segment, tp *tierPlan, hops []hop, opt TieredOp
 				view = append([]float64(nil), outputs[producer].asFloat()...)
 			}
 			// The group's slice of the producer's full output.
-			n := tg.Values
-			if tg.off >= len(view) {
+			n, lay := pl.groups[gi].Values, pl.layout[gi]
+			if lay.off >= len(view) {
 				continue
 			}
-			if tg.off+n > len(view) {
-				n = len(view) - tg.off
+			if lay.off+n > len(view) {
+				n = len(view) - lay.off
 			}
-			r.applyLegs(view[tg.off:tg.off+n], tg.per, legs, tp.spans[gi], t)
+			r.applyLegs(view[lay.off:lay.off+n], lay.per, legs, tp.spans[gi], t)
 		}
 		return view
 	}

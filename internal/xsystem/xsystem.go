@@ -122,15 +122,9 @@ func New(g *topology.Graph, ens *ensemble.Ensemble, proc celllib.Process, link w
 	if err != nil {
 		return nil, fmt.Errorf("xsystem: %w", err)
 	}
-	prob := &partition.Problem{
-		Graph:         g,
-		HW:            hw,
-		Link:          link,
-		SensingEnergy: sensing,
-		AggDelay: func(id topology.CellID) float64 {
-			return cpu.CellCost(g.Cells[id].Spec).Delay
-		},
-	}
+	prob := partition.NewProblem(g, hw, link, sensing, func(id topology.CellID) float64 {
+		return cpu.CellCost(g.Cells[id].Spec).Delay
+	})
 	if err := checkPlacement(prob, p); err != nil {
 		return nil, err
 	}
@@ -144,7 +138,7 @@ func New(g *topology.Graph, ens *ensemble.Ensemble, proc celllib.Process, link w
 		SampleRateHz: sampleRateHz,
 		problem:      prob,
 	}
-	s.plan = s.compilePlacement(compileGraph(g, order))
+	s.plan = s.compilePlacement(compileGraph(g, order, prob.View()))
 	return s, nil
 }
 

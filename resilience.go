@@ -801,6 +801,7 @@ func (e *Engine) ClassifyResult(samples []float64) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
+		e.observePlainEvents(1)
 		return Result{Label: label, Mode: ModeFull}, nil
 	}
 	return e.res.classify(e, seg)

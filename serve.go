@@ -187,6 +187,7 @@ func (e *Engine) ClassifyResultContext(ctx context.Context, samples []float64) (
 	if err != nil {
 		return Result{}, err
 	}
+	e.observePlainEvents(1)
 	return Result{Label: label, Mode: ModeFull}, nil
 }
 
@@ -314,6 +315,7 @@ func (e *Engine) StreamParallel(ctx context.Context, in <-chan []float64, worker
 					if err != nil {
 						return StreamResult{Index: idx, Err: err}
 					}
+					e.observePlainEvents(1)
 					return StreamResult{Index: idx, Result: Result{Label: label, Mode: ModeFull}}
 				}
 			case <-ctx.Done():

@@ -2,6 +2,7 @@ package xpro
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"errors"
 	"math"
@@ -256,6 +257,50 @@ func TestSLOReportPlainEngine(t *testing.T) {
 	}
 	if h := eng.Health(); h.Status != "ok" {
 		t.Errorf("healthy engine reports %+v", h)
+	}
+}
+
+// Every plain path lands its events on the SLO series: Classify,
+// ClassifyResult, StreamParallel (and with it Engine.Stream) and
+// ClassifyResultContext (and with it every plain Network.Serve event).
+func TestSLOPlainPathsObserve(t *testing.T) {
+	eng, err := New(Config{Case: "C1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	latencyCount := func() uint64 {
+		for _, m := range eng.obs.reg.Snapshot() {
+			if m.Name == "xpro_classify_latency_seconds" {
+				return m.Count
+			}
+		}
+		return 0
+	}
+	test := eng.TestSet()
+	if _, err := eng.Classify(test[0].Samples); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.ClassifyResult(test[1].Samples); err != nil {
+		t.Fatal(err)
+	}
+	in := make(chan []float64, 3)
+	for _, s := range test[2:5] {
+		in <- s.Samples
+	}
+	close(in)
+	for r := range eng.StreamParallel(context.Background(), in, 2) {
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+	}
+	if got := latencyCount(); got != 5 {
+		t.Fatalf("latency sketch counts %d events after Classify, ClassifyResult and a 3-event stream, want 5", got)
+	}
+	if _, err := eng.ClassifyResultContext(context.Background(), test[5].Samples); err != nil {
+		t.Fatal(err)
+	}
+	if got := latencyCount(); got != 6 {
+		t.Fatalf("latency sketch counts %d events after ClassifyResultContext, want 6", got)
 	}
 }
 
