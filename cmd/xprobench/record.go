@@ -29,7 +29,8 @@ type benchPoint = map[string]any
 type parsedBench struct {
 	Goos, Goarch, CPU string
 	// Benchmarks maps the benchmark name (Benchmark prefix stripped,
-	// -N GOMAXPROCS suffix kept) to its unit→value measurements.
+	// -N GOMAXPROCS suffix kept until uniformProcs strips it) to its
+	// unit→value measurements.
 	Benchmarks map[string]map[string]float64
 	order      []string
 }
@@ -158,6 +159,34 @@ func deriveSpeedups(p *parsedBench) map[string]float64 {
 	return derived
 }
 
+// uniformProcs strips the -N GOMAXPROCS suffix from every benchmark
+// name when all of them carry the same one, and returns N. Points
+// recorded at different GOMAXPROCS then share benchmark names, and the
+// point says N once. It returns 0 and keeps the names when a name has
+// no suffix or the suffixes differ, as in a -cpu 1,4,8 run, whose
+// suffixes deriveSpeedups reads.
+func (p *parsedBench) uniformProcs() int {
+	procs := ""
+	for _, name := range p.order {
+		m := cpuSuffix.FindStringSubmatch(name)
+		if m == nil || procs != "" && m[2] != procs {
+			return 0
+		}
+		procs = m[2]
+	}
+	n, err := strconv.Atoi(procs)
+	if err != nil {
+		return 0
+	}
+	benches := make(map[string]map[string]float64, len(p.order))
+	for i, name := range p.order {
+		p.order[i] = strings.TrimSuffix(name, "-"+procs)
+		benches[p.order[i]] = p.Benchmarks[name]
+	}
+	p.Benchmarks = benches
+	return n
+}
+
 // math3 rounds to 3 decimals so trajectory diffs stay readable.
 func math3(v float64) float64 {
 	return float64(int64(v*1000+0.5)) / 1000
@@ -191,9 +220,14 @@ func recordBench(path string, in io.Reader, note string, stdout io.Writer) error
 		return err
 	}
 
+	derived := deriveSpeedups(p)
+	procs := p.uniformProcs()
 	point := benchPoint{
 		"date":       time.Now().UTC().Format("2006-01-02"),
 		"benchmarks": p.Benchmarks,
+	}
+	if procs > 0 {
+		point["gomaxprocs"] = procs
 	}
 	if c := gitHead(); c != "" {
 		point["commit_parent"] = c
@@ -210,7 +244,7 @@ func recordBench(path string, in io.Reader, note string, stdout io.Writer) error
 	if note != "" {
 		point["note"] = note
 	}
-	if derived := deriveSpeedups(p); len(derived) > 0 {
+	if len(derived) > 0 {
 		point["derived"] = derived
 	}
 

@@ -124,6 +124,14 @@ func TestRecordBenchAppend(t *testing.T) {
 	if _, ok := derived["FleetSequential_speedup_8x"]; !ok {
 		t.Errorf("derived speedups missing: %v", derived)
 	}
+	// A multi -cpu run keeps its suffixed names and records no
+	// gomaxprocs of its own.
+	if _, ok := benches["FleetSequential-4"]; !ok {
+		t.Errorf("suffixed names of a -cpu run were stripped: %v", benches)
+	}
+	if _, ok := pt["gomaxprocs"]; ok {
+		t.Errorf("a multi -cpu point records gomaxprocs: %v", pt)
+	}
 	if !strings.Contains(out.String(), "recorded 5 benchmarks") {
 		t.Errorf("summary line missing: %q", out.String())
 	}
@@ -175,5 +183,44 @@ func TestRunRecordFlag(t *testing.T) {
 	os.WriteFile(bad, []byte("not json"), 0o644)
 	if code := run([]string{"-record", bad, "-record-in", in}, &out, &errOut); code == 0 {
 		t.Error("corrupt target file should fail, not be overwritten")
+	}
+}
+
+// A run at one GOMAXPROCS records bare benchmark names and the
+// GOMAXPROCS once, so its points compare with points from hosts of
+// another core count.
+func TestRecordBenchUniformSuffix(t *testing.T) {
+	const twoCore = `goos: linux
+goarch: amd64
+cpu: Intel(R) Xeon(R) Processor
+BenchmarkMultiwaySolve-2   	   25000	     47000 ns/op	   21000 B/op	     435 allocs/op
+BenchmarkRecutHop-2        	   60000	     19000 ns/op	    9000 B/op	     120 allocs/op
+PASS
+`
+	path := filepath.Join(t.TempDir(), "BENCH_multiway.json")
+	var out bytes.Buffer
+	if err := recordBench(path, strings.NewReader(twoCore), "", &out); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	points, _ := doc["points"].([]any)
+	pt, _ := points[0].(map[string]any)
+	if procs, _ := pt["gomaxprocs"].(float64); procs != 2 {
+		t.Errorf("gomaxprocs = %v, want 2", pt["gomaxprocs"])
+	}
+	benches, _ := pt["benchmarks"].(map[string]any)
+	solve, _ := benches["MultiwaySolve"].(map[string]any)
+	if len(benches) != 2 || solve["ns_per_op"] != 47000.0 || benches["RecutHop"] == nil {
+		t.Errorf("benchmarks not keyed by bare name: %v", benches)
+	}
+	if !strings.Contains(out.String(), "MultiwaySolve RecutHop") {
+		t.Errorf("summary line lists suffixed names: %q", out.String())
 	}
 }

@@ -341,11 +341,11 @@ func TestExtMultiwayShape(t *testing.T) {
 			if kway > bi+1e-3 { // printed at 3 decimals
 				t.Errorf("k=%d row %d: k-way %v above bi-partition %v", k, i, kway, bi)
 			}
-			if tiers := strings.Count(row[6], "/") + 1; tiers != k {
-				t.Errorf("k=%d row %d: per-tier column %q has %d tiers", k, i, row[6], tiers)
+			if tiers := strings.Count(row[5], "/") + 1; tiers != k {
+				t.Errorf("k=%d row %d: per-tier column %q has %d tiers", k, i, row[5], tiers)
 			}
-			if hops := strings.Count(row[7], "/") + 1; hops != k-1 {
-				t.Errorf("k=%d row %d: hop-bits column %q has %d hops", k, i, row[7], hops)
+			if hops := strings.Count(row[6], "/") + 1; hops != k-1 {
+				t.Errorf("k=%d row %d: hop-bits column %q has %d hops", k, i, row[6], hops)
 			}
 		}
 		if len(tab.Notes) == 0 {

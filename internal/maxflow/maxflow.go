@@ -251,24 +251,6 @@ func (g *Graph) MinCut(s, t int) (value float64, sourceSide []bool, cutEdges []i
 	return value, sourceSide, cutEdges
 }
 
-// AddNodeSideCosts wires node v between the terminals of a binary
-// labeling problem: paying sinkCost when v lands on the source side and
-// sourceCost when it lands on the sink side. It is the standard
-// node-potential encoding used by the k-way partitioner's per-hop
-// re-cut — "stay low" and "promote" costs become s→v and v→t
-// capacities — and returns the two edge indices (s→v, v→t). Zero-cost
-// edges are skipped (index -1).
-func (g *Graph) AddNodeSideCosts(s, t, v int, sourceCost, sinkCost float64) (sv, vt int) {
-	sv, vt = -1, -1
-	if sourceCost > 0 {
-		sv = g.AddEdge(s, v, sourceCost)
-	}
-	if sinkCost > 0 {
-		vt = g.AddEdge(v, t, sinkCost)
-	}
-	return sv, vt
-}
-
 // CutValue returns the total capacity crossing the given partition
 // (source side → sink side, forward edges only). It lets callers price
 // arbitrary placements — e.g. the in-sensor / in-aggregator / trivial

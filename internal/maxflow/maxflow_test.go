@@ -322,31 +322,3 @@ func BenchmarkMaxFlow50(b *testing.B) {
 		g.MaxFlow(0, n-1)
 	}
 }
-
-// TestAddNodeSideCosts: a two-node labeling problem where each node
-// pays its side cost. The min cut must pick, per node, the cheaper
-// side, and skip zero-cost edges.
-func TestAddNodeSideCosts(t *testing.T) {
-	// Nodes: 0=s, 1=t, 2=a, 3=b. a prefers the source side (sinkCost
-	// 1 < sourceCost 5), b the sink side (sourceCost 2 < sinkCost 7).
-	g := New(4)
-	sa, at := g.AddNodeSideCosts(0, 1, 2, 5, 1)
-	sb, bt := g.AddNodeSideCosts(0, 1, 3, 2, 7)
-	if sa < 0 || at < 0 || sb < 0 || bt < 0 {
-		t.Fatalf("expected all four edges, got %d %d %d %d", sa, at, sb, bt)
-	}
-	val, side, _ := g.MinCut(0, 1)
-	if math.Abs(val-3) > 1e-12 {
-		t.Fatalf("cut value %v, want 3 (=1+2)", val)
-	}
-	if !side[2] || side[3] {
-		t.Fatalf("sides: a=%v b=%v, want a on source, b on sink", side[2], side[3])
-	}
-
-	// Zero costs are skipped.
-	g2 := New(3)
-	sv, vt := g2.AddNodeSideCosts(0, 1, 2, 0, 0)
-	if sv != -1 || vt != -1 {
-		t.Fatalf("zero-cost edges not skipped: %d %d", sv, vt)
-	}
-}

@@ -14,13 +14,13 @@
 // {1, 0} the model reduces exactly to Problem.SensorEnergy — the paper's
 // objective — which the test battery asserts.
 //
-// The solver runs an iterated bi-partition seed pass (each hop re-cut
-// exactly by min-cut, via the same maxflow machinery as the 2-end
-// generator) refined by a steepest-descent move pass (KL/FM style) over
-// reader-grouped units. On instances small enough to brute-force it
-// instead defers to the internal/partition/oracle enumerator, so its
-// result is provably optimal there; elsewhere the per-hop bi-partition
-// seeds guarantee it never loses to the best single-hop cut.
+// Solve minimizes the objective exactly with one minimum s-t cut, as
+// the 2-end generator does: the graph has one node per cell and hop
+// instead of one per cell (Ishikawa's construction for labels on a
+// chain, IEEE TPAMI 2003). RecutHop solves the same graph with every
+// node but one hop's contracted into the terminal the incumbent puts it
+// on. The tests hold both to the exhaustive internal/partition/oracle
+// enumerator and to per-instance optimality certificates.
 package partition
 
 import (
@@ -28,7 +28,6 @@ import (
 	"math"
 
 	"xpro/internal/maxflow"
-	"xpro/internal/partition/oracle"
 	"xpro/internal/sensornode"
 	"xpro/internal/telemetry"
 	"xpro/internal/topology"
@@ -165,14 +164,6 @@ type Hop struct {
 // fewest bits (the final result, when the hop must be crossed at all).
 const DeadHopPenaltyPerBit = 1e3
 
-// DefaultExactCells is the instance size up to which Solve brute-forces
-// via the oracle enumerator instead of trusting the heuristic.
-const DefaultExactCells = 12
-
-// defaultExactSpace caps the raw assignment-space size k^units for the
-// exact path, keeping worst-case enumeration in unit-test time.
-const defaultExactSpace = 2_000_000
-
 // TieredProblem prices and optimizes k-way placements.
 type TieredProblem struct {
 	Graph *topology.Graph
@@ -186,9 +177,6 @@ type TieredProblem struct {
 	// ResultTier is where the final classification must be delivered
 	// (default: the top tier, where the application lives).
 	ResultTier Tier
-	// ExactCells bounds the brute-force path (default DefaultExactCells;
-	// negative disables it).
-	ExactCells int
 	// CellEnergy optionally overrides per-cell compute energy on a
 	// tier; nil falls back to HW.Energy(id) · Tiers[t].ComputeScale.
 	CellEnergy func(t Tier, id topology.CellID) float64
@@ -283,7 +271,6 @@ func newTieredProblem(g *topology.Graph, hw *sensornode.Hardware, tiers []TierSp
 		Hops:          hops,
 		SensingEnergy: sensingEnergy,
 		ResultTier:    Tier(len(tiers) - 1),
-		ExactCells:    DefaultExactCells,
 	}, nil
 }
 
@@ -534,47 +521,9 @@ func (b *TierBreakdown) account(tp *TieredProblem, h int, dataBits int64, sendTi
 // TierResult is what Solve produced.
 type TierResult struct {
 	Placement TierPlacement
-	// Cost is Cost(Placement).
+	// Cost is Cost(Placement), the minimum over every feasible
+	// placement.
 	Cost float64
-	// Exact is true when the oracle brute-force path ran — the result
-	// is then provably optimal.
-	Exact bool
-	// Visited counts enumerated assignments on the exact path.
-	Visited int64
-	// Seeds counts heuristic starting points tried.
-	Seeds int
-}
-
-// oracleProblem poses this instance to the exhaustive enumerator.
-func (tp *TieredProblem) oracleProblem() *oracle.Problem {
-	g := tp.Graph
-	op := &oracle.Problem{Cells: len(g.Cells), Tiers: tp.K()}
-	for _, e := range g.Edges {
-		if e.From == topology.SourceID {
-			continue
-		}
-		op.Edges = append(op.Edges, [2]int{int(e.From), int(e.To)})
-	}
-	if readers := tp.structure().Readers; len(readers) > 1 {
-		grp := make([]int, len(readers))
-		for i, id := range readers {
-			grp[i] = int(id)
-		}
-		op.Groups = append(op.Groups, grp)
-	}
-	return op
-}
-
-// exactEligible reports whether the brute-force path is in budget.
-func (tp *TieredProblem) exactEligible() bool {
-	limit := tp.ExactCells
-	if limit == 0 {
-		limit = DefaultExactCells
-	}
-	if limit < 0 || len(tp.Graph.Cells) > limit {
-		return false
-	}
-	return tp.oracleProblem().Space() <= defaultExactSpace
 }
 
 // better reports a strict improvement of cost a over b, with tolerance
@@ -583,30 +532,15 @@ func better(a, b float64) bool {
 	return a < b-(1e-12+1e-9*math.Abs(b))
 }
 
-// Solve returns the minimum-cost feasible k-way placement. On instances
-// within the exact budget (≤ ExactCells cells and a small assignment
-// space) the result is the brute-forced optimum; otherwise it is the
-// best of the corner, iterated-promote and per-hop bi-partition seeds,
-// each refined to a local optimum by steepest-descent unit moves, and
-// therefore never worse than the best single-hop bi-partition.
+// Solve returns the minimum-cost feasible k-way placement: the minimum
+// cut of the problem's layered graph.
 func (tp *TieredProblem) Solve() (TierResult, error) {
 	if err := tp.validate(); err != nil {
 		return TierResult{}, err
 	}
-	m := tp.metrics()
-	m.Counter("xpro_multiway_solve_total", "k-way placement solves.").Inc()
-
-	if tp.exactEligible() {
-		res, err := tp.solveExact()
-		if err == nil {
-			m.Counter("xpro_multiway_exact_total",
-				"k-way solves answered by the exhaustive oracle path.").Inc()
-			return res, nil
-		}
-		// Fall through to the heuristic on oracle errors (oversize races
-		// the Space estimate only in pathological graphs).
-	}
-	return tp.solveHeuristic()
+	tp.metrics().Counter("xpro_multiway_solve_total", "k-way placement solves.").Inc()
+	p, _ := tp.layered(nil, -1).cut()
+	return TierResult{Placement: p, Cost: tp.Cost(p)}, nil
 }
 
 func (tp *TieredProblem) validate() error {
@@ -622,151 +556,211 @@ func (tp *TieredProblem) validate() error {
 	return nil
 }
 
-func (tp *TieredProblem) solveExact() (TierResult, error) {
-	op := tp.oracleProblem()
-	buf := make(TierPlacement, len(tp.Graph.Cells))
-	res, err := op.Optimal(func(assign []int) float64 {
-		for i, t := range assign {
-			buf[i] = Tier(t)
-		}
-		return tp.Cost(buf)
-	})
-	if err != nil {
-		return TierResult{}, err
-	}
-	p := make(TierPlacement, len(res.Assign))
-	for i, t := range res.Assign {
-		p[i] = Tier(t)
-	}
-	return TierResult{Placement: p, Cost: res.Cost, Exact: true, Visited: res.Visited}, nil
+// nJ prices the layered graph in nanojoules, so that maxflow's
+// absolute tolerance of 1e-12 lies far below every cost difference a
+// cut must resolve. In joules, where placements differ by as little as
+// 1e-12, the cut's value missed Cost by up to 2e-12.
+const nJ = 1e9
+
+// The layered graph's terminals: s holds the nodes of cells at or
+// below their hop, t those above it.
+const (
+	layerS = 0
+	layerT = 1
+)
+
+// layered is a problem's layered s-t graph (Ishikawa's construction).
+// Node (c, h) lands on the sink side exactly when cell c sits above hop
+// h, on a tier > h, so a placement puts tier(c) of c's nodes on the
+// sink side and every term of Cost becomes cut edges:
+//
+//   - c's chain runs s → (c, k−2) → … → (c, 0) → t. The edge out of
+//     (c, t), or out of s for the top tier, is cut exactly when c sits
+//     on tier t and carries unary(c, t);
+//   - ∞ edges (c, h−1) → (c, h) keep each chain in order, ∞ edges
+//     (v, h) → (u, h) keep every data edge u → v tier-monotone, and ∞
+//     edges both ways keep the source readers on one tier;
+//   - each hop has its own copy of CutGraph's tx gadget, which prices a
+//     transfer group once when its producer sits at or below the hop
+//     and a consumer above it: u → v for one consumer, u → aux and ∞
+//     aux → v for each consumer of a broadcast.
+//
+// Some placement has a finite cost, so the minimum cut crosses no ∞
+// edge: it is a feasible placement, and on the uncontracted graph its
+// value is that placement's Cost less the sensing term, in nJ. A
+// layered graph is built per call and owned by it.
+type layered struct {
+	fg   *maxflow.Graph
+	nh   int
+	node []int // node[c·nh+h]: (c, h)'s graph node, or the terminal it was contracted into
 }
 
-func (tp *TieredProblem) solveHeuristic() (TierResult, error) {
+// layered builds the graph. With p nil every node is free and the cut
+// solves the whole problem. Otherwise only hop's nodes of the cells p
+// puts on tiers hop and hop+1 stay free, every other node is contracted
+// into the terminal p puts it on, and the cut re-solves that hop's
+// boundary with the rest of p held.
+func (tp *TieredProblem) layered(p TierPlacement, hop int) *layered {
+	g, v := tp.Graph, tp.structure()
+	l := &layered{nh: len(tp.Hops), node: make([]int, len(g.Cells)*len(tp.Hops))}
+	n := 2
+	for c := range g.Cells {
+		for h := 0; h < l.nh; h++ {
+			switch {
+			case p == nil || h == hop && (p[c] == Tier(h) || p[c] == Tier(h+1)):
+				l.node[c*l.nh+h] = n
+				n++
+			case p[c] <= Tier(h):
+				l.node[c*l.nh+h] = layerS
+			default:
+				l.node[c*l.nh+h] = layerT
+			}
+		}
+	}
+	aux := n
+	for i := range v.Groups {
+		for h := 0; h < l.nh; h++ {
+			if l.broadcast(&v.Groups[i], h) {
+				n++
+			}
+		}
+	}
+	l.fg = maxflow.New(n)
+
 	k := tp.K()
-	var seeds []TierPlacement
-	// Corners: everything on one tier.
-	for t := 0; t < k; t++ {
-		seeds = append(seeds, AllAt(tp.Graph, Tier(t)))
-	}
-	// Iterated bi-partition: promote from the bottom, demote from the
-	// top, re-cutting one hop at a time.
-	up := AllAt(tp.Graph, 0)
-	for h := 0; h < k-1; h++ {
-		if q, _, err := tp.RecutHop(up, h); err == nil {
-			up = q
-		}
-	}
-	seeds = append(seeds, up)
-	down := AllAt(tp.Graph, Tier(k-1))
-	for h := k - 2; h >= 0; h-- {
-		if q, _, err := tp.RecutHop(down, h); err == nil {
-			down = q
-		}
-	}
-	seeds = append(seeds, down)
-	// Per-hop bi-partitions: the exact two-tier split across each hop.
-	for h := 0; h < k-1; h++ {
-		if q, _, err := tp.RecutHop(AllAt(tp.Graph, Tier(h)), h); err == nil {
-			seeds = append(seeds, q)
-		}
-	}
-
-	best := TierResult{Cost: math.Inf(1), Seeds: len(seeds)}
-	for _, s := range seeds {
-		p, c := tp.refine(s)
-		if math.IsInf(c, 1) {
-			continue // infeasible seed
-		}
-		if best.Placement == nil || better(c, best.Cost) {
-			best.Placement = p
-			best.Cost = c
-		}
-	}
-	if best.Placement == nil {
-		return TierResult{}, fmt.Errorf("partition: no feasible k-way placement found")
-	}
-	return best, nil
-}
-
-// refine runs steepest-descent unit moves (KL/FM style): per pass, try
-// moving every reader-grouped unit one tier up or down, apply the
-// single best strictly-improving move, and stop at a local optimum.
-// Scan order and the strict-improvement tolerance make it deterministic.
-func (tp *TieredProblem) refine(start TierPlacement) (TierPlacement, float64) {
-	g := tp.Graph
-	m := tp.metrics()
-	moves := m.Counter("xpro_multiway_fm_moves_total",
-		"Accepted unit moves during k-way placement refinement.")
-	v := tp.structure()
-	readers := v.Readers
-	// Units in cell-ID order: the reader group once, at its lowest
-	// member ID, then every other cell as a singleton.
-	firstReader := topology.CellID(-1)
-	if len(readers) > 0 {
-		firstReader = readers[0]
-		for _, r := range readers {
-			if r < firstReader {
-				firstReader = r
-			}
-		}
-	}
-	var units [][]topology.CellID
 	for i := range g.Cells {
-		id := topology.CellID(i)
-		if v.reader[id] {
-			if id == firstReader {
-				units = append(units, readers)
+		c := topology.CellID(i)
+		for t := 0; t < k; t++ {
+			if a, b := l.at(c, t), l.at(c, t-1); l.cuts(a, b) {
+				l.add(a, b, nJ*tp.unary(c, Tier(t)))
 			}
+		}
+		for h := 1; h < l.nh; h++ {
+			l.add(l.at(c, h-1), l.at(c, h), maxflow.Inf)
+		}
+	}
+	for _, e := range g.Edges {
+		if e.From == topology.SourceID {
 			continue
 		}
-		units = append(units, []topology.CellID{id})
+		for h := 0; h < l.nh; h++ {
+			l.add(l.at(e.To, h), l.at(e.From, h), maxflow.Inf)
+		}
 	}
-
-	cur := start.Clone()
-	if err := tp.CheckPlacement(cur); err != nil {
-		return cur, math.Inf(1)
-	}
-	curCost := tp.Cost(cur)
-	k := Tier(tp.K())
-	for pass := 0; pass < 4*len(g.Cells)*int(k); pass++ {
-		var bestP TierPlacement
-		bestC := curCost
-		for _, unit := range units {
-			for _, d := range [2]Tier{1, -1} {
-				nt := cur[unit[0]] + d
-				if nt < 0 || nt >= k {
-					continue
-				}
-				q := cur.Clone()
-				for _, id := range unit {
-					q[id] = nt
-				}
-				if tp.CheckPlacement(q) != nil {
-					continue
-				}
-				if c := tp.Cost(q); better(c, bestC) {
-					bestP = q
-					bestC = c
-				}
+	if readers := v.Readers; len(readers) > 1 {
+		for _, r := range readers[1:] {
+			for h := 0; h < l.nh; h++ {
+				l.add(l.at(readers[0], h), l.at(r, h), maxflow.Inf)
+				l.add(l.at(r, h), l.at(readers[0], h), maxflow.Inf)
 			}
 		}
-		if bestP == nil {
-			break
-		}
-		cur, curCost = bestP, bestC
-		moves.Inc()
 	}
-	return cur, curCost
+	for i := range v.Groups {
+		tg := &v.Groups[i]
+		for h := 0; h < l.nh; h++ {
+			u := l.at(tg.From, h)
+			if len(tg.Consumers) == 1 {
+				if w := l.at(tg.Consumers[0], h); l.cuts(u, w) {
+					l.add(u, w, nJ*tp.hopCost(h, tg.Bits, true))
+				}
+				continue
+			}
+			if !l.broadcast(tg, h) {
+				continue
+			}
+			l.add(u, aux, nJ*tp.hopCost(h, tg.Bits, true))
+			for _, c := range tg.Consumers {
+				l.add(aux, l.at(c, h), maxflow.Inf)
+			}
+			aux++
+		}
+	}
+	return l
+}
+
+// unary prices what of Cost cell c's tier t decides alone: its weighted
+// compute, the raw segment's hops when c is the first source reader
+// (the others share its tier), and the result's delivery when c is the
+// output cell.
+func (tp *TieredProblem) unary(c topology.CellID, t Tier) float64 {
+	e := tp.cellEnergy(t, c) * tp.Tiers[t].EnergyWeight
+	if readers := tp.structure().Readers; len(readers) > 0 && c == readers[0] {
+		e += tp.spanCost(tp.Graph.SourceBits, 0, 0, t)
+	}
+	if c == tp.Graph.Output {
+		e += tp.spanCost(wireless.ValueBits, t, min(t, tp.ResultTier), max(t, tp.ResultTier))
+	}
+	return e
+}
+
+// at returns (c, h)'s graph node. Every cell sits above hop −1 and at
+// or below hop k−1, which closes each chain onto t and s.
+func (l *layered) at(c topology.CellID, h int) int {
+	switch {
+	case h < 0:
+		return layerT
+	case h >= l.nh:
+		return layerS
+	}
+	return l.node[int(c)*l.nh+h]
+}
+
+// cuts reports whether the cut decides an edge a → b: an edge out of t
+// or into s is never cut, one from s to t always is, and a loop never.
+func (l *layered) cuts(a, b int) bool {
+	return a != b && a != layerT && b != layerS && (a != layerS || b != layerT)
+}
+
+// add adds the edge a → b when the cut decides it and it costs
+// something.
+func (l *layered) add(a, b int, capacity float64) {
+	if capacity > 0 && l.cuts(a, b) {
+		l.fg.AddEdge(a, b, capacity)
+	}
+}
+
+// broadcast reports whether tg is a broadcast whose crossing of hop h
+// the cut decides: its producer may sit at or below the hop, and one of
+// its nodes there is free.
+func (l *layered) broadcast(tg *topology.TransferGroup, h int) bool {
+	if len(tg.Consumers) < 2 {
+		return false
+	}
+	u := l.at(tg.From, h)
+	if u != layerS {
+		return u != layerT
+	}
+	for _, c := range tg.Consumers {
+		if l.at(c, h) > layerT {
+			return true
+		}
+	}
+	return false
+}
+
+// cut solves the graph and reads the placement off it, with the cut's
+// value in joules.
+func (l *layered) cut() (TierPlacement, float64) {
+	value, side := l.fg.Cut(layerS, layerT)
+	p := make(TierPlacement, len(l.node)/l.nh)
+	for c := range p {
+		for h := 0; h < l.nh; h++ {
+			if !side[l.node[c*l.nh+h]] {
+				p[c]++
+			}
+		}
+	}
+	return p, value / nJ
 }
 
 // RecutHop re-optimizes exactly the boundary at hop h of placement p,
 // holding every other boundary fixed: cells currently on tiers h and
 // h+1 choose between those two tiers (source readers as one unit), all
-// other cells stay put. The binary subproblem is solved exactly as a
-// minimum s-t cut — the same machinery as the 2-end generator — so the
-// returned placement is the optimum of that neighborhood and never
-// worse than p. This is the primitive behind the adaptive controller's
-// k-way re-cut and the degradation ladder.
+// other cells stay put. It solves the layered graph with every node but
+// those cells' hop-h nodes contracted, so the returned placement is the
+// optimum of that neighborhood and never worse than p. This is the
+// primitive behind the adaptive controller's k-way re-cut and the
+// degradation ladder.
 func (tp *TieredProblem) RecutHop(p TierPlacement, h int) (TierPlacement, float64, error) {
 	if err := tp.validate(); err != nil {
 		return nil, 0, err
@@ -779,104 +773,7 @@ func (tp *TieredProblem) RecutHop(p TierPlacement, h int) (TierPlacement, float6
 	}
 	tp.metrics().Counter("xpro_multiway_recut_runs_total",
 		"Single-hop k-way re-cut min-cut solves.").Inc()
-
-	g := tp.Graph
-	lowT, highT := Tier(h), Tier(h+1)
-	const (
-		nodeS = 0 // low side (tier h)
-		nodeT = 1 // high side (tier h+1)
-	)
-	cellNode := func(id topology.CellID) int { return 2 + int(id) }
-	v := tp.structure()
-	fg := maxflow.New(2 + len(g.Cells) + v.multi)
-	nextAux := 2 + len(g.Cells)
-
-	readers := v.Readers
-	free := func(id topology.CellID) bool { return p[id] == lowT || p[id] == highT }
-
-	// Pin fixed cells; price free cells' tier-dependent unary terms as
-	// node side costs (shifted to ≥ 0 — shifts change the cut value but
-	// not the argmin, and the final cost is re-priced by Cost).
-	for i := range g.Cells {
-		id := topology.CellID(i)
-		if !free(id) {
-			if p[id] < lowT {
-				fg.AddEdge(nodeS, cellNode(id), maxflow.Inf)
-			} else {
-				fg.AddEdge(cellNode(id), nodeT, maxflow.Inf)
-			}
-			continue
-		}
-		lowCost := tp.cellEnergy(lowT, id) * tp.Tiers[lowT].EnergyWeight
-		highCost := tp.cellEnergy(highT, id) * tp.Tiers[highT].EnergyWeight
-		// The final result: delivery to ResultTier crosses hop h in a
-		// way that depends only on the output cell's own side.
-		if id == g.Output {
-			if tp.ResultTier > lowT {
-				lowCost += tp.hopCost(h, wireless.ValueBits, true)
-			}
-			if tp.ResultTier < highT {
-				highCost += tp.hopCost(h, wireless.ValueBits, false)
-			}
-		}
-		shift := math.Min(lowCost, highCost)
-		fg.AddNodeSideCosts(nodeS, nodeT, cellNode(id), highCost-shift, lowCost-shift)
-	}
-	// Source readers move as one unit; the raw segment crosses hop h
-	// exactly when they land high.
-	if len(readers) > 0 && free(readers[0]) {
-		for _, id := range readers[1:] {
-			fg.AddEdge(cellNode(readers[0]), cellNode(id), maxflow.Inf)
-			fg.AddEdge(cellNode(id), cellNode(readers[0]), maxflow.Inf)
-		}
-		fg.AddEdge(nodeS, cellNode(readers[0]), tp.hopCost(h, g.SourceBits, true))
-	}
-	// Monotonicity: an edge u→v may never have v low while u is high.
-	for _, e := range g.Edges {
-		if e.From == topology.SourceID {
-			continue
-		}
-		fg.AddEdge(cellNode(e.To), cellNode(e.From), maxflow.Inf)
-	}
-	// Transfer groups: the payload crosses hop h exactly when the
-	// producer lands low and any consumer lands high. Single consumer
-	// uses a direct edge; broadcasts price the crossing once via an
-	// auxiliary node.
-	for i := range v.Groups {
-		tg := &v.Groups[i]
-		if p[tg.From] > highT {
-			continue // produced above the hop, can never cross it
-		}
-		cost := tp.hopCost(h, tg.Bits, true)
-		u := cellNode(tg.From)
-		if len(tg.Consumers) == 1 {
-			fg.AddEdge(u, cellNode(tg.Consumers[0]), cost)
-			continue
-		}
-		aux := nextAux
-		nextAux++
-		fg.AddEdge(u, aux, cost)
-		for _, cons := range tg.Consumers {
-			fg.AddEdge(aux, cellNode(cons), maxflow.Inf)
-		}
-	}
-
-	_, side, _ := fg.MinCut(nodeS, nodeT)
-	q := p.Clone()
-	for i := range g.Cells {
-		id := topology.CellID(i)
-		if !free(id) {
-			continue
-		}
-		if side[cellNode(id)] {
-			q[id] = lowT
-		} else {
-			q[id] = highT
-		}
-	}
-	if err := tp.CheckPlacement(q); err != nil {
-		return nil, 0, fmt.Errorf("partition: re-cut emitted infeasible placement: %w", err)
-	}
+	q, _ := tp.layered(p, h).cut()
 	// The cut is exact for the neighborhood, but float noise could in
 	// principle tie against the incumbent; keep the cheaper of the two
 	// so RecutHop never regresses.

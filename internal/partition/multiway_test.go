@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -14,9 +15,57 @@ import (
 // exhaustive check.
 func costTol(ref float64) float64 { return 1e-12 + 1e-9*math.Abs(ref) }
 
+// enumerable bounds the raw assignment spaces the batteries enumerate.
+const enumerable = 1 << 21
+
+// oracleProblem poses tp to the exhaustive enumerator.
+func oracleProblem(tp *TieredProblem) *oracle.Problem {
+	g := tp.Graph
+	op := &oracle.Problem{Cells: len(g.Cells), Tiers: tp.K()}
+	for _, e := range g.Edges {
+		if e.From == topology.SourceID {
+			continue
+		}
+		op.Edges = append(op.Edges, [2]int{int(e.From), int(e.To)})
+	}
+	if readers := g.SourceReaders(); len(readers) > 1 {
+		grp := make([]int, len(readers))
+		for i, id := range readers {
+			grp[i] = int(id)
+		}
+		op.Groups = append(op.Groups, grp)
+	}
+	return op
+}
+
+// oracleOptimum brute-forces tp's optimum under Cost. ok is false when
+// the assignment space is beyond enumerable.
+func oracleOptimum(t testing.TB, tp *TieredProblem) (p TierPlacement, cost float64, ok bool) {
+	t.Helper()
+	op := oracleProblem(tp)
+	if op.Space() > enumerable {
+		return nil, 0, false
+	}
+	buf := make(TierPlacement, op.Cells)
+	opt, err := op.Optimal(func(a []int) float64 {
+		for i, tier := range a {
+			buf[i] = Tier(tier)
+		}
+		return tp.Cost(buf)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p = make(TierPlacement, len(opt.Assign))
+	for i, tier := range opt.Assign {
+		p[i] = Tier(tier)
+	}
+	return p, opt.Cost, true
+}
+
 // TestSolveMatchesOracle: on every enumerable tiny DAG, across tier
 // counts, Solve must return exactly the oracle optimum — cost equal and
-// placement identical (both sides share the deterministic tie-break).
+// placement identical.
 func TestSolveMatchesOracle(t *testing.T) {
 	for _, k := range []int{2, 3, 4} {
 		for _, seed := range []int64{1, 2, 3, 5, 8, 13} {
@@ -26,91 +75,178 @@ func TestSolveMatchesOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !tp.exactEligible() {
-				// The acceptance bound demands exactness up to 12 cells
-				// on 3 tiers; wider chains may exceed the space cap.
-				if k <= 3 {
-					t.Fatalf("k=%d seed=%d: %d-cell tiny DAG must be exact-eligible", k, seed, len(g.Cells))
-				}
+			opt, optC, ok := oracleOptimum(t, tp)
+			if !ok {
 				continue
 			}
 			res, err := tp.Solve()
 			if err != nil {
 				t.Fatalf("k=%d seed=%d: %v", k, seed, err)
 			}
-			if !res.Exact {
-				t.Fatalf("k=%d seed=%d: exact path not taken", k, seed)
+			if math.Abs(res.Cost-optC) > costTol(optC) {
+				t.Errorf("k=%d seed=%d: solve cost %v, oracle optimum %v", k, seed, res.Cost, optC)
 			}
-			buf := make(TierPlacement, len(g.Cells))
-			opt, err := tp.oracleProblem().Optimal(func(a []int) float64 {
-				for i, tier := range a {
-					buf[i] = Tier(tier)
-				}
-				return tp.Cost(buf)
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(res.Cost-opt.Cost) > costTol(opt.Cost) {
-				t.Errorf("k=%d seed=%d: solve cost %v, oracle optimum %v", k, seed, res.Cost, opt.Cost)
-			}
-			for i, tier := range opt.Assign {
-				if res.Placement[i] != Tier(tier) {
-					t.Errorf("k=%d seed=%d: placement diverges from oracle at cell %d", k, seed, i)
-					break
-				}
+			if !res.Placement.Equal(opt) {
+				t.Errorf("k=%d seed=%d: placement %v, oracle %v", k, seed, res.Placement, opt)
 			}
 		}
 	}
 }
 
-// TestHeuristicBracketsOracle forces the heuristic path on enumerable
-// instances: its cost must lie between the oracle optimum (it cannot
-// beat brute force) and the best single-hop bi-partition (its own
-// seeds), inclusive.
-func TestHeuristicBracketsOracle(t *testing.T) {
-	for _, k := range []int{2, 3} {
-		for _, seed := range []int64{4, 9, 21, 33} {
-			rng := rand.New(rand.NewSource(seed))
-			g := tinyDAG(rng, 5+rng.Intn(7))
+// TestSolveCertificate: the max flow of the layered graph plus the
+// sensing term, which no placement changes, must equal Cost of the
+// placement read off the cut. Every feasible placement is a cut of that
+// graph, so the flow bounds each one's Cost from below and the equality
+// proves the placement optimal, instance by instance. The result must
+// also be no worse than any corner placement or the best single-hop
+// bi-partition.
+func TestSolveCertificate(t *testing.T) {
+	certify := func(name string, tp *TieredProblem) {
+		t.Helper()
+		p, flow := tp.layered(nil, -1).cut()
+		if err := tp.CheckPlacement(p); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		cost := tp.Cost(p)
+		if bound := flow + tp.SensingEnergy*tp.Tiers[0].EnergyWeight; math.Abs(bound-cost) > 1e-9*cost {
+			t.Errorf("%s: flow bound %v, Cost %v (gap %.3g)", name, bound, cost, bound-cost)
+		}
+		res, err := tp.Solve()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !res.Placement.Equal(p) || res.Cost != cost {
+			t.Fatalf("%s: Solve %v at %v, cut %v at %v", name, res.Placement, res.Cost, p, cost)
+		}
+		for tier := 0; tier < tp.K(); tier++ {
+			if c := tp.Cost(AllAt(tp.Graph, Tier(tier))); cost > c+costTol(c) {
+				t.Errorf("%s: %v worse than every cell on tier %d (%v)", name, cost, tier, c)
+			}
+		}
+		_, biC, biH, err := tp.BestBiPartition()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if cost > biC+costTol(biC) {
+			t.Errorf("%s: %v worse than the hop-%d bi-partition %v", name, cost, biH, biC)
+		}
+	}
+	synthetic := 0
+	for seed := int64(1); synthetic < 120; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g, err := topology.Synthetic(rng, 8+rng.Intn(250))
+		if err != nil {
+			continue
+		}
+		synthetic++
+		for k := 3; k <= 5; k++ {
 			tp, err := tinyTiered(g, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			tp.ExactCells = -1 // force the heuristic
-			res, err := tp.Solve()
+			certify(fmt.Sprintf("synthetic seed=%d k=%d", seed, k), tp)
+		}
+	}
+	for k := 2; k <= 4; k++ {
+		for seed := int64(1); seed <= 20; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			tp, err := tinyTiered(tinyDAG(rng, 4+rng.Intn(9)), k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Exact {
-				t.Fatalf("k=%d seed=%d: exact path ran with ExactCells=-1", k, seed)
-			}
-			if err := tp.CheckPlacement(res.Placement); err != nil {
-				t.Fatalf("k=%d seed=%d: %v", k, seed, err)
-			}
-			tp.ExactCells = 0 // restore default for the oracle reference
-			buf := make(TierPlacement, len(g.Cells))
-			opt, err := tp.oracleProblem().Optimal(func(a []int) float64 {
-				for i, tier := range a {
-					buf[i] = Tier(tier)
-				}
-				return tp.Cost(buf)
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Cost < opt.Cost-costTol(opt.Cost) {
-				t.Errorf("k=%d seed=%d: heuristic %v beat the oracle %v — cost model drift", k, seed, res.Cost, opt.Cost)
-			}
-			_, biC, _, err := tp.BestBiPartition()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Cost > biC+costTol(biC) {
-				t.Errorf("k=%d seed=%d: heuristic %v worse than best bi-partition %v", k, seed, res.Cost, biC)
+			certify(fmt.Sprintf("tiny seed=%d k=%d", seed, k), tp)
+		}
+	}
+}
+
+// randomMonotone draws a feasible placement of tp, or nil: random
+// tiers, the source readers on one of them, then every cell lifted to
+// its producers' tiers in topological order.
+func randomMonotone(rng *rand.Rand, tp *TieredProblem) TierPlacement {
+	g := tp.Graph
+	p := make(TierPlacement, len(g.Cells))
+	for i := range p {
+		p[i] = Tier(rng.Intn(tp.K()))
+	}
+	rt := Tier(rng.Intn(tp.K()))
+	for _, r := range g.SourceReaders() {
+		p[r] = rt
+	}
+	order, err := g.TopoOrder()
+	if err != nil {
+		return nil
+	}
+	for _, id := range order {
+		for _, e := range g.InEdges(id) {
+			if e.From != topology.SourceID && p[e.From] > p[id] {
+				p[id] = p[e.From]
 			}
 		}
 	}
+	if tp.CheckPlacement(p) != nil {
+		return nil
+	}
+	return p
+}
+
+// TestRecutHopMatchesReference: on tiny and synthetic graphs at k = 2–5,
+// with and without a dead hop, re-cutting every hop of the corners, the
+// optimum and random monotone placements on the layered graph returns
+// the reference re-cut's placement at a bit-identical cost.
+func TestRecutHopMatchesReference(t *testing.T) {
+	recuts := 0
+	for k := 2; k <= 5; k++ {
+		for seed := int64(1); seed <= 10; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			graphs := []*topology.Graph{tinyDAG(rng, 4+rng.Intn(9))}
+			if g, err := topology.Synthetic(rng, 256); err == nil {
+				graphs = append(graphs, g)
+			}
+			for gi, g := range graphs {
+				live, err := tinyTiered(g, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dead := *live
+				dead.Hops = append([]Hop(nil), live.Hops...)
+				dead.Hops[int(seed)%(k-1)].BandwidthScale = 0
+				for _, tp := range []*TieredProblem{live, &dead} {
+					var starts []TierPlacement
+					for tier := 0; tier < k; tier++ {
+						starts = append(starts, AllAt(g, Tier(tier)))
+					}
+					res, err := tp.Solve()
+					if err != nil {
+						t.Fatal(err)
+					}
+					starts = append(starts, res.Placement)
+					for i := 0; i < 5; i++ {
+						if p := randomMonotone(rng, tp); p != nil {
+							starts = append(starts, p)
+						}
+					}
+					for si, p := range starts {
+						for h := 0; h < k-1; h++ {
+							q, c, err := tp.RecutHop(p, h)
+							if err != nil {
+								t.Fatal(err)
+							}
+							rq, rc, err := tp.refRecutHop(p, h)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !q.Equal(rq) || c != rc {
+								t.Errorf("k=%d seed=%d graph %d start %d hop %d dead=%v: re-cut %v at %v, reference %v at %v",
+									k, seed, gi, si, h, tp == &dead, q, c, rq, rc)
+							}
+							recuts++
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d re-cuts matched the reference", recuts)
 }
 
 // TestPlacementInvariants is the property battery: every placement the
@@ -128,39 +264,32 @@ func TestPlacementInvariants(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, forceHeuristic := range []bool{false, true} {
-				if forceHeuristic {
-					tp.ExactCells = -1
-				} else {
-					tp.ExactCells = 0
-				}
-				res, err := tp.Solve()
-				if err != nil {
-					t.Fatal(err)
-				}
-				p := res.Placement
-				if len(p) != len(g.Cells) {
-					t.Fatalf("k=%d seed=%d: placement covers %d of %d cells", k, seed, len(p), len(g.Cells))
-				}
-				if err := tp.CheckPlacement(p); err != nil {
-					t.Fatalf("k=%d seed=%d heuristic=%v: %v", k, seed, forceHeuristic, err)
-				}
-				reprice := tp.Cost(p)
-				if math.Abs(res.Cost-reprice) > costTol(reprice) {
-					t.Errorf("k=%d seed=%d: reported cost %v, re-priced %v", k, seed, res.Cost, reprice)
-				}
-				bd := tp.Breakdown(p)
-				if math.Abs(bd.WeightedCost-reprice) > costTol(reprice) {
-					t.Errorf("k=%d seed=%d: breakdown %v, cost %v", k, seed, bd.WeightedCost, reprice)
-				}
-				counts := p.Counts(k)
-				total := 0
-				for _, c := range counts {
-					total += c
-				}
-				if total != len(g.Cells) {
-					t.Errorf("k=%d seed=%d: tier counts %v sum to %d, want %d", k, seed, counts, total, len(g.Cells))
-				}
+			res, err := tp.Solve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := res.Placement
+			if len(p) != len(g.Cells) {
+				t.Fatalf("k=%d seed=%d: placement covers %d of %d cells", k, seed, len(p), len(g.Cells))
+			}
+			if err := tp.CheckPlacement(p); err != nil {
+				t.Fatalf("k=%d seed=%d: %v", k, seed, err)
+			}
+			reprice := tp.Cost(p)
+			if math.Abs(res.Cost-reprice) > costTol(reprice) {
+				t.Errorf("k=%d seed=%d: reported cost %v, re-priced %v", k, seed, res.Cost, reprice)
+			}
+			bd := tp.Breakdown(p)
+			if math.Abs(bd.WeightedCost-reprice) > costTol(reprice) {
+				t.Errorf("k=%d seed=%d: breakdown %v, cost %v", k, seed, bd.WeightedCost, reprice)
+			}
+			counts := p.Counts(k)
+			total := 0
+			for _, c := range counts {
+				total += c
+			}
+			if total != len(g.Cells) {
+				t.Errorf("k=%d seed=%d: tier counts %v sum to %d, want %d", k, seed, counts, total, len(g.Cells))
 			}
 		}
 	}
@@ -206,28 +335,28 @@ func TestTwoTierCostMatchesSensorEnergy(t *testing.T) {
 	}
 }
 
-// TestKWayDominatesBiPartition: on larger synthetic DAGs (beyond the
-// exact budget) the k-way solution must beat or tie the best single-hop
-// bi-partition — the acceptance bound of the tentpole.
+// TestKWayDominatesBiPartition: on synthetic DAGs beyond the oracle's
+// reach the k-way solution must beat or tie the best single-hop
+// bi-partition.
 func TestKWayDominatesBiPartition(t *testing.T) {
 	kept := 0
 	for seed := int64(1); seed <= 12 && kept < 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g, err := topology.Synthetic(rng, 256)
-		if err != nil || len(g.Cells) <= DefaultExactCells {
-			continue // want genuinely heuristic-sized instances
+		if err != nil {
+			continue
 		}
-		kept++
 		tp, err := tinyTiered(g, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if oracleProblem(tp).Space() <= enumerable {
+			continue // the oracle batteries cover it
+		}
+		kept++
 		res, err := tp.Solve()
 		if err != nil {
 			t.Fatal(err)
-		}
-		if res.Exact {
-			t.Fatalf("seed %d: %d cells unexpectedly brute-forced", seed, len(g.Cells))
 		}
 		if err := tp.CheckPlacement(res.Placement); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -245,12 +374,12 @@ func TestKWayDominatesBiPartition(t *testing.T) {
 		}
 	}
 	if kept == 0 {
-		t.Skip("no synthetic instance above the exact budget")
+		t.Skip("no synthetic instance beyond the oracle's reach")
 	}
 }
 
 // TestSolveDeterministic: identical problems solve to bit-identical
-// placements and costs, on both paths.
+// placements and costs.
 func TestSolveDeterministic(t *testing.T) {
 	for _, cells := range []int{8, 20} {
 		rng := rand.New(rand.NewSource(42))
@@ -376,8 +505,8 @@ func TestNewTieredProblemValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tp.ResultTier != 2 || tp.ExactCells != DefaultExactCells {
-		t.Fatalf("defaults: ResultTier=%d ExactCells=%d", tp.ResultTier, tp.ExactCells)
+	if tp.ResultTier != 2 {
+		t.Fatalf("defaults: ResultTier=%d", tp.ResultTier)
 	}
 	tiers, hops := tinyChain(3)
 	if _, err := NewTieredProblem(nil, tp.HW, tiers, hops, 0); err == nil {
@@ -434,7 +563,7 @@ func TestOracleProblemShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	op := tp.oracleProblem()
+	op := oracleProblem(tp)
 	if op.Cells != len(g.Cells) || op.Tiers != 3 {
 		t.Fatalf("shape: %d cells %d tiers", op.Cells, op.Tiers)
 	}
@@ -457,8 +586,10 @@ func TestOracleProblemShape(t *testing.T) {
 	}
 }
 
+// BenchmarkMultiwaySolve and BenchmarkRecutHop run on synthetic seed 1:
+// 35 cells, beyond the oracle's reach.
 func BenchmarkMultiwaySolve(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
+	rng := rand.New(rand.NewSource(1))
 	g, err := topology.Synthetic(rng, 256)
 	if err != nil {
 		b.Fatal(err)
@@ -477,7 +608,7 @@ func BenchmarkMultiwaySolve(b *testing.B) {
 }
 
 func BenchmarkRecutHop(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
+	rng := rand.New(rand.NewSource(1))
 	g, err := topology.Synthetic(rng, 256)
 	if err != nil {
 		b.Fatal(err)

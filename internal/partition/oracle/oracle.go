@@ -1,18 +1,18 @@
 // Package oracle exhaustively enumerates cell-to-tier assignments for
-// small placement problems. It is the ground-truth side of the multiway
-// partitioning battery: on DAGs small enough to brute-force, the
-// optimizer in internal/partition must match the optimum this package
-// finds by visiting every feasible assignment.
+// small placement problems. It is the ground-truth side of the
+// partitioning batteries: on DAGs small enough to brute-force, the
+// min-cut solvers in internal/partition must match the optimum this
+// package finds by visiting every feasible assignment. No production
+// code calls it.
 //
-// The package is deliberately free of partition/topology imports so the
-// optimizer itself can call into it for its exact small-instance path:
-// problems are posed abstractly as n cells, k tiers, precedence edges
-// (tier(u) ≤ tier(v), the "data flows downstream" monotonicity of an
-// N-tier chain), and groups of cells pinned to one common tier (the
-// grouped source readers of §3.2.2). Passing no edges enumerates the
-// full, unconstrained assignment space — the legacy two-end exhaustive
-// battery uses that mode, since the paper's s-t cut admits non-monotone
-// placements.
+// The package is deliberately free of partition/topology imports, so it
+// shares no code with the solvers it checks: problems are posed
+// abstractly as n cells, k tiers, precedence edges (tier(u) ≤ tier(v),
+// the "data flows downstream" monotonicity of an N-tier chain), and
+// groups of cells pinned to one common tier (the grouped source readers
+// of §3.2.2). Passing no edges enumerates the full, unconstrained
+// assignment space — the legacy two-end exhaustive battery uses that
+// mode, since the paper's s-t cut admits non-monotone placements.
 package oracle
 
 import (

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"xpro/internal/maxflow"
@@ -12,7 +13,9 @@ import (
 // This file keeps the generator's per-call pricing as it was before
 // pricing was compiled: a fresh s-t graph for every min cut, and source
 // readers and transfer groups re-derived from the graph on every call.
-// The differential battery checks the compiled path against it.
+// The differential battery checks the compiled path against it. It also
+// keeps the k-tier hop re-cut as it was before it solved the layered
+// graph: a binary s-t graph of its own with one node per cell.
 
 // refSensorEnergy prices p like SensorEnergy, deriving the placement's
 // sensor cells, the source readers and the transfer groups afresh.
@@ -282,4 +285,112 @@ func (pr *Problem) refFrontier(delayOf func(Placement) float64) []FrontierPoint 
 		}
 	}
 	return front
+}
+
+// refRecutHop is RecutHop on its own binary graph: free cells' tier
+// costs as node side costs shifted to ≥ 0, every other cell pinned by
+// an ∞ edge, and the raw segment on an edge into the first reader.
+func (tp *TieredProblem) refRecutHop(p TierPlacement, h int) (TierPlacement, float64, error) {
+	if err := tp.CheckPlacement(p); err != nil {
+		return nil, 0, err
+	}
+	g := tp.Graph
+	lowT, highT := Tier(h), Tier(h+1)
+	const (
+		nodeS = 0 // low side (tier h)
+		nodeT = 1 // high side (tier h+1)
+	)
+	cellNode := func(id topology.CellID) int { return 2 + int(id) }
+	groups := g.TransferGroups()
+	multi := 0
+	for _, tg := range groups {
+		if len(tg.Consumers) > 1 {
+			multi++
+		}
+	}
+	fg := maxflow.New(2 + len(g.Cells) + multi)
+	nextAux := 2 + len(g.Cells)
+	readers := g.SourceReaders()
+	free := func(id topology.CellID) bool { return p[id] == lowT || p[id] == highT }
+
+	for i := range g.Cells {
+		id := topology.CellID(i)
+		if !free(id) {
+			if p[id] < lowT {
+				fg.AddEdge(nodeS, cellNode(id), maxflow.Inf)
+			} else {
+				fg.AddEdge(cellNode(id), nodeT, maxflow.Inf)
+			}
+			continue
+		}
+		lowCost := tp.cellEnergy(lowT, id) * tp.Tiers[lowT].EnergyWeight
+		highCost := tp.cellEnergy(highT, id) * tp.Tiers[highT].EnergyWeight
+		if id == g.Output {
+			if tp.ResultTier > lowT {
+				lowCost += tp.hopCost(h, wireless.ValueBits, true)
+			}
+			if tp.ResultTier < highT {
+				highCost += tp.hopCost(h, wireless.ValueBits, false)
+			}
+		}
+		shift := math.Min(lowCost, highCost)
+		if c := highCost - shift; c > 0 {
+			fg.AddEdge(nodeS, cellNode(id), c)
+		}
+		if c := lowCost - shift; c > 0 {
+			fg.AddEdge(cellNode(id), nodeT, c)
+		}
+	}
+	if len(readers) > 0 && free(readers[0]) {
+		for _, id := range readers[1:] {
+			fg.AddEdge(cellNode(readers[0]), cellNode(id), maxflow.Inf)
+			fg.AddEdge(cellNode(id), cellNode(readers[0]), maxflow.Inf)
+		}
+		fg.AddEdge(nodeS, cellNode(readers[0]), tp.hopCost(h, g.SourceBits, true))
+	}
+	for _, e := range g.Edges {
+		if e.From == topology.SourceID {
+			continue
+		}
+		fg.AddEdge(cellNode(e.To), cellNode(e.From), maxflow.Inf)
+	}
+	for _, tg := range groups {
+		if p[tg.From] > highT {
+			continue
+		}
+		cost := tp.hopCost(h, tg.Bits, true)
+		u := cellNode(tg.From)
+		if len(tg.Consumers) == 1 {
+			fg.AddEdge(u, cellNode(tg.Consumers[0]), cost)
+			continue
+		}
+		aux := nextAux
+		nextAux++
+		fg.AddEdge(u, aux, cost)
+		for _, cons := range tg.Consumers {
+			fg.AddEdge(aux, cellNode(cons), maxflow.Inf)
+		}
+	}
+
+	_, side, _ := fg.MinCut(nodeS, nodeT)
+	q := p.Clone()
+	for i := range g.Cells {
+		id := topology.CellID(i)
+		if !free(id) {
+			continue
+		}
+		if side[cellNode(id)] {
+			q[id] = lowT
+		} else {
+			q[id] = highT
+		}
+	}
+	if err := tp.CheckPlacement(q); err != nil {
+		return nil, 0, fmt.Errorf("partition: reference re-cut emitted infeasible placement: %w", err)
+	}
+	cq, cp := tp.Cost(q), tp.Cost(p)
+	if cp < cq {
+		return p.Clone(), cp, nil
+	}
+	return q, cq, nil
 }

@@ -48,8 +48,8 @@ type TierPlanReport struct {
 	// cut of the same chain — what the paper's 2-end generator could
 	// do. WeightedCostJ never exceeds it.
 	BiPartitionCostJ float64
-	// Exact reports whether the assignment is the enumerated optimum
-	// (small topologies) or the refined heuristic (large ones).
+	// Exact is always true: the solver's min cut is the exact optimum
+	// of the weighted objective on every topology.
 	Exact bool
 }
 
@@ -90,7 +90,6 @@ type TierPlan struct {
 	mu  sync.Mutex
 	ts  *xsystem.TieredSystem
 	opt partition.TierPlacement // the solved optimum, for Resolve
-	ex  bool
 	log []TierDecision
 	// eng is the engine the plan was solved for: installs bump its
 	// serving epoch so memoized views (Network.Report, SLO) rebuild.
@@ -117,11 +116,7 @@ func (e *Engine) PlanTiers(k int) (*TierPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := ts.Tiered.Solve()
-	if err != nil {
-		return nil, err
-	}
-	return &TierPlan{ts: ts, opt: ts.TierPlacement.Clone(), ex: res.Exact, eng: e}, nil
+	return &TierPlan{ts: ts, opt: ts.TierPlacement.Clone(), eng: e}, nil
 }
 
 // Assignment returns the per-cell tier of the plan's current
@@ -154,7 +149,7 @@ func (p *TierPlan) Report() (TierPlanReport, error) {
 		HopAirSeconds:    append([]float64(nil), rep.HopAirSeconds...),
 		WeightedCostJ:    rep.WeightedCost,
 		BiPartitionCostJ: biC,
-		Exact:            p.ex,
+		Exact:            true,
 	}
 	for _, te := range rep.Tiers {
 		out.Tiers = append(out.Tiers, TierLevel{
