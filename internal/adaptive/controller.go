@@ -86,8 +86,10 @@ type Controller struct {
 	decisions []Decision
 
 	// floors memoizes certified lower bounds on the λ = 0 min-cut
-	// energy M(f), sorted by inflation f. It only saves solves — the
-	// decisions are the same without it — so it is not durable state.
+	// energy M(f), sorted by inflation f. The first floor check anchors
+	// it at f = 1 (see floorClears), so it is empty only before that
+	// check. It only saves solves — the decisions are the same without
+	// it — so it is not durable state.
 	floors []floorPoint
 	// floorGraph is the reference problem's s-t graph, built on the
 	// first floor solve and re-priced by every later one; slack is the
@@ -326,25 +328,42 @@ func cutSlack(v *partition.View, cells int) float64 {
 // between the two points that bracket f lies below it, and so does the
 // nearest point below f when f lies past the last one. Only when that
 // bound falls short is M(f) solved, and the solved point memoized.
+//
+// The first check anchors the memo at f = 1, the reference problem
+// itself: its link is the datasheet channel, which EffectiveModel
+// returns at inflation 1. Inflation never returns less than 1, so
+// from then on every f has a memo point at or below it, and a loss
+// estimate falling to a new low is answered by the chord from the
+// anchor instead of a solve.
 func (c *Controller) floorClears(prob *partition.Problem, f, bar float64) bool {
+	if len(c.floors) == 0 {
+		c.solveFloor(c.sys.Problem(), 1, 0)
+	}
 	lo, i, solved := c.memoFloor(f)
 	if lo >= bar || solved {
 		return lo >= bar
 	}
+	return c.solveFloor(prob, f, i) >= bar
+}
+
+// solveFloor solves M(f) under prob and returns its certified lower
+// bound, memoized at index i while the memo has room.
+func (c *Controller) solveFloor(prob *partition.Problem, f float64, i int) float64 {
 	if c.floorGraph == nil {
 		c.floorGraph = c.sys.Problem().NewCutGraph()
 	}
 	_, m := c.floorGraph.MinCut(prob)
-	lo = m*(1-floorRelSlack) - c.slack
+	lo := m*(1-floorRelSlack) - c.slack
 	if len(c.floors) < maxFloors {
 		c.floors = slices.Insert(c.floors, i, floorPoint{f: f, lo: lo})
 	}
-	return lo >= bar
+	return lo
 }
 
 // memoFloor returns the memo's lower bound on M(f), -Inf when no point
-// lies at or below f, the index where f sits in the memo, and whether
-// f itself was solved.
+// lies at or below f (before the first floor check, which anchors the
+// memo at f = 1), the index where f sits in the memo, and whether f
+// itself was solved.
 func (c *Controller) memoFloor(f float64) (lo float64, i int, solved bool) {
 	i, solved = slices.BinarySearchFunc(c.floors, f, func(p floorPoint, f float64) int { return cmp.Compare(p.f, f) })
 	switch {

@@ -22,11 +22,15 @@ func (c *Controller) Sweep(prob *partition.Problem, activeE float64) (partition.
 }
 
 // MemoFloor is the memo's certified lower bound on M(f), -Inf when no
-// memoized point bounds f.
+// memoized point bounds f: for every f before the first floor check,
+// and for no f ≥ 1 after it, which anchors the memo at f = 1.
 func (c *Controller) MemoFloor(f float64) float64 {
 	lo, _, _ := c.memoFloor(f)
 	return lo
 }
+
+// MemoPoints is the number of solved points the floor memo holds.
+func (c *Controller) MemoPoints() int { return len(c.floors) }
 
 // SolveFloor solves M(f) under prob, memoizes it, and returns the
 // certified lower bound stored for f.

@@ -320,3 +320,61 @@ func TestFloorOracleChaosProfiles(t *testing.T) {
 		t.Logf("%s: floor answered %d evaluations, %d decisions", run.profile, hits-before, len(res.Decisions))
 	}
 }
+
+// TestFloorAnchor walks the loss estimate down from 0.9 to 0 on every
+// case and synthetic topology, one dwell apart, so each re-pricing sets
+// a new low. A memo of solved inflations alone bounds none of them and
+// solves each; anchored at f = 1 by the first floor check, it bounds
+// every f ≥ 1 from then on and solves only where the chord from the
+// anchor falls short. The oracle re-checks every certified evaluation.
+func TestFloorAnchor(t *testing.T) {
+	var hits int
+	floorOracle(t, &hits)
+	cfg := adaptive.DefaultConfig()
+	const steps, maxPoints = 40, 10
+	probe := []float64{1, 1 + 1e-12, 1.01, 1.5, 2, 8, cfg.MaxInflation / 2, cfg.MaxInflation, 1e9}
+	for _, fc := range floorCases(t) {
+		sys, limit := generated(t, fc)
+		reg := telemetry.NewRegistry()
+		c, err := adaptive.NewController(cfg, sys, limit, reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		now := 0.0
+		unbounded := 0
+		for step := 0; step < steps; step++ {
+			now += cfg.MinDwellSeconds
+			c.ObserveEvent(now, xsystem.Outcome{}, false)
+			loss := 0.9 * float64(steps-1-step) / float64(steps-1)
+			if err := c.Estimator().Restore(adaptive.EstimatorState{Loss: loss}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Evaluate(now); err != nil {
+				t.Fatal(err)
+			}
+			if repricings(reg) == 0 {
+				continue
+			}
+			for _, f := range probe {
+				if lo := c.MemoFloor(f); math.IsInf(lo, 0) || math.IsNaN(lo) {
+					unbounded++
+				}
+			}
+		}
+		if repricings(reg) == 0 {
+			t.Fatalf("%s: the walk re-priced nothing", fc.name)
+		}
+		if unbounded > 0 {
+			t.Errorf("%s: %d probes of the memo at f ≥ 1 found no finite floor after the first check", fc.name, unbounded)
+		}
+		n := c.MemoPoints()
+		t.Logf("%s: %d memo points for %v re-pricings, %v certified", fc.name, n, repricings(reg),
+			reg.Counter("xpro_recut_floor_certified_total", "").Value())
+		if n > maxPoints {
+			t.Errorf("%s: the memo holds %d points, want at most %d", fc.name, n, maxPoints)
+		}
+	}
+	if hits == 0 {
+		t.Error("the floor certified no evaluation of the walk")
+	}
+}

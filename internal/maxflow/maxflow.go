@@ -12,6 +12,9 @@
 // Reset clears the flow, and the solver keeps its scratch (BFS levels
 // and queue, the DFS edge cursors, path and bottlenecks, the source
 // side) between solves, so a re-solve through Cut allocates nothing.
+// Building one allocates a few times, not once per edge: AddEdge only
+// appends to the edge list, and the first solve after it lays every
+// node's edges out in one contiguous adjacency array.
 package maxflow
 
 import (
@@ -37,8 +40,11 @@ type Edge struct {
 // reverse of edge i is edge i^1.
 type Graph struct {
 	n     int
-	adj   [][]int // node → indices into edges
 	edges []Edge
+	// adj holds every node's edge indices contiguously, in AddEdge
+	// order: node u's are adj[start[u]:start[u+1]]. The first solve
+	// after an AddEdge lays it out (see layout).
+	start, adj []int
 
 	// Solver scratch, sized to n on the first solve and reused after.
 	level, iter, queue, path []int
@@ -51,7 +57,7 @@ func New(n int) *Graph {
 	if n < 0 {
 		panic("maxflow: negative node count")
 	}
-	return &Graph{n: n, adj: make([][]int, n)}
+	return &Graph{n: n}
 }
 
 // N returns the node count.
@@ -68,11 +74,8 @@ func (g *Graph) AddEdge(from, to int, capacity float64) int {
 		panic(fmt.Sprintf("maxflow: negative capacity %v on edge (%d,%d)", capacity, from, to))
 	}
 	idx := len(g.edges)
-	g.edges = append(g.edges, Edge{From: from, To: to, Cap: capacity})
-	g.adj[from] = append(g.adj[from], idx)
-	// Residual reverse edge with zero capacity.
-	g.edges = append(g.edges, Edge{From: to, To: from, Cap: 0})
-	g.adj[to] = append(g.adj[to], idx+1)
+	// The edge and its residual reverse edge with zero capacity.
+	g.edges = append(g.edges, Edge{From: from, To: to, Cap: capacity}, Edge{From: to, To: from, Cap: 0})
 	return idx
 }
 
@@ -101,8 +104,43 @@ func (g *Graph) SetCap(idx int, capacity float64) {
 	g.edges[idx].Cap = capacity
 }
 
-// scratch sizes the solver's reusable buffers on the first solve.
+// layout builds the adjacency on the first solve, and rebuilds it when
+// edges were added since (it holds one index per edge). A counting sort
+// on each edge's tail node, filled in edge index order, lists every
+// node's edges in the order AddEdge added them, and the searches visit
+// them in that order: the cut depends on the order edges were added,
+// never on when the adjacency was laid out.
+func (g *Graph) layout() {
+	if len(g.start) == g.n+1 && len(g.adj) == len(g.edges) {
+		return
+	}
+	start := make([]int, g.n+1)
+	for i := range g.edges {
+		start[g.edges[i].From+1]++
+	}
+	for u := 0; u < g.n; u++ {
+		start[u+1] += start[u]
+	}
+	adj := make([]int, len(g.edges))
+	// start[u] serves as u's fill cursor and ends at u+1's first slot;
+	// shifting the array one place right restores the offsets.
+	for i := range g.edges {
+		u := g.edges[i].From
+		adj[start[u]] = i
+		start[u]++
+	}
+	copy(start[1:], start[:g.n])
+	start[0] = 0
+	g.start, g.adj = start, adj
+}
+
+// out returns node u's edge indices.
+func (g *Graph) out(u int) []int { return g.adj[g.start[u]:g.start[u+1]] }
+
+// scratch lays out the adjacency when needed and sizes the solver's
+// reusable buffers on the first solve.
 func (g *Graph) scratch() {
+	g.layout()
 	if len(g.level) == g.n {
 		return
 	}
@@ -146,7 +184,7 @@ func (g *Graph) bfs(s, t int) bool {
 	queue := append(g.queue[:0], s)
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
-		for _, ei := range g.adj[u] {
+		for _, ei := range g.out(u) {
 			e := &g.edges[ei]
 			if level[e.To] < 0 && e.Cap-e.Flow > eps {
 				level[e.To] = level[u] + 1
@@ -180,7 +218,7 @@ func (g *Graph) augment(s, t int) float64 {
 				return f
 			}
 		} else {
-			adj := g.adj[u]
+			adj := g.out(u)
 			for ; iter[u] < len(adj); iter[u]++ {
 				e := &g.edges[adj[iter[u]]]
 				if level[e.To] != level[u]+1 || e.Cap-e.Flow <= eps {
@@ -223,7 +261,7 @@ func (g *Graph) Cut(s, t int) (value float64, sourceSide []bool) {
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, ei := range g.adj[u] {
+		for _, ei := range g.out(u) {
 			e := &g.edges[ei]
 			if !side[e.To] && e.Cap-e.Flow > eps {
 				side[e.To] = true

@@ -193,6 +193,50 @@ func TestSetCapResetMatchesFreshGraph(t *testing.T) {
 	}
 }
 
+// TestAddEdgeAfterSolveMatchesFreshGraph: edges added after a solve
+// join the adjacency in AddEdge order, so a Reset and re-solve returns
+// bit for bit what a fresh graph with all the edges, added in the same
+// order, returns.
+func TestAddEdgeAfterSolveMatchesFreshGraph(t *testing.T) {
+	type edge struct {
+		from, to int
+		cap      float64
+	}
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 3 + rng.Intn(18)
+		g := New(n)
+		var es []edge
+		s, tk := 0, n-1
+		for round := 0; round < 6; round++ {
+			for k := rng.Intn(3 * n); k > 0; k-- {
+				e := edge{rng.Intn(n), rng.Intn(n), float64(rng.Intn(10)) + rng.Float64()}
+				if rng.Intn(8) == 0 {
+					e.cap = Inf
+				}
+				es = append(es, e)
+				g.AddEdge(e.from, e.to, e.cap)
+			}
+			g.Reset()
+			fresh := New(n)
+			for _, e := range es {
+				fresh.AddEdge(e.from, e.to, e.cap)
+			}
+			want, wantSide, wantCut := fresh.MinCut(s, tk)
+			got, side, cut := g.MinCut(s, tk)
+			if got != want || !reflect.DeepEqual(side, wantSide) || !reflect.DeepEqual(cut, wantCut) {
+				t.Fatalf("seed %d round %d: re-solved (%v, %v, %v) after AddEdge, fresh graph (%v, %v, %v)",
+					seed, round, got, side, cut, want, wantSide, wantCut)
+			}
+			for i := 0; i < 2*len(es); i++ {
+				if g.Edge(i) != fresh.Edge(i) {
+					t.Fatalf("seed %d round %d: edge %d carries %+v, fresh graph %+v", seed, round, i, g.Edge(i), fresh.Edge(i))
+				}
+			}
+		}
+	}
+}
+
 func TestPanics(t *testing.T) {
 	assertPanics := func(name string, f func()) {
 		defer func() {

@@ -248,6 +248,9 @@ func newTieredProblem(g *topology.Graph, hw *sensornode.Hardware, tiers []TierSp
 	if g == nil || hw == nil {
 		return nil, fmt.Errorf("partition: tiered problem needs a graph and hardware")
 	}
+	if err := g.Validate(); err != nil {
+		return nil, fmt.Errorf("partition: %w", err)
+	}
 	if len(tiers) < 2 {
 		return nil, fmt.Errorf("partition: %d tiers (need ≥ 2)", len(tiers))
 	}
@@ -320,7 +323,7 @@ func (tp *TieredProblem) CheckPlacement(p TierPlacement) error {
 		}
 	}
 	readers := tp.structure().Readers
-	for _, id := range readers[1:] {
+	for _, id := range readers {
 		if p[id] != p[readers[0]] {
 			return fmt.Errorf("partition: source readers split across tiers %d and %d", p[readers[0]], p[id])
 		}

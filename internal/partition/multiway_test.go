@@ -523,6 +523,31 @@ func TestNewTieredProblemValidation(t *testing.T) {
 	if _, err := NewTieredProblem(g, tp.HW, bad, hops, 0); err == nil {
 		t.Error("negative weight accepted")
 	}
+	// A graph Validate rejects: without its source edges, no cell reads
+	// the raw segment and the first cells have no inputs.
+	unsourced := *g
+	unsourced.Edges = nil
+	for _, e := range g.Edges {
+		if e.From != topology.SourceID {
+			unsourced.Edges = append(unsourced.Edges, e)
+		}
+	}
+	if unsourced.Validate() == nil {
+		t.Fatal("a graph without source edges passes Validate")
+	}
+	if _, err := NewTieredProblem(&unsourced, tp.HW, tiers, hops, 0); err == nil {
+		t.Error("NewTieredProblem accepted a graph Validate rejects")
+	}
+	pr := NewProblem(&unsourced, tp.HW, hops[0].Link, 0, nil)
+	if _, err := pr.Tiered(tiers, hops); err == nil {
+		t.Error("Problem.Tiered accepted a graph Validate rejects")
+	}
+	// A hand-built problem over it has no source readers to group;
+	// CheckPlacement must not index them.
+	hand := &TieredProblem{Graph: &unsourced, HW: tp.HW, Tiers: tiers, Hops: hops, ResultTier: 2}
+	if err := hand.CheckPlacement(AllAt(&unsourced, 0)); err != nil {
+		t.Errorf("a placement over a graph without source readers: %v", err)
+	}
 	// CheckPlacement violations.
 	if err := tp.CheckPlacement(make(TierPlacement, 2)); err == nil {
 		t.Error("short placement accepted")

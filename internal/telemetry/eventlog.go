@@ -45,15 +45,13 @@ type Event struct {
 }
 
 // EventLog is a bounded structured event log: the newest Cap records
-// are retained in a ring, and every appended record is additionally
-// written as one JSON line to the log's sink and the process-wide
-// default sink, when installed. All methods are safe for concurrent
-// use, and a nil *EventLog is a no-op.
+// are retained in a ring grown on demand, and every appended record is
+// additionally written as one JSON line to the log's sink and the
+// process-wide default sink, when installed. All methods are safe for
+// concurrent use, and a nil *EventLog is a no-op.
 type EventLog struct {
 	mu       sync.Mutex
-	buf      []Event
-	next     int
-	full     bool
+	ring     ring[Event]
 	seq      uint64
 	recorded uint64
 	sink     io.Writer
@@ -69,7 +67,7 @@ func NewEventLog(capacity int) *EventLog {
 	if capacity <= 0 {
 		capacity = DefaultEventLogCapacity
 	}
-	return &EventLog{buf: make([]Event, capacity)}
+	return &EventLog{ring: newRing[Event](capacity)}
 }
 
 // defaultEventSink is the process-wide JSON-lines sink, nil unless
@@ -125,12 +123,7 @@ func (l *EventLog) Append(e Event) {
 		e.Wall = time.Now()
 	}
 	l.recorded++
-	l.buf[l.next] = e
-	l.next++
-	if l.next == len(l.buf) {
-		l.next = 0
-		l.full = true
-	}
+	l.ring.add(e)
 	sink := l.sink
 	l.mu.Unlock()
 
@@ -155,7 +148,7 @@ func (l *EventLog) Cap() int {
 	if l == nil {
 		return 0
 	}
-	return len(l.buf)
+	return l.ring.size
 }
 
 // Len returns the number of retained records.
@@ -165,10 +158,7 @@ func (l *EventLog) Len() int {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.full {
-		return len(l.buf)
-	}
-	return l.next
+	return l.ring.len()
 }
 
 // Recorded returns the total number of records ever appended.
@@ -188,10 +178,7 @@ func (l *EventLog) Dropped() uint64 {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if !l.full {
-		return 0
-	}
-	return l.recorded - uint64(len(l.buf))
+	return l.ring.dropped(l.recorded)
 }
 
 // Events returns the retained records, oldest first. The result is a
@@ -202,13 +189,7 @@ func (l *EventLog) Events() []Event {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if !l.full {
-		return append([]Event(nil), l.buf[:l.next]...)
-	}
-	out := make([]Event, 0, len(l.buf))
-	out = append(out, l.buf[l.next:]...)
-	out = append(out, l.buf[:l.next]...)
-	return out
+	return l.ring.items()
 }
 
 // Reset discards all retained records and counters; the sink stays.
@@ -218,7 +199,8 @@ func (l *EventLog) Reset() {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.next, l.full, l.seq, l.recorded = 0, false, 0, 0
+	l.ring.reset()
+	l.seq, l.recorded = 0, 0
 }
 
 // WriteJSONL writes the retained records as JSON lines, oldest first —

@@ -41,13 +41,12 @@ type Span struct {
 }
 
 // Tracer records spans into a bounded ring buffer: the newest Cap spans
-// are retained, older ones are dropped. All methods are safe for
-// concurrent use, and a nil *Tracer is a no-op.
+// are retained, older ones are dropped. The buffer grows on demand up
+// to Cap. All methods are safe for concurrent use, and a nil *Tracer is
+// a no-op.
 type Tracer struct {
 	mu       sync.Mutex
-	buf      []Span
-	next     int // ring write position
-	full     bool
+	ring     ring[Span]
 	seq      uint64
 	events   uint64
 	recorded uint64
@@ -63,7 +62,7 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
 	}
-	return &Tracer{buf: make([]Span, capacity)}
+	return &Tracer{ring: newRing[Span](capacity)}
 }
 
 // NextEvent allocates a fresh event ID for grouping spans.
@@ -88,12 +87,7 @@ func (t *Tracer) Add(s Span) {
 	t.seq++
 	s.Seq = t.seq
 	t.recorded++
-	t.buf[t.next] = s
-	t.next++
-	if t.next == len(t.buf) {
-		t.next = 0
-		t.full = true
-	}
+	t.ring.add(s)
 }
 
 // Cap returns the ring capacity.
@@ -101,7 +95,7 @@ func (t *Tracer) Cap() int {
 	if t == nil {
 		return 0
 	}
-	return len(t.buf)
+	return t.ring.size
 }
 
 // Len returns the number of retained spans.
@@ -111,10 +105,7 @@ func (t *Tracer) Len() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.full {
-		return len(t.buf)
-	}
-	return t.next
+	return t.ring.len()
 }
 
 // Recorded returns the total number of spans ever recorded.
@@ -137,12 +128,7 @@ func (t *Tracer) Dropped() uint64 {
 	return t.dropLocked()
 }
 
-func (t *Tracer) dropLocked() uint64 {
-	if !t.full {
-		return 0
-	}
-	return t.recorded - uint64(len(t.buf))
-}
+func (t *Tracer) dropLocked() uint64 { return t.ring.dropped(t.recorded) }
 
 // Spans returns the retained spans, oldest first. The result is a copy.
 func (t *Tracer) Spans() []Span {
@@ -151,13 +137,7 @@ func (t *Tracer) Spans() []Span {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if !t.full {
-		return append([]Span(nil), t.buf[:t.next]...)
-	}
-	out := make([]Span, 0, len(t.buf))
-	out = append(out, t.buf[t.next:]...)
-	out = append(out, t.buf[:t.next]...)
-	return out
+	return t.ring.items()
 }
 
 // Reset discards all retained spans and counters.
@@ -167,7 +147,8 @@ func (t *Tracer) Reset() {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.next, t.full, t.seq, t.recorded = 0, false, 0, 0
+	t.ring.reset()
+	t.seq, t.recorded = 0, 0
 }
 
 // traceJSON is the wire shape of an exported trace.

@@ -73,8 +73,8 @@ func TestWalkAllocBudgets(t *testing.T) {
 		run            func()
 	}{
 		{"System.Classify", 66, 117, func() { _, _ = cross.Classify(next()) }},
-		{"System.ClassifyOver/nil", 145, 497, func() { _, _ = trivial.ClassifyOver(next(), nil) }},
-		{"System.ClassifyOver/faults.Link", 175, 524, func() {
+		{"System.ClassifyOver/nil", 66, 497, func() { _, _ = trivial.ClassifyOver(next(), nil) }},
+		{"System.ClassifyOver/faults.Link", 97, 524, func() {
 			_, _ = trivial.ClassifyOver(next(), lossy)
 			clock.Advance(0.01)
 		}},

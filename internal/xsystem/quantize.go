@@ -118,6 +118,18 @@ func crossFixed(v value, e topology.Edge) []fixed.Num {
 	return fixed.FromSlice(fs)
 }
 
+// crossScalar is crossFloat(v, e)[0] without the copy: element 0 of a
+// crossing payload, quantized to the wire.
+func crossScalar(v value, e topology.Edge) float64 {
+	var f float64
+	if v.fl != nil {
+		f = v.fl[0]
+	} else {
+		f = v.fx[0].Float()
+	}
+	return quantizeWire(f, perValueBits(e))
+}
+
 // normFixed applies a feature normalization range in Q16.16: the
 // hardware cell's final (v − min)·scale stage with [0,1] clamping.
 func normFixed(v fixed.Num, r ensemble.Range) fixed.Num {

@@ -203,15 +203,8 @@ func (s *System) fusePartial(c topology.Cell, ins []topology.Edge, avail []bool,
 			if !avail[i] {
 				continue
 			}
-			v := fetch(i)
-			var sv fixed.Num
-			if s.Placement.OnSensor(e.From) == s.Placement.OnSensor(c.ID) {
-				sv = v.asFixed()[0]
-			} else {
-				sv = crossFixed(v, e)[0]
-			}
 			vote := fixed.FromInt(-1)
-			if sv >= 0 {
+			if s.scalarFixed(c.ID, e, fetch(i)) >= 0 {
 				vote = fixed.One
 			}
 			score = fixed.Add(score, fixed.Mul(fixed.FromFloat(s.Ens.Weights[i]), vote))
@@ -224,15 +217,8 @@ func (s *System) fusePartial(c topology.Cell, ins []topology.Edge, avail []bool,
 		if !avail[i] {
 			continue
 		}
-		v := fetch(i)
-		var sv float64
-		if s.Placement.OnSensor(e.From) == s.Placement.OnSensor(c.ID) {
-			sv = v.asFloat()[0]
-		} else {
-			sv = crossFloat(v, e)[0]
-		}
 		vote := -1.0
-		if sv >= 0 {
+		if s.scalarFloat(c.ID, e, fetch(i)) >= 0 {
 			vote = 1.0
 		}
 		score += s.Ens.Weights[i] * vote

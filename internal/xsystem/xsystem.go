@@ -548,6 +548,25 @@ func (s *System) evalCell(c topology.Cell, ins []topology.Edge, fetch func(int) 
 	return out, err
 }
 
+// scalarFixed reads element 0 of v, the producer value on in-edge e,
+// as sensor-side cell c consumes it: verbatim from its own end, and
+// quantized off the wire, that one value only, when it crossed the
+// link. SVM, fusion and Std-stage inputs are such scalar reads.
+func (s *System) scalarFixed(c topology.CellID, e topology.Edge, v value) fixed.Num {
+	if s.Placement.OnSensor(e.From) == s.Placement.OnSensor(c) {
+		return v.asFixed()[0]
+	}
+	return fixed.FromFloat(crossScalar(v, e))
+}
+
+// scalarFloat is scalarFixed for an aggregator-side cell, in float64.
+func (s *System) scalarFloat(c topology.CellID, e topology.Edge, v value) float64 {
+	if s.Placement.OnSensor(e.From) == s.Placement.OnSensor(c) {
+		return v.asFloat()[0]
+	}
+	return crossScalar(v, e)
+}
+
 func (s *System) evalFixed(c topology.Cell, ins []topology.Edge, fetch func(int) value, ev *event) ([]fixed.Num, error) {
 	raw, padded := ev.rawFixed, ev.paddedFixed
 	gather := func(i int, wantApprox bool) []fixed.Num {
@@ -595,19 +614,19 @@ func (s *System) evalFixed(c topology.Cell, ins []topology.Edge, fetch func(int)
 		// The Var cell emits a normalized variance; undo that, take the
 		// square root, and apply the Std feature's own normalization.
 		varRange := s.Ens.FeatureRange(ensemble.FeatureSpec{Domain: c.Feature.Domain, Feat: stats.Var})
-		raw := fixed.FromFloat(varRange.Invert(gather(0, false)[0].Float()))
+		raw := fixed.FromFloat(varRange.Invert(s.scalarFixed(c.ID, ins[0], fetch(0)).Float()))
 		return []fixed.Num{normFixed(fixed.Sqrt(raw), s.Ens.FeatureRange(c.Feature))}, nil
 	case topology.RoleSVM:
 		x := make([]fixed.Num, len(ins))
-		for i := range ins {
-			x[i] = gather(i, false)[0]
+		for i, e := range ins {
+			x[i] = s.scalarFixed(c.ID, e, fetch(i))
 		}
 		return []fixed.Num{s.Ens.Bases[c.Base].Model.DecisionFixed(x)}, nil
 	case topology.RoleFusion:
 		score := fixed.FromFloat(s.Ens.Weights[len(s.Ens.Bases)])
-		for i := range ins {
+		for i, e := range ins {
 			vote := fixed.FromInt(-1)
-			if gather(i, false)[0] >= 0 {
+			if s.scalarFixed(c.ID, e, fetch(i)) >= 0 {
 				vote = fixed.One
 			}
 			score = fixed.Add(score, fixed.Mul(fixed.FromFloat(s.Ens.Weights[i]), vote))
@@ -664,22 +683,22 @@ func (s *System) evalFloat(c topology.Cell, ins []topology.Edge, fetch func(int)
 		// The Var cell emits a normalized variance; undo that, take the
 		// square root, and apply the Std feature's own normalization.
 		varRange := s.Ens.FeatureRange(ensemble.FeatureSpec{Domain: c.Feature.Domain, Feat: stats.Var})
-		rawVar := varRange.Invert(gather(0, false)[0])
+		rawVar := varRange.Invert(s.scalarFloat(c.ID, ins[0], fetch(0)))
 		if rawVar < 0 {
 			rawVar = 0
 		}
 		return []float64{s.Ens.FeatureRange(c.Feature).Apply(math.Sqrt(rawVar))}, nil
 	case topology.RoleSVM:
 		x := make([]float64, len(ins))
-		for i := range ins {
-			x[i] = gather(i, false)[0]
+		for i, e := range ins {
+			x[i] = s.scalarFloat(c.ID, e, fetch(i))
 		}
 		return []float64{s.Ens.Bases[c.Base].Model.Decision(x)}, nil
 	case topology.RoleFusion:
 		score := s.Ens.Weights[len(s.Ens.Bases)]
-		for i := range ins {
+		for i, e := range ins {
 			vote := -1.0
-			if gather(i, false)[0] >= 0 {
+			if s.scalarFloat(c.ID, e, fetch(i)) >= 0 {
 				vote = 1.0
 			}
 			score += s.Ens.Weights[i] * vote
