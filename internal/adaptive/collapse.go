@@ -111,14 +111,8 @@ func NewCollapseLadder(nHops int, cfg CollapseConfig) (*CollapseLadder, error) {
 	return &CollapseLadder{cfg: cfg.withDefaults(), hops: make([]HopHealth, nHops)}, nil
 }
 
-// Hops returns the hop count the ladder tracks.
-func (l *CollapseLadder) Hops() int { return len(l.hops) }
-
 // Health returns a copy of one hop's state.
 func (l *CollapseLadder) Health(hop int) HopHealth { return l.hops[hop] }
-
-// Dead reports whether hop is collapsed.
-func (l *CollapseLadder) Dead(hop int) bool { return l.hops[hop].Dead }
 
 // Counters returns (collapses, recoveries, rollbacks): tiers dropped,
 // revivals, and probation failures that rolled straight back down.

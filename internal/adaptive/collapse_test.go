@@ -21,11 +21,11 @@ func TestCollapseLadderHysteresis(t *testing.T) {
 	l.Observe(1, false, 0.2)
 	l.Observe(1, true, 0.3)
 	l.Observe(1, true, 0.4)
-	if l.Dead(1) {
+	if l.Health(1).Dead {
 		t.Fatal("interleaved successes should reset the failure streak")
 	}
 	l.Observe(1, true, 0.5)
-	if !l.Dead(1) {
+	if !l.Health(1).Dead {
 		t.Fatal("third consecutive failure should collapse the hop")
 	}
 	if l.Cap() != 1 {
@@ -68,11 +68,11 @@ func TestCollapseLadderProbeScheduleAndRecovery(t *testing.T) {
 	}
 	// Two clean probes revive the hop.
 	l.Observe(0, false, 6)
-	if !l.Dead(0) {
+	if !l.Health(0).Dead {
 		t.Fatal("one clean probe revived the hop (want 2)")
 	}
 	l.Observe(0, false, 6.5)
-	if l.Dead(0) {
+	if l.Health(0).Dead {
 		t.Fatal("two clean probes should revive the hop")
 	}
 	_, recoveries, _ := l.Counters()
@@ -82,7 +82,7 @@ func TestCollapseLadderProbeScheduleAndRecovery(t *testing.T) {
 	// A failure inside probation rolls straight back down.
 	l.Observe(0, false, 7)
 	l.Observe(0, true, 7.5)
-	if !l.Dead(0) {
+	if !l.Health(0).Dead {
 		t.Fatal("probation failure should re-collapse immediately")
 	}
 	_, _, rollbacks := l.Counters()

@@ -47,30 +47,3 @@ func deratedProblem(tp *partition.TieredProblem, hop int, est Estimate, maxInfla
 	}
 	return &out
 }
-
-// HopController walks every hop of a tiered placement through HopRecut
-// against per-hop estimates, applying re-cuts greedily from the body
-// hop upward. It is the building block chaos batteries and the runtime
-// use to react when several links drift at once; the walk order is
-// fixed (hop 0 upward) so seeded runs replay identically.
-func HopController(tp *partition.TieredProblem, p partition.TierPlacement, ests []Estimate, maxInflation float64) (partition.TierPlacement, []int, error) {
-	if tp == nil {
-		return nil, nil, fmt.Errorf("adaptive: nil tiered problem")
-	}
-	if len(ests) != len(tp.Hops) {
-		return nil, nil, fmt.Errorf("adaptive: %d estimates for %d hops", len(ests), len(tp.Hops))
-	}
-	cur := p.Clone()
-	var moved []int
-	for h := range tp.Hops {
-		next, _, err := HopRecut(tp, cur, h, ests[h], maxInflation)
-		if err != nil {
-			return nil, nil, err
-		}
-		if !next.Equal(cur) {
-			moved = append(moved, h)
-		}
-		cur = next
-	}
-	return cur, moved, nil
-}

@@ -96,38 +96,6 @@ func TestHopRecutFullOutageShedsTraffic(t *testing.T) {
 	}
 }
 
-// TestHopControllerDeterministic: the multi-hop walk replays
-// bit-identically and reports which hops moved.
-func TestHopControllerDeterministic(t *testing.T) {
-	tp, p := threeTierFixture(t, 47)
-	ests := []Estimate{
-		{Loss: 0.6, Samples: 40},
-		{Loss: 0.2, Samples: 40},
-	}
-	q1, moved1, err := HopController(tp, p, ests, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q2, moved2, err := HopController(tp, p, ests, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !q1.Equal(q2) {
-		t.Fatalf("controller walk not deterministic: %v vs %v", q1, q2)
-	}
-	if len(moved1) != len(moved2) {
-		t.Fatalf("moved lists differ: %v vs %v", moved1, moved2)
-	}
-	for i := range moved1 {
-		if moved1[i] != moved2[i] {
-			t.Fatalf("moved lists differ: %v vs %v", moved1, moved2)
-		}
-	}
-	if err := tp.CheckPlacement(q1); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestHopRecutValidation covers the error paths.
 func TestHopRecutValidation(t *testing.T) {
 	tp, p := threeTierFixture(t, 3)
@@ -142,8 +110,5 @@ func TestHopRecutValidation(t *testing.T) {
 	}
 	if _, _, err := HopRecut(tp, p, 0, Estimate{}, 0.5); err == nil {
 		t.Error("sub-unit inflation cap accepted")
-	}
-	if _, _, err := HopController(tp, p, []Estimate{{}}, 64); err == nil {
-		t.Error("estimate count mismatch accepted")
 	}
 }

@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -25,7 +24,9 @@ import (
 //   - tiered: the tier-collapse ladder — per-hop outage evidence caps
 //     the placement below the dead hop, collapsed rungs serve cleanly
 //     without touching the dark hops, and capped-backoff probes climb
-//     back when the storm clears.
+//     back when the storm clears. This variant is served by
+//     adaptive.TierRuntime, the runtime an armed xpro.TierPlan serves
+//     through; every variant's per-hop links come from it.
 //
 // Every draw is seeded and every timestamp comes off the modeled
 // clock, so a battery replays bit-identically; each variant emits a
@@ -146,87 +147,28 @@ func hubStormCollapse(period float64) adaptive.CollapseConfig {
 	}
 }
 
-// hubStormHops builds one variant's fresh per-hop transports: every
-// hop gets its own seeded lossy link, the storm plan merged onto both
-// hops touching the hub (its downlink, hop 0, and its uplink, hop 1),
-// and a per-hop breaker on the shared clock.
-func hubStormHops(ts *xsystem.TieredSystem, storm *faults.Plan, pol faults.Policy,
-	clock *faults.Clock, seed int64) ([]xsystem.HopTransport, error) {
-
-	nh := len(ts.Tiered.Hops)
-	hops := make([]xsystem.HopTransport, 0, nh)
-	for h := 0; h < nh; h++ {
-		var plan *faults.Plan
-		if h == 0 || h == 1 {
-			plan = storm
-		}
-		link, err := faults.NewLink(ts.Tiered.Hops[h].Link, plan, clock, 0, 0, faults.HopSeed(seed, h))
-		if err != nil {
-			return nil, err
-		}
-		breaker, err := faults.NewBreaker(pol.BreakerThreshold, pol.BreakerCooldown, clock)
-		if err != nil {
-			return nil, err
-		}
-		hops = append(hops, xsystem.HopTransport{Link: link, Breaker: breaker})
-	}
-	return hops, nil
-}
-
-// TieredRunner drives the tier-collapse variant one event at a time.
-// Its whole mutable state — clock, per-hop links and breakers, ladder
-// — snapshots and restores, so a mid-storm crash–recover cycle can be
-// replayed against an uninterrupted golden run.
-type TieredRunner struct {
-	clock  *faults.Clock
-	hops   []xsystem.HopTransport
-	ladder *adaptive.CollapseLadder
-	rungs  []*xsystem.TieredSystem
-	storm  *faults.Plan
-	pol    faults.Policy
-	framed *faults.Framing
-
-	period   float64
-	deadline float64
-}
-
-// NewTieredRunner builds the tier-collapse runtime over ts for one
-// battery configuration.
-func NewTieredRunner(ts *xsystem.TieredSystem, cfg HubStormConfig) (*TieredRunner, error) {
+// newHubStormRuntime arms one variant's fresh runtime over ts: the
+// shared k-tier runtime with the storm schedule merged onto both hops
+// touching the hub (tier 1), clean per-hop loss streams, and the
+// battery's policy and ladder. It returns the storm schedule too, for
+// the battery's storm statistics.
+func newHubStormRuntime(ts *xsystem.TieredSystem, cfg HubStormConfig) (*adaptive.TierRuntime, *faults.Plan, error) {
 	cfg.fill()
-	if ts == nil {
-		return nil, fmt.Errorf("chaos: nil tiered system")
-	}
 	ev := ts.EventsPerSecond()
 	if !(ev > 0) {
-		return nil, fmt.Errorf("chaos: tiered system has no event rate")
+		return nil, nil, fmt.Errorf("chaos: tiered system has no event rate")
 	}
 	period := 1 / ev
-	horizon := float64(cfg.Events) * period
-	limit := tieredLimit(ts)
-	deadline := cfg.DeadlineFactor * limit
+	deadline := cfg.DeadlineFactor * tieredLimit(ts)
 	if math.IsNaN(deadline) || math.IsInf(deadline, 0) || deadline <= 0 {
-		return nil, fmt.Errorf("chaos: deadline %v is not a positive finite budget", deadline)
+		return nil, nil, fmt.Errorf("chaos: deadline %v is not a positive finite budget", deadline)
 	}
-	pol := hubStormPolicy(deadline, period)
-	clock := &faults.Clock{}
-	storm := hubStormPlan(cfg, horizon)
-	hops, err := hubStormHops(ts, storm, pol, clock, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	ladder, err := adaptive.NewCollapseLadder(len(hops), hubStormCollapse(period))
-	if err != nil {
-		return nil, err
-	}
-	rungs, err := ts.CollapseRungs()
-	if err != nil {
-		return nil, err
-	}
-	return &TieredRunner{
-		clock: clock, hops: hops, ladder: ladder, rungs: rungs, storm: storm,
-		pol: pol, framed: cfg.Framing, period: period, deadline: deadline,
-	}, nil
+	storm := hubStormPlan(cfg, float64(cfg.Events)*period)
+	rt, err := adaptive.NewTierRuntime(ts, adaptive.TierConfig{
+		Policy: hubStormPolicy(deadline, period), Storm: storm, HubTier: 1,
+		Seed: cfg.Seed, Framing: cfg.Framing, Collapse: hubStormCollapse(period), Period: period,
+	})
+	return rt, storm, err
 }
 
 // tieredLimit is the per-event serve budget's basis: T_XPro =
@@ -249,149 +191,6 @@ func tieredLimit(ts *xsystem.TieredSystem) float64 {
 		limit = clean
 	}
 	return limit
-}
-
-// HubStormEvent is one event's row in the battery ledger.
-type HubStormEvent struct {
-	// Cap is the tier cap the event was served under (hop count = full
-	// chain); Probing marks a revival probe through a collapsed hop.
-	Cap     int
-	Probing bool
-	// StormNow is true when the hub was dark at the event's arrival.
-	StormNow bool
-	// NoResult means no label was produced even after re-homing.
-	NoResult bool
-	// Degraded is any serve below full-chain full fidelity.
-	Degraded bool
-	// DeadlineExceeded reflects the shared deadline budget, including
-	// a failed attempt's struggle.
-	DeadlineExceeded bool
-	// SpentSeconds / SensorEnergyJ are the event's modeled cost.
-	SpentSeconds  float64
-	SensorEnergyJ float64
-}
-
-// Serve drives one event through the collapse ladder.
-func (r *TieredRunner) Serve(seg biosig.Segment) (HubStormEvent, error) {
-	now := r.clock.Now()
-	capT, probing := r.ladder.EventCap(now)
-	full := partition.Tier(len(r.hops))
-	ev := HubStormEvent{Cap: int(capT), Probing: probing, StormNow: r.storm.At(now).HubDown}
-	opt := &xsystem.TieredOptions{
-		Hops: r.hops, Clock: r.clock, Policy: r.pol, Integrity: r.framed,
-	}
-	out, werr := r.rungs[capT].ClassifyOver(seg, opt)
-	if werr != nil && len(out.HopOutage) == 0 {
-		return ev, werr // structural rejection, not a channel outcome
-	}
-	r.clock.Advance(r.period)
-	for h := range r.hops {
-		attempted := out.HopTransfersOK[h] > 0 || out.HopLost[h] > 0 ||
-			out.HopSkipped[h] > 0 || out.HopOutage[h]
-		if attempted {
-			r.ladder.Observe(h, out.HopOutage[h], now)
-		}
-	}
-	if werr == nil {
-		ev.SpentSeconds = out.SpentSeconds
-		ev.SensorEnergyJ = out.SensorEnergy
-		ev.Degraded = capT != full || !out.Complete
-		ev.DeadlineExceeded = out.DeadlineExceeded || out.SpentSeconds > r.deadline
-		return ev, nil
-	}
-	// The attempt died on a dead hop: re-home on the rung below it,
-	// marching further down if that rung fails too (rung 0 crosses no
-	// hop and cannot fail). The failed attempt's struggle stays on the
-	// event's bill; its sensing is not charged twice.
-	attempt := out.Outcome
-	fbCap := partition.Tier(0)
-	var ih *xsystem.HopOutageError
-	if asHopOutage(werr, &ih) {
-		fbCap = partition.Tier(ih.Hop)
-	}
-	var fout xsystem.TieredOutcome
-	for {
-		var ferr error
-		fout, ferr = r.rungs[fbCap].ClassifyOver(seg, opt)
-		if ferr == nil {
-			break
-		}
-		if fbCap == 0 {
-			ev.NoResult = true
-			ev.Degraded = true
-			ev.SpentSeconds = attempt.SpentSeconds
-			ev.SensorEnergyJ = attempt.SensorEnergy
-			ev.DeadlineExceeded = true
-			return ev, nil
-		}
-		if asHopOutage(ferr, &ih) && partition.Tier(ih.Hop) < fbCap {
-			fbCap = partition.Tier(ih.Hop)
-		} else {
-			fbCap = 0
-		}
-	}
-	ev.Cap = int(fbCap)
-	ev.Degraded = true
-	ev.SpentSeconds = attempt.SpentSeconds + fout.SpentSeconds
-	ev.SensorEnergyJ = fout.SensorEnergy
-	if extra := attempt.SensorEnergy - r.rungs[0].Tiered.SensingEnergy; extra > 0 && fout.SensorEnergy > 0 {
-		ev.SensorEnergyJ += extra
-	} else if fout.SensorEnergy == 0 {
-		ev.SensorEnergyJ += attempt.SensorEnergy
-	}
-	ev.DeadlineExceeded = attempt.DeadlineExceeded || fout.DeadlineExceeded ||
-		ev.SpentSeconds > r.deadline
-	return ev, nil
-}
-
-func asHopOutage(err error, out **xsystem.HopOutageError) bool {
-	return errors.As(err, out)
-}
-
-// Counters returns the ladder's (collapses, recoveries, rollbacks).
-func (r *TieredRunner) Counters() (int, int, int) { return r.ladder.Counters() }
-
-// TieredRunnerState is the runner's full durable state.
-type TieredRunnerState struct {
-	ClockSeconds float64
-	Ladder       adaptive.LadderState
-	Breakers     []faults.BreakerSnapshot
-	Draws        []uint64
-}
-
-// Snapshot captures everything a crash would wipe.
-func (r *TieredRunner) Snapshot() TieredRunnerState {
-	st := TieredRunnerState{
-		ClockSeconds: r.clock.Now(),
-		Ladder:       r.ladder.Snapshot(),
-	}
-	for h := range r.hops {
-		st.Breakers = append(st.Breakers, r.hops[h].Breaker.Snapshot())
-		st.Draws = append(st.Draws, r.hops[h].Link.Draws())
-	}
-	return st
-}
-
-// Restore rewinds the runner onto a snapshot; the next Serve continues
-// the seeded timeline bit-identically to a runner that never died.
-func (r *TieredRunner) Restore(st TieredRunnerState) error {
-	if len(st.Breakers) != len(r.hops) || len(st.Draws) != len(r.hops) {
-		return fmt.Errorf("chaos: snapshot covers %d/%d hops, runner has %d",
-			len(st.Breakers), len(st.Draws), len(r.hops))
-	}
-	if err := r.ladder.Restore(st.Ladder); err != nil {
-		return err
-	}
-	for h := range r.hops {
-		if err := r.hops[h].Breaker.Restore(st.Breakers[h]); err != nil {
-			return err
-		}
-		if err := r.hops[h].Link.RestoreDraws(st.Draws[h]); err != nil {
-			return err
-		}
-	}
-	r.clock.Restore(st.ClockSeconds)
-	return nil
 }
 
 // HubStormSoak rides the three variants through one identical seeded
@@ -439,28 +238,18 @@ func hubStormFixed(ts *xsystem.TieredSystem, segs []biosig.Segment, cfg HubStorm
 		name = "ladder"
 	}
 	v := HubStormVariant{Name: name}
-	ev := ts.EventsPerSecond()
-	period := 1 / ev
-	horizon := float64(cfg.Events) * period
-	deadline := cfg.DeadlineFactor * tieredLimit(ts)
-	pol := hubStormPolicy(deadline, period)
-	clock := &faults.Clock{}
-	storm := hubStormPlan(cfg, horizon)
-	hops, err := hubStormHops(ts, storm, pol, clock, cfg.Seed)
+	rt, storm, err := newHubStormRuntime(ts, cfg)
 	if err != nil {
 		return v, err
 	}
-	rungs, err := ts.CollapseRungs()
-	if err != nil {
-		return v, err
-	}
-	full := rungs[len(rungs)-1]
+	opt := rt.Options()
+	clock, deadline := opt.Clock, opt.Policy.Deadline
+	period := 1 / ts.EventsPerSecond()
+	full, sensor := rt.Rung(rt.FullCap()), rt.Rung(0)
 	sensing := ts.Tiered.SensingEnergy
 	for i := 0; i < cfg.Events; i++ {
 		seg := segs[i%len(segs)]
-		now := clock.Now()
-		stormNow := storm.At(now).HubDown
-		opt := &xsystem.TieredOptions{Hops: hops, Clock: clock, Policy: pol, Integrity: cfg.Framing}
+		stormNow := storm.At(clock.Now()).HubDown
 		out, werr := full.ClassifyOver(seg, opt)
 		if werr != nil && len(out.HopOutage) == 0 {
 			return v, werr
@@ -477,7 +266,7 @@ func hubStormFixed(ts *xsystem.TieredSystem, segs []biosig.Segment, cfg HubStorm
 				noResult = true
 				deadlined = true
 			} else {
-				fout, ferr := rungs[0].ClassifyOver(seg, opt)
+				fout, ferr := sensor.ClassifyOver(seg, opt)
 				spent += fout.SpentSeconds
 				if fout.SensorEnergy > 0 && energy > 0 {
 					energy += fout.SensorEnergy - sensing
@@ -513,38 +302,39 @@ func hubStormFixed(ts *xsystem.TieredSystem, segs []biosig.Segment, cfg HubStorm
 	return v, nil
 }
 
-// hubStormTiered drives the tier-collapse variant through a
-// TieredRunner.
+// hubStormTiered drives the tier-collapse variant through the shared
+// k-tier runtime.
 func hubStormTiered(ts *xsystem.TieredSystem, segs []biosig.Segment, cfg HubStormConfig) (HubStormVariant, error) {
 	v := HubStormVariant{Name: "tiered"}
-	r, err := NewTieredRunner(ts, cfg)
+	rt, storm, err := newHubStormRuntime(ts, cfg)
 	if err != nil {
 		return v, err
 	}
+	full, deadline := rt.FullCap(), rt.Options().Policy.Deadline
 	for i := 0; i < cfg.Events; i++ {
-		ev, err := r.Serve(segs[i%len(segs)])
+		stormNow := storm.At(rt.Options().Clock.Now()).HubDown
+		ev, err := rt.Serve(segs[i%len(segs)])
 		if err != nil {
 			return v, err
 		}
+		degraded := ev.Cap != full || !ev.Complete
+		deadlined := ev.DeadlineExceeded || ev.SpentSeconds > deadline
 		v.Events++
-		if ev.StormNow {
+		if stormNow {
 			v.StormEvents++
 		}
-		if ev.NoResult || ev.DeadlineExceeded {
+		if deadlined {
 			v.Violations++
 		}
-		if ev.NoResult {
-			v.NoResult++
-		}
-		if ev.Degraded {
+		if degraded {
 			v.Degraded++
 		}
-		v.SensorEnergyJ += ev.SensorEnergyJ
+		v.SensorEnergyJ += ev.SensorEnergy
 		v.Log = append(v.Log, fmt.Sprintf(
-			"tiered %03d storm=%t cap=%d probe=%t noresult=%t degraded=%t deadlined=%t spent=%.17g energy=%.17g",
-			i, ev.StormNow, ev.Cap, ev.Probing, ev.NoResult, ev.Degraded, ev.DeadlineExceeded,
-			ev.SpentSeconds, ev.SensorEnergyJ))
+			"tiered %03d storm=%t cap=%d probe=%t noresult=false degraded=%t deadlined=%t spent=%.17g energy=%.17g",
+			i, stormNow, int(ev.Cap), ev.Probing, degraded, deadlined, ev.SpentSeconds, ev.SensorEnergy))
 	}
-	v.Collapses, v.Recoveries, v.Rollbacks = r.Counters()
+	st := rt.Snapshot()
+	v.Collapses, v.Recoveries, v.Rollbacks = st.Collapses, st.Recoveries, st.Rollbacks
 	return v, nil
 }

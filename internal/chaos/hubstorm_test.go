@@ -1,9 +1,11 @@
 package chaos
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
+	"xpro/internal/adaptive"
 	"xpro/internal/partition"
 	"xpro/internal/xsystem"
 )
@@ -31,8 +33,8 @@ func TestHubStormValidation(t *testing.T) {
 	if _, err := HubStormSoak(ts, nil, HubStormConfig{}); err == nil {
 		t.Error("empty segments should error")
 	}
-	if _, err := NewTieredRunner(nil, HubStormConfig{}); err == nil {
-		t.Error("nil runner system should error")
+	if _, err := adaptive.NewTierRuntime(nil, adaptive.TierConfig{}); err == nil {
+		t.Error("nil runtime system should error")
 	}
 }
 
@@ -101,7 +103,7 @@ func TestHubStormReplayDeterminism(t *testing.T) {
 }
 
 // A mid-storm crash–recover cycle reproduces the golden run exactly:
-// the runner is snapshotted inside the first storm, a fresh runner
+// the runtime is snapshotted inside the first storm, a fresh runtime
 // restores the snapshot, and every subsequent event — and the final
 // snapshot — is bit-identical to the uninterrupted run.
 func TestHubStormCrashRecover(t *testing.T) {
@@ -109,20 +111,26 @@ func TestHubStormCrashRecover(t *testing.T) {
 	ts := stormTieredSystem(t, f)
 	cfg := HubStormConfig{Seed: 31, Events: 240}
 	const total = 240
-
-	golden, err := NewTieredRunner(ts, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	segs := f.test.Segs
-	rows := make([]HubStormEvent, total)
-	split := -1
-	for i := 0; i < total; i++ {
-		rows[i], err = golden.Serve(segs[i%len(segs)])
+	serve := func(rt *adaptive.TierRuntime, i int) string {
+		t.Helper()
+		ev, err := rt.Serve(segs[i%len(segs)])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if split < 0 && rows[i].StormNow && i > 0 {
+		return fmt.Sprintf("%+v", ev)
+	}
+
+	golden, storm, err := newHubStormRuntime(ts, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]string, total)
+	split := -1
+	for i := 0; i < total; i++ {
+		stormNow := storm.At(golden.Options().Clock.Now()).HubDown
+		rows[i] = serve(golden, i)
+		if split < 0 && stormNow && i > 0 {
 			split = i + 1 // crash just after the storm's first hit
 		}
 	}
@@ -130,22 +138,18 @@ func TestHubStormCrashRecover(t *testing.T) {
 		t.Fatalf("no storm inside the battery (split=%d)", split)
 	}
 
-	a, err := NewTieredRunner(ts, cfg)
+	a, _, err := newHubStormRuntime(ts, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < split; i++ {
-		row, err := a.Serve(segs[i%len(segs)])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if row != rows[i] {
-			t.Fatalf("pre-crash event %d diverged:\n got %+v\nwant %+v", i, row, rows[i])
+		if row := serve(a, i); row != rows[i] {
+			t.Fatalf("pre-crash event %d diverged:\n got %s\nwant %s", i, row, rows[i])
 		}
 	}
 	ckpt := a.Snapshot()
 
-	b, err := NewTieredRunner(ts, cfg) // the rebooted node
+	b, _, err := newHubStormRuntime(ts, cfg) // the rebooted node
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,12 +157,8 @@ func TestHubStormCrashRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := split; i < total; i++ {
-		row, err := b.Serve(segs[i%len(segs)])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if row != rows[i] {
-			t.Fatalf("post-recover event %d diverged:\n got %+v\nwant %+v", i, row, rows[i])
+		if row := serve(b, i); row != rows[i] {
+			t.Fatalf("post-recover event %d diverged:\n got %s\nwant %s", i, row, rows[i])
 		}
 	}
 	if !reflect.DeepEqual(b.Snapshot(), golden.Snapshot()) {
@@ -166,7 +166,7 @@ func TestHubStormCrashRecover(t *testing.T) {
 	}
 
 	// A mismatched snapshot is rejected, not half-applied.
-	if err := b.Restore(TieredRunnerState{}); err == nil {
+	if err := b.Restore(adaptive.TierState{}); err == nil {
 		t.Fatal("hop-less snapshot should be rejected")
 	}
 }
@@ -177,7 +177,7 @@ func TestHubStormCrashRecover(t *testing.T) {
 func BenchmarkTieredWalk(b *testing.B) {
 	f := getFixture(b)
 	ts := stormTieredSystem(b, f)
-	r, err := NewTieredRunner(ts, HubStormConfig{Seed: 17})
+	r, _, err := newHubStormRuntime(ts, HubStormConfig{Seed: 17})
 	if err != nil {
 		b.Fatal(err)
 	}

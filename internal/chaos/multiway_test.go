@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"xpro/internal/adaptive"
+	"xpro/internal/partition"
 	"xpro/internal/wireless"
 	"xpro/internal/xsystem"
 )
@@ -14,11 +15,31 @@ import (
 // chain (body link = the system's own radio, uplink = Model3).
 func tieredSystem(t testing.TB, f *fixture) *xsystem.TieredSystem {
 	t.Helper()
-	ts, err := xsystem.ThreeTier(crossSystem(t, f, wireless.Model2()), wireless.Model3())
+	s := crossSystem(t, f, wireless.Model2())
+	tiers, hops := partition.DefaultThreeTier(s.Link, wireless.Model3())
+	ts, err := xsystem.NewTiered(s, tiers, hops)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return ts
+}
+
+// recutHops re-cuts every hop of p in turn under its own estimate,
+// from the body hop upward, and reports the hops that moved.
+func recutHops(tp *partition.TieredProblem, p partition.TierPlacement, ests []adaptive.Estimate) (partition.TierPlacement, []int, error) {
+	cur := p.Clone()
+	var moved []int
+	for h := range tp.Hops {
+		next, _, err := adaptive.HopRecut(tp, cur, h, ests[h], 64)
+		if err != nil {
+			return nil, nil, err
+		}
+		if !next.Equal(cur) {
+			moved = append(moved, h)
+		}
+		cur = next
+	}
+	return cur, moved, nil
 }
 
 // hopStorm replays a seeded per-hop channel-drift storm against a
@@ -45,7 +66,7 @@ func hopStorm(t testing.TB, ts *xsystem.TieredSystem, seed int64, steps int) []s
 				ests[h] = adaptive.Estimate{Outage: 1, Samples: 32}
 			}
 		}
-		next, moved, err := adaptive.HopController(ts.Tiered, cur, ests, 64)
+		next, moved, err := recutHops(ts.Tiered, cur, ests)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +122,7 @@ func TestHopStormKeepsClassifying(t *testing.T) {
 	for step := 0; step < 12; step++ {
 		ests := make([]adaptive.Estimate, len(cur.Tiered.Hops))
 		ests[rng.Intn(len(ests))] = adaptive.Estimate{Loss: rng.Float64(), Outage: rng.Float64(), Samples: 16}
-		next, _, err := adaptive.HopController(cur.Tiered, cur.TierPlacement, ests, 64)
+		next, _, err := recutHops(cur.Tiered, cur.TierPlacement, ests)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +143,7 @@ func TestHopStormDegradeLadder(t *testing.T) {
 	f := getFixture(t)
 	ts := tieredSystem(t, f)
 	// Uplink dies: cap at the hub.
-	hub, err := ts.Degrade(1)
+	hub, err := ts.WithTierPlacement(ts.TierPlacement.CapAt(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +151,7 @@ func TestHopStormDegradeLadder(t *testing.T) {
 		t.Fatalf("degrade(1) left tier %d", hub.TierPlacement.MaxTier())
 	}
 	// Body hop dies too: everything onto the sensor.
-	solo, err := hub.Degrade(0)
+	solo, err := hub.WithTierPlacement(hub.TierPlacement.CapAt(0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -172,10 +172,10 @@ func (b *Breaker) Snapshot() BreakerSnapshot {
 	return BreakerSnapshot{State: b.state, Failures: b.failures, OpenedAt: b.openedAt}
 }
 
-// Restore rewinds the breaker to a snapshot. The state change (if any)
-// fires OnTransition, so gauges and estimators tracking the breaker
-// stay truthful through a recovery. Invalid snapshots are rejected.
-func (b *Breaker) Restore(s BreakerSnapshot) error {
+// Validate rejects a snapshot no breaker could have taken: an unknown
+// state, a negative failure streak, or an opened-at that is not a
+// finite, non-negative time.
+func (s BreakerSnapshot) Validate() error {
 	switch s.State {
 	case BreakerClosed, BreakerHalfOpen, BreakerOpen:
 	default:
@@ -186,6 +186,16 @@ func (b *Breaker) Restore(s BreakerSnapshot) error {
 	}
 	if math.IsNaN(s.OpenedAt) || math.IsInf(s.OpenedAt, 0) || s.OpenedAt < 0 {
 		return fmt.Errorf("faults: breaker snapshot opened-at %v must be finite and non-negative", s.OpenedAt)
+	}
+	return nil
+}
+
+// Restore rewinds the breaker to a snapshot. The state change (if any)
+// fires OnTransition, so gauges and estimators tracking the breaker
+// stay truthful through a recovery. Invalid snapshots are rejected.
+func (b *Breaker) Restore(s BreakerSnapshot) error {
+	if err := s.Validate(); err != nil {
+		return err
 	}
 	b.failures = s.Failures
 	b.openedAt = s.OpenedAt

@@ -37,13 +37,6 @@ import (
 // Tier indexes a level of the device chain, 0 = the sensing tier.
 type Tier int
 
-// Canonical tiers of the three-tier deployment.
-const (
-	TierSensor Tier = 0
-	TierHub    Tier = 1
-	TierCloud  Tier = 2
-)
-
 // TierPlacement assigns every cell (indexed by topology.CellID) to a
 // tier.
 type TierPlacement []Tier

@@ -7,7 +7,6 @@ import (
 	"xpro/internal/faults"
 	"xpro/internal/partition"
 	"xpro/internal/telemetry"
-	"xpro/internal/wireless"
 )
 
 // TestWalkAllocBudgets bounds the heap allocations of one event through
@@ -39,10 +38,7 @@ func TestWalkAllocBudgets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, err := ThreeTier(cross, wireless.Model3())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts := threeTier(t, cross)
 
 	segs := f.test.Segs
 	n := 0

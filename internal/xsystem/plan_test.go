@@ -274,10 +274,7 @@ func TestPlanMatchesGraph(t *testing.T) {
 
 		// Tier level, on random tier-monotone placements and their
 		// collapse-ladder rungs.
-		ts, err := ThreeTier(sys, wireless.Model3())
-		if err != nil {
-			t.Fatal(err)
-		}
+		ts := threeTier(t, sys)
 		tpls := []partition.TierPlacement{ts.TierPlacement}
 		for i := 0; i < 6; i++ {
 			tpls = append(tpls, randomTierPlacement(rng, g, 3))

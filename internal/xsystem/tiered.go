@@ -5,7 +5,6 @@ import (
 
 	"xpro/internal/partition"
 	"xpro/internal/topology"
-	"xpro/internal/wireless"
 )
 
 // TieredSystem extends a 2-end System with an N-tier placement: the
@@ -138,13 +137,6 @@ func (ts *TieredSystem) RecutHop(hop int) (*TieredSystem, bool, error) {
 	return next, true, nil
 }
 
-// Degrade clamps the placement to tiers ≤ max — the k-way degradation
-// rung when the hops above max are unusable — and returns the clamped
-// sibling.
-func (ts *TieredSystem) Degrade(max partition.Tier) (*TieredSystem, error) {
-	return ts.WithTierPlacement(ts.TierPlacement.CapAt(max))
-}
-
 // TierEnergy is the per-tier energy report of one event.
 type TierEnergy struct {
 	// Name is the tier's label from its TierSpec.
@@ -194,11 +186,4 @@ func (ts *TieredSystem) TierReport() TierReport {
 		rep.Tiers = append(rep.Tiers, te)
 	}
 	return rep
-}
-
-// ThreeTier builds the canonical sensor → hub → cloud chain for a
-// system: the system's own link as the body hop and uplink above it.
-func ThreeTier(s *System, uplink wireless.Model) (*TieredSystem, error) {
-	tiers, hops := partition.DefaultThreeTier(s.Link, uplink)
-	return NewTiered(s, tiers, hops)
 }

@@ -11,8 +11,15 @@ import (
 func newTieredSystem(t testing.TB) *TieredSystem {
 	t.Helper()
 	f := getFixture(t)
-	s := newSystem(t, f, partition.InSensor(f.graph))
-	ts, err := ThreeTier(s, wireless.Model3())
+	return threeTier(t, newSystem(t, f, partition.InSensor(f.graph)))
+}
+
+// threeTier lifts s onto the canonical sensor → hub → cloud chain: its
+// own link as the body hop, Model 3 above it.
+func threeTier(t testing.TB, s *System) *TieredSystem {
+	t.Helper()
+	tiers, hops := partition.DefaultThreeTier(s.Link, wireless.Model3())
+	ts, err := NewTiered(s, tiers, hops)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +127,7 @@ func TestTieredHotSwapAndRecut(t *testing.T) {
 func TestTieredDegrade(t *testing.T) {
 	f := getFixture(t)
 	ts := newTieredSystem(t)
-	deg, err := ts.Degrade(0)
+	deg, err := ts.WithTierPlacement(ts.TierPlacement.CapAt(0))
 	if err != nil {
 		t.Fatal(err)
 	}

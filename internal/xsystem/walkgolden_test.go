@@ -337,10 +337,7 @@ func walkGoldenDigests(t testing.TB) map[string]string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts, err := ThreeTier(cross, wireless.Model3())
-		if err != nil {
-			t.Fatal(err)
-		}
+		ts := threeTier(t, cross)
 		tnames := []string{"solved", "all-sensor", "all-hub", "all-cloud", "cap-1", "cap-0-home-0", "random-0", "random-1", "random-2"}
 		var tsys []*TieredSystem
 		for _, pl := range []partition.TierPlacement{ts.TierPlacement, partition.AllAt(g, 0), partition.AllAt(g, 1), partition.AllAt(g, 2)} {
@@ -350,7 +347,7 @@ func walkGoldenDigests(t testing.TB) map[string]string {
 			}
 			tsys = append(tsys, s)
 		}
-		capped, err := ts.Degrade(1)
+		capped, err := ts.WithTierPlacement(ts.TierPlacement.CapAt(1))
 		if err != nil {
 			t.Fatal(err)
 		}

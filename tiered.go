@@ -6,6 +6,7 @@ import (
 
 	"xpro/internal/adaptive"
 	"xpro/internal/partition"
+	"xpro/internal/telemetry"
 	"xpro/internal/wireless"
 	"xpro/internal/xsystem"
 )
@@ -87,15 +88,19 @@ func (d TierDecision) String() string {
 // its decision log. Methods are safe for concurrent use; every
 // mutation appends to the log.
 type TierPlan struct {
-	mu  sync.Mutex
+	mu sync.Mutex
+	// ts is the home placement: the one manual moves install and
+	// compare against, and the one an armed ladder cuts its rungs from.
 	ts  *xsystem.TieredSystem
 	opt partition.TierPlacement // the solved optimum, for Resolve
 	log []TierDecision
 	// eng is the engine the plan was solved for: installs bump its
 	// serving epoch so memoized views (Network.Report, SLO) rebuild.
 	eng *Engine
-	// rt is the per-hop fault-tolerance runtime (nil until Arm).
-	rt *tierRuntime
+	// rt is the per-hop fault-tolerance runtime (nil until Arm);
+	// collapses counts its downward rung transitions.
+	rt        *adaptive.TierRuntime
+	collapses *telemetry.Counter
 }
 
 // PlanTiers solves the engine's topology over a k-tier chain: the
@@ -119,12 +124,13 @@ func (e *Engine) PlanTiers(k int) (*TierPlan, error) {
 	return &TierPlan{ts: ts, opt: ts.TierPlacement.Clone(), eng: e}, nil
 }
 
-// Assignment returns the per-cell tier of the plan's current
-// placement, indexed by cell ID.
+// Assignment returns the per-cell tier of the placement the plan
+// serves from, indexed by cell ID: the home placement, clamped to the
+// ladder's steady rung while an armed plan is collapsed.
 func (p *TierPlan) Assignment() []int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return assignmentOf(p.ts.TierPlacement)
+	return assignmentOf(p.serving().TierPlacement)
 }
 
 func assignmentOf(tp partition.TierPlacement) []int {
@@ -139,8 +145,9 @@ func assignmentOf(tp partition.TierPlacement) []int {
 func (p *TierPlan) Report() (TierPlanReport, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	rep := p.ts.TierReport()
-	_, biC, _, err := p.ts.Tiered.BestBiPartition()
+	ts := p.serving()
+	rep := ts.TierReport()
+	_, biC, _, err := ts.Tiered.BestBiPartition()
 	if err != nil {
 		return TierPlanReport{}, err
 	}
@@ -205,17 +212,12 @@ func (p *TierPlan) Resolve() error {
 // PinAll is the operator override: it homes every cell on one tier,
 // discarding the solved optimum until the next Resolve. Demos and
 // fault drills use it to force traffic across every hop (pin to the
-// top tier) regardless of where the optimizer parked the cells. The
-// pin is rejected while an armed ladder is collapsed below full
-// height — it would silently bypass the evidence-driven cap.
+// top tier) regardless of where the optimizer parked the cells.
 func (p *TierPlan) PinAll(tier int) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if k := p.ts.Tiered.K(); tier < 0 || tier >= k {
 		return fmt.Errorf("xpro: pin tier %d outside chain of %d tiers", tier, k)
-	}
-	if p.rt != nil && p.rt.steady != p.rt.fullCap() {
-		return fmt.Errorf("xpro: cannot pin while the tier ladder is collapsed to rung %d", p.rt.steady)
 	}
 	next := partition.AllAt(p.ts.Graph, partition.Tier(tier))
 	moved := !next.Equal(p.ts.TierPlacement)
@@ -228,38 +230,48 @@ func (p *TierPlan) PinAll(tier int) error {
 	return nil
 }
 
-// install swaps the plan onto placement next. Callers hold p.mu.
+// install makes next the home placement. An armed ladder re-cuts its
+// rungs from it and keeps its cap. Callers hold p.mu.
 func (p *TierPlan) install(next partition.TierPlacement) error {
 	ts, err := p.ts.WithTierPlacement(next)
 	if err != nil {
 		return err
 	}
-	p.swap(ts)
-	// A manual move while the ladder serves the full chain re-homes the
-	// ladder too: the new placement is what collapses cap from now on,
-	// so the rungs cut from the old one are dropped.
-	if p.rt != nil && p.rt.steady == p.rt.fullCap() {
-		p.rt.rungs = nil
+	if p.rt != nil {
+		if err := p.rt.Rehome(ts); err != nil {
+			return err
+		}
 	}
+	p.ts = ts
+	p.bump()
 	return nil
 }
 
-// swap points the plan at a rebuilt sibling and bumps the engine's
-// serving epoch: a re-cut (or collapse rung) changes the per-tier
-// pricing that memoized views — Network.Report, the SLO caches — were
-// built from, so they must rebuild. Callers hold p.mu.
-func (p *TierPlan) swap(ts *xsystem.TieredSystem) {
-	p.ts = ts
+// serving is the system the plan serves from: the armed ladder's
+// steady rung, or the home placement. Callers hold p.mu.
+func (p *TierPlan) serving() *xsystem.TieredSystem {
+	if p.rt != nil {
+		return p.rt.Rung(p.rt.Steady())
+	}
+	return p.ts
+}
+
+// bump advances the engine's serving epoch: a re-cut or a collapse
+// rung changes the per-tier pricing that memoized views —
+// Network.Report, the SLO caches — were built from, so they must
+// rebuild. Callers hold p.mu.
+func (p *TierPlan) bump() {
 	if p.eng != nil {
 		p.eng.epoch.Add(1)
 	}
 }
 
-// logDecision stamps the current assignment and cost onto d and
+// logDecision stamps the serving assignment and cost onto d and
 // appends it. Callers hold p.mu.
 func (p *TierPlan) logDecision(d TierDecision) {
-	d.Assignment = assignmentOf(p.ts.TierPlacement)
-	d.CostJ = p.ts.Tiered.Cost(p.ts.TierPlacement)
+	ts := p.serving()
+	d.Assignment = assignmentOf(ts.TierPlacement)
+	d.CostJ = ts.Tiered.Cost(ts.TierPlacement)
 	p.log = append(p.log, d)
 }
 

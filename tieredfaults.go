@@ -12,15 +12,16 @@ import (
 	"xpro/internal/xsystem"
 )
 
-// This file is the resilient N-tier runtime: TierPlan.Arm gives every
-// hop of a solved tier chain its own fallible link (independent seeded
-// fault plan, capped backoff, circuit breaker, optional framed
-// transport), and TierPlan.ClassifyResult walks events across the
-// armed chain, charging every hop crossing against the same
-// deadline/energy budget the 2-end resilient path uses. Sustained hop
-// failure degrades by TIER COLLAPSE: a hop the collapse ladder
-// declares dead caps the serving placement below it, re-homing the
-// dead tier's cells onto the tiers that still work —
+// This file is the public face of the resilient N-tier runtime
+// (adaptive.TierRuntime): TierPlan.Arm gives every hop of a solved
+// tier chain its own fallible link (independent seeded fault plan,
+// capped backoff, circuit breaker, optional framed transport), and
+// TierPlan.ClassifyResult walks events across the armed chain,
+// charging every hop crossing against the same deadline/energy budget
+// the 2-end resilient path uses. Sustained hop failure degrades by
+// TIER COLLAPSE: a hop the collapse ladder declares dead caps the
+// serving placement below it, re-homing the dead tier's cells onto the
+// tiers that still work —
 //
 //	full k-tier → collapsed (k−1)-tier → … → sensor-local
 //
@@ -116,34 +117,6 @@ type TierResilience struct {
 	Framed bool
 }
 
-// tierRuntime is the armed per-hop fault-tolerance state of a plan.
-// Everything here is guarded by the owning TierPlan's mu.
-type tierRuntime struct {
-	policy  faults.Policy
-	clock   *faults.Clock
-	hops    []xsystem.HopTransport
-	ladder  *adaptive.CollapseLadder
-	framing *faults.Framing
-	period  float64
-	seed    int64
-	// rungs[c] serves the home placement clamped to tiers ≤ c, with
-	// result delivery re-homed onto the cap (xsystem CollapseRungs);
-	// nil after a manual move re-homed the ladder, until the next
-	// lookup rebuilds it.
-	rungs []*xsystem.TieredSystem
-	// steady is the cap the currently installed serving system was cut
-	// for (invariant: p.ts serves rung(steady) between transitions).
-	steady partition.Tier
-	// outages counts hard-down events per hop since Arm.
-	outages []uint64
-	// gauges[h] mirrors hop h's breaker state; collapses counts
-	// downward rung transitions.
-	gauges    []*telemetry.Gauge
-	collapses *telemetry.Counter
-}
-
-func (rt *tierRuntime) fullCap() partition.Tier { return partition.Tier(len(rt.hops)) }
-
 // Arm builds the plan's per-hop fault-tolerance runtime: one fallible
 // link and circuit breaker per hop, the tier-collapse ladder, and the
 // xpro_hop_breaker_state / xpro_tier_collapse_total metrics. Arming
@@ -158,103 +131,67 @@ func (p *TierPlan) Arm(cfg *TierResilience) error {
 	if rc == nil {
 		rc = DefaultResilience()
 	}
-	pol := rc.policy()
-	if err := pol.Validate(); err != nil {
-		return err
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	nh := len(p.ts.Tiered.Hops)
-	if len(cfg.HopPlans) > nh {
-		return fmt.Errorf("xpro: %d hop plans for a %d-hop chain", len(cfg.HopPlans), nh)
+	tc := adaptive.TierConfig{
+		Policy: rc.policy(), HubTier: cfg.HubTier, BaseLoss: rc.BaseLoss,
+		Seed: cfg.Seed, Collapse: cfg.Collapse.internal(),
 	}
-	hubTier := cfg.HubTier
-	if hubTier == 0 {
-		hubTier = 1
+	if tc.HubTier == 0 {
+		tc.HubTier = 1
 	}
-	if cfg.HubStorms > 0 && (hubTier < 1 || hubTier > nh-1) {
-		return fmt.Errorf("xpro: hub tier %d outside [1,%d]", hubTier, nh-1)
-	}
-	horizon := cfg.HorizonSeconds
-	if horizon <= 0 {
-		horizon = 60
-	}
-	var storm *faults.Plan
 	if cfg.HubStorms > 0 {
-		storm = faults.HubStormPlan(cfg.Seed, faults.PlanConfig{
+		if nh := len(p.ts.Tiered.Hops); tc.HubTier < 1 || tc.HubTier > nh-1 {
+			return fmt.Errorf("xpro: hub tier %d outside [1,%d]", tc.HubTier, nh-1)
+		}
+		horizon := cfg.HorizonSeconds
+		if horizon <= 0 {
+			horizon = 60
+		}
+		tc.Storm = faults.HubStormPlan(cfg.Seed, faults.PlanConfig{
 			Horizon: horizon, MeanDuration: horizon / 20, HubStorms: cfg.HubStorms,
 		})
 	}
-	clock := &faults.Clock{}
-	rungs, err := p.ts.CollapseRungs()
-	if err != nil {
-		return err
-	}
-	rt := &tierRuntime{
-		policy: pol, clock: clock, seed: cfg.Seed,
-		rungs:   rungs,
-		steady:  partition.Tier(nh),
-		outages: make([]uint64, nh),
+	tc.HopPlans = make([]*faults.Plan, len(cfg.HopPlans))
+	for h, hp := range cfg.HopPlans {
+		if hp == nil {
+			continue
+		}
+		plan, err := hp.internal()
+		if err != nil {
+			return err
+		}
+		tc.HopPlans[h] = plan
 	}
 	if cfg.Framed {
-		rt.framing = &faults.Framing{}
+		tc.Framing = &faults.Framing{}
 	}
 	if p.eng != nil {
 		if ev := p.eng.sys().EventsPerSecond(); ev > 0 {
-			rt.period = 1 / ev
+			tc.Period = 1 / ev
 		}
-		reg := p.eng.obs.reg
-		rt.collapses = reg.Counter("xpro_tier_collapse_total",
-			"Downward rung transitions of the tier-collapse ladder (tiers re-homed off a dead hop).")
 	}
-	ladder, err := adaptive.NewCollapseLadder(nh, cfg.Collapse.internal())
+	rt, err := adaptive.NewTierRuntime(p.ts, tc)
 	if err != nil {
 		return err
 	}
-	rt.ladder = ladder
-	for h := 0; h < nh; h++ {
-		var plan *faults.Plan
-		if h < len(cfg.HopPlans) && cfg.HopPlans[h] != nil {
-			plan, err = cfg.HopPlans[h].internal()
-			if err != nil {
-				return err
-			}
-		}
-		// The hub's dark periods down both hops touching it: its
-		// downlink (hop hubTier-1) and its uplink (hop hubTier).
-		if storm != nil && (h == hubTier-1 || h == hubTier) {
-			plan = faults.MergePlans(plan, storm)
-			if err := plan.Validate(); err != nil {
-				return err
-			}
-		}
-		link, err := faults.NewLink(p.ts.Tiered.Hops[h].Link, plan, clock,
-			rc.BaseLoss, 0, faults.HopSeed(cfg.Seed, h))
-		if err != nil {
-			return err
-		}
-		breaker, err := faults.NewBreaker(pol.BreakerThreshold, pol.BreakerCooldown, clock)
-		if err != nil {
-			return err
-		}
-		if p.eng != nil {
-			g := p.eng.obs.reg.Gauge(telemetry.WithLabels("xpro_hop_breaker_state",
+	p.rt, p.collapses = rt, nil
+	if p.eng != nil {
+		eng, reg := p.eng, p.eng.obs.reg
+		p.collapses = reg.Counter("xpro_tier_collapse_total",
+			"Downward rung transitions of the tier-collapse ladder (tiers re-homed off a dead hop).")
+		for h, hop := range rt.Options().Hops {
+			g := reg.Gauge(telemetry.WithLabels("xpro_hop_breaker_state",
 				map[string]string{"hop": fmt.Sprintf("%d", h)}),
 				"Per-hop circuit breaker state: 0 closed, 1 half-open, 2 open.")
 			g.Set(float64(faults.BreakerClosed))
-			rt.gauges = append(rt.gauges, g)
-			eng, hop := p.eng, h
-			breaker.OnTransition = func(from, to faults.BreakerState) {
-				rt.gauges[hop].Set(float64(to))
+			hop.Breaker.OnTransition = func(from, to faults.BreakerState) {
+				g.Set(float64(to))
 				eng.epoch.Add(1)
 			}
 		}
-		rt.hops = append(rt.hops, xsystem.HopTransport{Link: link, Breaker: breaker})
-	}
-	p.rt = rt
-	if p.eng != nil {
-		p.eng.tier.Store(p)
-		p.eng.epoch.Add(1)
+		eng.tier.Store(p)
+		eng.epoch.Add(1)
 	}
 	return nil
 }
@@ -349,45 +286,6 @@ func publicHopError(err error) *HopOutageError {
 	}
 }
 
-// rungLocked returns the serving sibling for cap: the home placement
-// clamped to tiers ≤ cap, with result delivery re-homed onto the cap
-// so the walk never marches results across hops known dead. It reads
-// the prebuilt rung slice, rebuilding it from the serving system after
-// a manual move re-homed the ladder. Callers hold p.mu.
-func (p *TierPlan) rungLocked(cap partition.Tier) (*xsystem.TieredSystem, error) {
-	if p.rt.rungs == nil {
-		rungs, err := p.ts.CollapseRungs()
-		if err != nil {
-			return nil, err
-		}
-		p.rt.rungs = rungs
-	}
-	return p.rt.rungs[cap], nil
-}
-
-// installRungLocked makes cap the steady serving rung: the sibling is
-// installed (bumping the engine epoch) and the transition is logged —
-// a collapse as op "degrade", a climb as op "resolve". Callers hold
-// p.mu.
-func (p *TierPlan) installRungLocked(cap partition.Tier) error {
-	ts, err := p.rungLocked(cap)
-	if err != nil {
-		return err
-	}
-	down := cap < p.rt.steady
-	p.swap(ts)
-	p.rt.steady = cap
-	op := "resolve"
-	if down {
-		op = "degrade"
-		if p.rt.collapses != nil {
-			p.rt.collapses.Inc()
-		}
-	}
-	p.logDecision(TierDecision{Op: op, Hop: int(cap), Moved: true})
-	return nil
-}
-
 // ClassifyResult runs one event through the armed tier chain. The
 // walk crosses every live hop under the per-hop retry/breaker policy;
 // its outcome feeds the collapse ladder, which caps the placement when
@@ -403,132 +301,44 @@ func (p *TierPlan) ClassifyResult(samples []float64) (TierResult, error) {
 	if rt == nil {
 		return TierResult{}, fmt.Errorf("xpro: plan is not armed (call Arm first)")
 	}
-	seg := biosig.Segment{Samples: samples}
-	now := rt.clock.Now()
-	capT, probing := rt.ladder.EventCap(now)
-	serve := p.ts
-	if probing || capT != rt.steady {
-		// Probe events (and caps the steady install has not caught up
-		// with) serve from a transient rung sibling; the steady system
-		// is not disturbed until the ladder settles.
-		var err error
-		serve, err = p.rungLocked(capT)
-		if err != nil {
-			return TierResult{}, err
-		}
-	}
-	opt := &xsystem.TieredOptions{
-		Hops: rt.hops, Clock: rt.clock, Policy: rt.policy, Integrity: rt.framing,
-	}
-	out, werr := serve.ClassifyOver(seg, opt)
-	if werr != nil && len(out.HopOutage) == 0 {
-		// Rejected before the walk started (bad segment): nothing was
-		// attempted, nothing to observe or degrade.
-		return TierResult{}, werr
-	}
-	rt.clock.Advance(rt.period)
-
-	// Feed the ladder: only hops the event actually attempted are
-	// evidence — absence of traffic says nothing about health.
-	for h := range rt.hops {
-		attempted := out.HopTransfersOK[h] > 0 || out.HopLost[h] > 0 ||
-			out.HopSkipped[h] > 0 || out.HopOutage[h]
-		if !attempted {
-			continue
-		}
-		if out.HopOutage[h] {
-			rt.outages[h]++
-		}
-		rt.ladder.Observe(h, out.HopOutage[h], now)
-	}
-
-	res := TierResult{Tier: int(capT), Probing: probing}
-	var cerr error
-	if werr == nil {
-		res.Result = resultOf(out.Outcome)
-		full := capT == rt.fullCap()
-		switch {
-		case full && out.Complete:
-			res.Mode = ModeFull
-		case full && out.PartialFusion:
-			res.Mode, res.Degraded = ModePartial, true
-		case capT == 0:
-			res.Mode, res.Degraded = ModeFallbackSensor, true
-		default:
-			res.Mode, res.Degraded = ModeSensorLocal, true
-		}
-	} else {
-		// The attempt died crossing a dead hop: re-home the event on
-		// the rung below it, marching further down if that rung's own
-		// crossings fail too. Rung 0 crosses no hop and cannot fail.
-		attempt := out.Outcome
-		pub := publicHopError(werr)
-		failedHop := 0
-		fbCap := partition.Tier(0)
-		if pub != nil {
-			failedHop = pub.Hop
-			fbCap = partition.Tier(pub.Hop)
-		}
-		var ferr error = werr
-		var fout xsystem.TieredOutcome
-		for {
-			rung, rerr := p.rungLocked(fbCap)
-			if rerr != nil {
-				return TierResult{}, rerr
-			}
-			fout, ferr = rung.ClassifyOver(seg, opt)
-			if ferr == nil {
-				break
-			}
-			if fbCap == 0 {
-				return TierResult{}, ferr
-			}
-			var ih *xsystem.HopOutageError
-			if errors.As(ferr, &ih) && partition.Tier(ih.Hop) < fbCap {
-				fbCap = partition.Tier(ih.Hop)
-			} else {
-				fbCap = 0
+	before := rt.Steady()
+	ev, err := rt.Serve(biosig.Segment{Samples: samples})
+	if after := rt.Steady(); after != before {
+		// The ladder collapsed (or revived) hops on this event's
+		// evidence: the steady rung changed.
+		p.bump()
+		op := "resolve"
+		if after < before {
+			op = "degrade"
+			if p.collapses != nil {
+				p.collapses.Inc()
 			}
 		}
-		res.Result = resultOf(fout.Outcome)
-		res.Tier = int(fbCap)
-		res.Degraded = true
-		res.Mode = ModeSensorLocal
-		if fbCap == 0 {
-			res.Mode = ModeFallbackSensor
-		}
-		// The failed attempt's struggle rides on top of the rung's
-		// serve; when the attempt sensed the segment once, the rung
-		// does not sense it again.
-		res.Retries += attempt.Retries
-		res.LostTransfers += attempt.LostTransfers
-		res.SpentSeconds += attempt.SpentSeconds
-		res.DeadlineExceeded = res.DeadlineExceeded || attempt.DeadlineExceeded
-		fe := attempt.SensorEnergy
-		if fout.SensorEnergy > 0 && attempt.SensorEnergy > 0 {
-			fe -= p.ts.Tiered.SensingEnergy
-		}
-		if fe > 0 {
-			res.SensorEnergyJoules += fe
-		}
-		var cause error = werr
-		if pub != nil {
-			cause = pub
-		}
-		cerr = &TierDegradedError{
-			Tier: int(fbCap), Hop: failedHop,
-			RetriesConsumed: attempt.Retries, Cause: cause,
-		}
+		p.logDecision(TierDecision{Op: op, Hop: int(after), Moved: true})
 	}
-
-	// Settle the steady rung: the ladder may have collapsed (or
-	// revived) hops on this event's evidence.
-	if c := rt.ladder.Cap(); c != rt.steady {
-		if ierr := p.installRungLocked(c); ierr != nil {
-			return res, ierr
-		}
+	if err != nil {
+		return TierResult{}, err
 	}
-	return res, cerr
+	res := TierResult{Result: resultOf(ev.Outcome), Tier: int(ev.Cap), Probing: ev.Probing}
+	full := ev.Cap == rt.FullCap()
+	switch {
+	case full && ev.Complete:
+		res.Mode = ModeFull
+	case full && ev.PartialFusion:
+		res.Mode, res.Degraded = ModePartial, true
+	case ev.Cap == 0:
+		res.Mode, res.Degraded = ModeFallbackSensor, true
+	default:
+		res.Mode, res.Degraded = ModeSensorLocal, true
+	}
+	if ev.Attempt == nil {
+		return res, nil
+	}
+	tde := &TierDegradedError{Tier: int(ev.Cap), RetriesConsumed: ev.AttemptRetries, Cause: ev.Attempt}
+	if pub := publicHopError(ev.Attempt); pub != nil {
+		tde.Hop, tde.Cause = pub.Hop, pub
+	}
+	return res, tde
 }
 
 // resultOf maps a walk outcome onto the public Result provenance.
@@ -572,18 +382,18 @@ func (p *TierPlan) hopSLO() []HopSLO {
 	if p.rt == nil {
 		return nil
 	}
-	out := make([]HopSLO, len(p.rt.hops))
-	for h := range p.rt.hops {
-		hh := p.rt.ladder.Health(h)
+	st := p.rt.Snapshot()
+	out := make([]HopSLO, len(st.Hops))
+	for h, hs := range st.Hops {
 		out[h] = HopSLO{
 			Hop:      h,
-			Live:     !hh.Dead,
-			Breaker:  p.rt.hops[h].Breaker.State().String(),
-			Failures: hh.Failures, Probation: hh.Probation,
-			OutageEvents: p.rt.outages[h],
+			Live:     !hs.Health.Dead,
+			Breaker:  p.rt.Options().Hops[h].Breaker.State().String(),
+			Failures: hs.Health.Failures, Probation: hs.Health.Probation,
+			OutageEvents: hs.Outages,
 		}
-		if hh.Dead {
-			out[h].NextProbeAtSeconds = hh.NextProbeAt
+		if hs.Health.Dead {
+			out[h].NextProbeAtSeconds = hs.Health.NextProbeAt
 		}
 	}
 	return out
@@ -634,104 +444,75 @@ type TieredSubjectState struct {
 func (p *TierPlan) TieredState() (TieredSubjectState, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.tieredStateLocked()
-}
-
-func (p *TierPlan) tieredStateLocked() (TieredSubjectState, error) {
-	rt := p.rt
-	if rt == nil {
+	if p.rt == nil {
 		return TieredSubjectState{}, fmt.Errorf("xpro: plan is not armed")
 	}
-	ls := rt.ladder.Snapshot()
-	st := TieredSubjectState{
-		ClockSeconds: rt.clock.Now(),
-		SteadyCap:    int(rt.steady),
-		Collapses:    ls.Collapses, Recoveries: ls.Recoveries, Rollbacks: ls.Rollbacks,
+	st := p.rt.Snapshot()
+	out := TieredSubjectState{
+		ClockSeconds: st.ClockSeconds,
+		SteadyCap:    int(st.Steady),
+		Collapses:    st.Collapses, Recoveries: st.Recoveries, Rollbacks: st.Rollbacks,
 	}
-	for h := range rt.hops {
-		bs := rt.hops[h].Breaker.Snapshot()
-		hh := ls.Hops[h]
-		st.Hops = append(st.Hops, TierHopState{
-			Breaker:                bs.State.String(),
-			BreakerFailures:        bs.Failures,
-			BreakerOpenedAtSeconds: bs.OpenedAt,
-			RNGDraws:               rt.hops[h].Link.Draws(),
-			Failures:               hh.Failures,
-			Successes:              hh.Successes,
-			Dead:                   hh.Dead,
-			NextProbeAtSeconds:     hh.NextProbeAt,
-			ProbeIntervalSeconds:   hh.ProbeInterval,
-			ProbationEvents:        hh.Probation,
-			OutageEvents:           rt.outages[h],
+	for _, hs := range st.Hops {
+		out.Hops = append(out.Hops, TierHopState{
+			Breaker:                hs.Breaker.State.String(),
+			BreakerFailures:        hs.Breaker.Failures,
+			BreakerOpenedAtSeconds: hs.Breaker.OpenedAt,
+			RNGDraws:               hs.Draws,
+			Failures:               hs.Health.Failures,
+			Successes:              hs.Health.Successes,
+			Dead:                   hs.Health.Dead,
+			NextProbeAtSeconds:     hs.Health.NextProbeAt,
+			ProbeIntervalSeconds:   hs.Health.ProbeInterval,
+			ProbationEvents:        hs.Health.Probation,
+			OutageEvents:           hs.Outages,
 		})
 	}
-	return st, nil
+	return out, nil
 }
 
 // RestoreTieredState rewinds an armed plan onto a snapshot: every hop
 // link's RNG is fast-forwarded to its recorded draw count, breakers
 // and the collapse ladder resume their exact state, the modeled clock
 // jumps to the snapshot time, and the steady rung is reinstalled. The
-// plan must be armed for the same chain the snapshot covers.
+// plan must be armed for the same chain the snapshot covers. The whole
+// snapshot is checked before any of it is applied: a rejected one
+// leaves the plan as it was.
 func (p *TierPlan) RestoreTieredState(st TieredSubjectState) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.restoreTieredLocked(st)
-}
-
-func (p *TierPlan) restoreTieredLocked(st TieredSubjectState) error {
-	rt := p.rt
-	if rt == nil {
+	if p.rt == nil {
 		return fmt.Errorf("xpro: plan is not armed")
 	}
-	if len(st.Hops) != len(rt.hops) {
-		return fmt.Errorf("xpro: snapshot covers %d hops, chain has %d", len(st.Hops), len(rt.hops))
-	}
-	if st.SteadyCap < 0 || st.SteadyCap > len(rt.hops) {
-		return fmt.Errorf("xpro: snapshot steady cap %d outside [0,%d]", st.SteadyCap, len(rt.hops))
-	}
-	ls := adaptive.LadderState{
-		Hops:      make([]adaptive.HopHealth, len(st.Hops)),
-		Collapses: st.Collapses, Recoveries: st.Recoveries, Rollbacks: st.Rollbacks,
+	in := adaptive.TierState{
+		ClockSeconds: st.ClockSeconds,
+		Steady:       partition.Tier(st.SteadyCap),
+		Hops:         make([]adaptive.TierHopState, len(st.Hops)),
+		Collapses:    st.Collapses, Recoveries: st.Recoveries, Rollbacks: st.Rollbacks,
 	}
 	for h, hs := range st.Hops {
-		var bst faults.BreakerState
-		switch hs.Breaker {
-		case "closed":
-			bst = faults.BreakerClosed
-		case "half-open":
-			bst = faults.BreakerHalfOpen
-		case "open":
-			bst = faults.BreakerOpen
-		default:
+		code, ok := breakerNames[hs.Breaker]
+		if !ok {
 			return fmt.Errorf("xpro: hop %d has unknown breaker state %q", h, hs.Breaker)
 		}
-		if err := rt.hops[h].Breaker.Restore(faults.BreakerSnapshot{
-			State: bst, Failures: hs.BreakerFailures, OpenedAt: hs.BreakerOpenedAtSeconds,
-		}); err != nil {
-			return err
+		in.Hops[h] = adaptive.TierHopState{
+			Breaker: faults.BreakerSnapshot{
+				State: code, Failures: hs.BreakerFailures, OpenedAt: hs.BreakerOpenedAtSeconds,
+			},
+			Draws: hs.RNGDraws, Outages: hs.OutageEvents,
+			Health: adaptive.HopHealth{
+				Failures: hs.Failures, Successes: hs.Successes, Dead: hs.Dead,
+				NextProbeAt: hs.NextProbeAtSeconds, ProbeInterval: hs.ProbeIntervalSeconds,
+				Probation: hs.ProbationEvents,
+			},
 		}
-		if err := rt.hops[h].Link.RestoreDraws(hs.RNGDraws); err != nil {
-			return fmt.Errorf("xpro: hop %d: %w", h, err)
-		}
-		ls.Hops[h] = adaptive.HopHealth{
-			Failures: hs.Failures, Successes: hs.Successes, Dead: hs.Dead,
-			NextProbeAt: hs.NextProbeAtSeconds, ProbeInterval: hs.ProbeIntervalSeconds,
-			Probation: hs.ProbationEvents,
-		}
-		rt.outages[h] = hs.OutageEvents
 	}
-	if err := rt.ladder.Restore(ls); err != nil {
+	before := p.rt.Steady()
+	if err := p.rt.Restore(in); err != nil {
 		return err
 	}
-	rt.clock.Restore(st.ClockSeconds)
-	if cap := partition.Tier(st.SteadyCap); cap != rt.steady {
-		ts, err := p.rungLocked(cap)
-		if err != nil {
-			return err
-		}
-		p.swap(ts)
-		rt.steady = cap
+	if p.rt.Steady() != before {
+		p.bump()
 	}
 	return nil
 }

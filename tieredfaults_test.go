@@ -3,6 +3,7 @@ package xpro
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"xpro/internal/biosig"
@@ -257,11 +258,8 @@ func TestTierRungLadderMonotoneCleanChannel(t *testing.T) {
 	prevLive := k // one past the top rung's hop count
 	for cap := k - 1; cap >= 0; cap-- {
 		p.mu.Lock()
-		rung, err := p.rungLocked(partition.Tier(cap))
+		rung := p.rt.Rung(partition.Tier(cap))
 		p.mu.Unlock()
-		if err != nil {
-			t.Fatal(err)
-		}
 		// Live hops of the rung: hops its placement and result delivery
 		// may cross. Strictly fewer on every rung down.
 		if cap >= prevLive {
@@ -342,5 +340,169 @@ func TestTierResilienceValidation(t *testing.T) {
 	}
 	if err := p.Arm(&TierResilience{HubStorms: 1, HubTier: 5}); err == nil {
 		t.Error("hub tier 5 on a 3-tier chain accepted")
+	}
+}
+
+// collapseToSensor serves events until the armed plan's ladder has
+// collapsed onto the sensor rung and an event was served from it with a
+// nil error; it returns that event.
+func collapseToSensor(t *testing.T, p *TierPlan, test []Segment) TierResult {
+	t.Helper()
+	for i := 0; i < 20; i++ {
+		res, err := p.ClassifyResult(test[i%len(test)].Samples)
+		if err == nil && res.Tier == 0 && !res.Probing {
+			return res
+		}
+	}
+	t.Fatal("the ladder never collapsed onto the sensor rung")
+	return TierResult{}
+}
+
+// A manual move while the ladder is collapsed keeps the ladder's cap:
+// with hop 0 dark for good, events served after a Resolve at rung 0
+// stay on the sensor rung with a nil error and the same modeled time,
+// instead of re-attempting the dead chain every event.
+func TestTierPlanMoveWhileCollapsedKeepsCap(t *testing.T) {
+	eng, err := New(Config{Case: "E1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := eng.PlanTiers(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Arm(&TierResilience{Seed: 5, HopPlans: []*FaultPlan{stormPlan(1e6)}}); err != nil {
+		t.Fatal(err)
+	}
+	test := eng.TestSet()
+	before := collapseToSensor(t, p, test)
+	if err := p.Resolve(); err != nil {
+		t.Fatal(err)
+	}
+	if d := p.Log()[len(p.Log())-1]; d.Op != "resolve" || d.Moved {
+		t.Fatalf("Resolve onto the home placement moved: %v", d)
+	}
+	served := 0
+	for i := 0; i < 20; i++ {
+		res, err := p.ClassifyResult(test[i%len(test)].Samples)
+		if res.Probing {
+			continue // a revival probe through the dark hop
+		}
+		served++
+		if err != nil || res.Tier != 0 || res.SpentSeconds != before.SpentSeconds {
+			t.Fatalf("event %d after the move: tier %d, %v s, err %v; want tier 0, %v s, nil error",
+				i, res.Tier, res.SpentSeconds, err, before.SpentSeconds)
+		}
+	}
+	if served == 0 {
+		t.Fatal("every event after the move was a probe")
+	}
+}
+
+// A manual move while the ladder is collapsed re-homes the ladder: the
+// rungs are cut from the new home, so when the storm clears the ladder
+// climbs back onto the placement Resolve installed, not the pin it
+// replaced.
+func TestTierPlanMoveWhileCollapsedSurvivesClimb(t *testing.T) {
+	eng, err := New(Config{Case: "E1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := eng.PlanTiers(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := p.Assignment()
+	if err := p.PinAll(2); err != nil {
+		t.Fatal(err)
+	}
+	period := 1 / eng.sys().EventsPerSecond()
+	pol := DefaultResilience()
+	pol.BreakerCooldownSeconds = 3 * period
+	if err := p.Arm(&TierResilience{
+		Seed: 9, Policy: pol,
+		HopPlans: []*FaultPlan{stormPlan(4.5 * period)},
+		Collapse: &TierCollapse{
+			FailThreshold: 2, ProbeAfterSeconds: 2 * period,
+			ProbeBackoffFactor: 2, MaxProbeSeconds: 20 * period,
+			RecoverySuccesses: 1, ProbationEvents: 2,
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	test := eng.TestSet()
+	collapseToSensor(t, p, test)
+	if err := p.Resolve(); err != nil {
+		t.Fatal(err)
+	}
+	climbed := false
+	for i := 0; i < 60 && !climbed; i++ {
+		res, err := p.ClassifyResult(test[i%len(test)].Samples)
+		var tde *TierDegradedError
+		if err != nil && !errors.As(err, &tde) {
+			t.Fatalf("event %d: %v", i, err)
+		}
+		climbed = err == nil && res.Tier == 2 && res.Mode == ModeFull
+	}
+	if !climbed {
+		t.Fatal("the ladder never climbed back to the full chain")
+	}
+	got := p.Assignment()
+	for i := range opt {
+		if got[i] != opt[i] {
+			t.Fatalf("cell %d on tier %d after the climb, want %d: the climb undid the Resolve", i, got[i], opt[i])
+		}
+	}
+}
+
+// A rejected snapshot is not half-applied: every field of every hop is
+// checked before any hop is restored.
+func TestTieredRestoreChecksWholeSnapshot(t *testing.T) {
+	cfg := func() *TierResilience {
+		return &TierResilience{Seed: 23, HopPlans: []*FaultPlan{{Windows: []FaultWindow{
+			{Kind: "loss-burst", StartSeconds: 0, EndSeconds: 1e6, Loss: 0.35}}}}}
+	}
+	eng := tieredTestEngine(t)
+	src := armedTieredPlan(t, eng, cfg())
+	test := eng.TestSet()
+	for i := 0; i < 30; i++ {
+		_, _ = src.ClassifyResult(test[i%len(test)].Samples)
+	}
+	good, err := src.TieredState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := armedTieredPlan(t, tieredTestEngine(t), cfg())
+	fresh, err := dst.TieredState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if good.Hops[0].RNGDraws == fresh.Hops[0].RNGDraws {
+		t.Fatal("the source run left hop 0's RNG cursor where a fresh plan has it; the check would test nothing")
+	}
+	for _, c := range []struct {
+		name  string
+		spoil func(st *TieredSubjectState)
+	}{
+		{"unknown breaker", func(st *TieredSubjectState) { st.Hops[1].Breaker = "bogus" }},
+		{"negative failures", func(st *TieredSubjectState) { st.Hops[1].BreakerFailures = -1 }},
+		{"NaN opened-at", func(st *TieredSubjectState) { st.Hops[1].BreakerOpenedAtSeconds = math.NaN() }},
+		{"RNG cursor", func(st *TieredSubjectState) { st.Hops[1].RNGDraws = faults.MaxRNGDraws + 1 }},
+		{"steady cap", func(st *TieredSubjectState) { st.SteadyCap = 3 }},
+		{"hop count", func(st *TieredSubjectState) { st.Hops = st.Hops[:1] }},
+	} {
+		st := good
+		st.Hops = append([]TierHopState(nil), good.Hops...)
+		c.spoil(&st)
+		if err := dst.RestoreTieredState(st); err == nil {
+			t.Errorf("%s: snapshot accepted", c.name)
+		}
+		after, err := dst.TieredState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprintf("%+v", after) != fmt.Sprintf("%+v", fresh) {
+			t.Errorf("%s: rejected snapshot was half-applied:\n got %+v\nwant %+v", c.name, after, fresh)
+		}
 	}
 }
