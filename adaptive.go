@@ -89,11 +89,11 @@ type RecutDecision struct {
 // RecutLog returns the adaptive controller's decision log, oldest
 // first. Engines without Config.Adaptive return nil.
 func (e *Engine) RecutLog() []RecutDecision {
-	if e.res == nil || e.res.ctrl == nil {
+	if e.res == nil || e.res.rt.Controller() == nil {
 		return nil
 	}
 	e.res.mu.Lock()
-	ds := e.res.ctrl.Decisions()
+	ds := e.res.rt.Controller().Decisions()
 	e.res.mu.Unlock()
 	out := make([]RecutDecision, len(ds))
 	for i, d := range ds {
@@ -299,18 +299,18 @@ func (f *Fleet) BrownoutLog() []BrownoutEvent {
 func (e *Engine) AdaptiveStatus() AdaptiveStatus {
 	var st AdaptiveStatus
 	st.SensorCells, st.AggregatorCells = e.sys().Placement.Counts()
-	if e.res == nil || e.res.ctrl == nil {
+	if e.res == nil || e.res.rt.Controller() == nil {
 		return st
 	}
 	e.res.mu.Lock()
 	defer e.res.mu.Unlock()
-	est := e.res.ctrl.Estimator().Estimate()
+	est := e.res.rt.Controller().Estimator().Estimate()
 	st.Enabled = true
 	st.EstimatedLoss = est.Loss
 	st.EstimatedOutage = est.Outage
 	st.Samples = est.Samples
-	st.OnProbation = e.res.ctrl.OnProbation()
-	for _, d := range e.res.ctrl.Decisions() {
+	st.OnProbation = e.res.rt.Controller().OnProbation()
+	for _, d := range e.res.rt.Controller().Decisions() {
 		switch d.Kind {
 		case "swap":
 			st.Swaps++
@@ -329,9 +329,9 @@ func (e *Engine) AdaptiveStatus() AdaptiveStatus {
 // log like a manual RecutHop.
 func (p *TierPlan) RecutHopFromEstimate(e *Engine, hop int) (bool, error) {
 	var loss, outage float64
-	if e != nil && e.res != nil && e.res.ctrl != nil {
+	if e != nil && e.res != nil && e.res.rt.Controller() != nil {
 		e.res.mu.Lock()
-		est := e.res.ctrl.Estimator().Estimate()
+		est := e.res.rt.Controller().Estimator().Estimate()
 		e.res.mu.Unlock()
 		loss, outage = est.Loss, est.Outage
 	}

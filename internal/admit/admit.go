@@ -309,14 +309,6 @@ func (a *Controller) ServiceEstimate() float64 {
 	return a.svcEWMA
 }
 
-// EstimatedWait returns the queue-wait estimate for an arrival that
-// finds queueLen events ahead of it.
-func (a *Controller) EstimatedWait(queueLen int) float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.estWaitLocked(queueLen)
-}
-
 func (a *Controller) estWaitLocked(queueLen int) float64 {
 	if queueLen <= 0 || !a.haveSvc {
 		return 0

@@ -21,7 +21,6 @@ import (
 	"fmt"
 
 	"xpro/internal/celllib"
-	"xpro/internal/topology"
 )
 
 // CPU is the aggregator execution model.
@@ -63,23 +62,6 @@ func (c CPU) CellCost(spec celllib.Spec) Cost {
 		Energy: float64(ops) * c.EnergyPerOp,
 		Delay:  float64(ops) / c.OpsPerSecond,
 	}
-}
-
-// PartCost sums the execution cost of the given cells of g (the
-// in-aggregator analytic part). Execution is sequential on the single
-// core, so delays add.
-func (c CPU) PartCost(g *topology.Graph, inPart func(topology.CellID) bool) Cost {
-	var total Cost
-	for _, cell := range g.Cells {
-		if !inPart(cell.ID) {
-			continue
-		}
-		cc := c.CellCost(cell.Spec)
-		total.Ops += cc.Ops
-		total.Energy += cc.Energy
-		total.Delay += cc.Delay
-	}
-	return total
 }
 
 // Validate rejects non-physical CPU models.

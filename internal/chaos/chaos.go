@@ -1,6 +1,7 @@
 // Package chaos is the long-horizon soak harness for the adaptive
 // repartitioning controller. It replays seeded channel-drift profiles
-// against three engine variants built from the same trained system:
+// against three variants of the engine's own 2-end runtime
+// (adaptive.EndRuntime), built from the same trained system:
 //
 //   - static: the generated cross-end cut, retries only — what the
 //     paper's engine does when the channel drifts;
@@ -20,6 +21,7 @@
 package chaos
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -28,7 +30,6 @@ import (
 	"xpro/internal/faults"
 	"xpro/internal/partition"
 	"xpro/internal/telemetry"
-	"xpro/internal/wireless"
 	"xpro/internal/xsystem"
 )
 
@@ -251,28 +252,22 @@ func Soak(sys *xsystem.System, segs []biosig.Segment, cfg Config) (*Result, erro
 	}
 
 	// T_XPro = min(T_F, T_B): the same constraint the generator used.
-	inSensor := partition.InSensor(sys.Graph)
-	limit := sys.DelayOf(inSensor).Total()
+	limit := sys.DelayOf(partition.InSensor(sys.Graph)).Total()
 	if d := sys.DelayOf(partition.InAggregator(sys.Graph)).Total(); d < limit {
 		limit = d
 	}
 	deadline := cfg.DeadlineFactor * limit
 
-	fallback, err := sys.WithPlacement(inSensor)
-	if err != nil {
-		return nil, err
-	}
-
 	res := &Result{
 		Profile: cfg.Profile, Seed: cfg.Seed,
 		LimitSeconds: limit, DeadlineSeconds: deadline,
 	}
-	res.Static, err = soakVariant(sys, nil, nil, segs, plan, cfg, deadline, period)
+	res.Static, err = soakVariant(sys, false, nil, segs, plan, cfg, deadline, period)
 	if err != nil {
 		return nil, err
 	}
 	res.Static.Name = "static"
-	res.Ladder, err = soakVariant(sys, fallback, nil, segs, plan, cfg, deadline, period)
+	res.Ladder, err = soakVariant(sys, true, nil, segs, plan, cfg, deadline, period)
 	if err != nil {
 		return nil, err
 	}
@@ -282,7 +277,7 @@ func Soak(sys *xsystem.System, segs []biosig.Segment, cfg Config) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
-	res.Adaptive, err = soakVariant(sys, fallback, ctrl, segs, plan, cfg, deadline, period)
+	res.Adaptive, err = soakVariant(sys, true, ctrl, segs, plan, cfg, deadline, period)
 	if err != nil {
 		return nil, err
 	}
@@ -317,50 +312,30 @@ func policy(deadline float64) faults.Policy {
 	}
 }
 
-// soakVariant replays the event stream through one variant. fallback
-// nil is the static variant (no ladder); ctrl nil is the pure ladder;
-// both set is the adaptive engine.
-func soakVariant(sys *xsystem.System, fallback *xsystem.System, ctrl *adaptive.Controller,
+// soakVariant replays the event stream through one variant on the
+// engine's 2-end runtime. Without the ladder it is the static variant:
+// FailFast, with a breaker that never trips; ctrl nil is the pure
+// ladder; the ladder with ctrl is the adaptive engine.
+func soakVariant(sys *xsystem.System, ladder bool, ctrl *adaptive.Controller,
 	segs []biosig.Segment, plan *faults.Plan, cfg Config, deadline, period float64) (VariantStats, error) {
 
 	var st VariantStats
-	clock := &faults.Clock{}
-	link, err := faults.NewLink(sys.Link, plan, clock, 0, cfg.LinkRetries, cfg.Seed)
+	pol := policy(deadline)
+	if !ladder {
+		pol.BreakerThreshold = 0
+	}
+	rt, err := adaptive.NewEndRuntime(sys, adaptive.EndConfig{
+		Policy: pol, Plan: plan, LinkRetries: cfg.LinkRetries, Seed: cfg.Seed,
+		Framing: cfg.Framing, Period: period, FailFast: !ladder, Controller: ctrl,
+	})
 	if err != nil {
 		return st, err
 	}
-	pol := policy(deadline)
-	if ctrl != nil {
-		// Per-packet channel evidence, straight off the MAC.
-		link.Observer = func(tr wireless.Transfer, retransmissions int, serr error) {
-			ctrl.Estimator().ObserveSendStats(tr, retransmissions, serr)
-		}
-	}
-	var breaker *faults.Breaker
-	if fallback != nil {
-		breaker, err = faults.NewBreaker(pol.BreakerThreshold, pol.BreakerCooldown, clock)
-		if err != nil {
-			return st, err
-		}
-		if ctrl != nil {
-			breaker.OnTransition = func(_, to faults.BreakerState) {
-				ctrl.Estimator().ObserveBreaker(to)
-			}
-		}
-	}
 	active := sys
-	opts := func() *xsystem.ResilientOptions {
-		return &xsystem.ResilientOptions{
-			Transport: link, Plan: plan, Clock: clock, Policy: pol, Breaker: breaker,
-			Integrity: cfg.Framing,
-		}
-	}
-
 	lat := telemetry.NewSketch(0)
 	for i := 0; i < cfg.Events; i++ {
-		seg := segs[i%len(segs)]
-		now := clock.Now()
-		if st0 := plan.At(now); st0.NodeDown {
+		st.Events++
+		if plan.At(rt.Clock().Now()).NodeDown {
 			// The node is crashed or rebooting: the event is lost
 			// entirely — no classification, no channel observation (the
 			// modem is off too) — but modeled time still passes, which is
@@ -368,92 +343,41 @@ func soakVariant(sys *xsystem.System, fallback *xsystem.System, ctrl *adaptive.C
 			st.CrashEvents++
 			st.Violations++
 			st.NoResult++
-			st.Events++
-			clock.Advance(period)
+			rt.Tick()
 			continue
 		}
-		if ctrl != nil {
-			// Ambient channel observation: what the modem sees of the
-			// environment this instant, whether or not the active cut
-			// puts payloads on the air.
-			ctrl.Estimator().ObserveState(plan.At(now))
+		ev, err := rt.Serve(active, segs[i%len(segs)], false)
+		var nores *xsystem.NoResultError
+		if errors.As(err, &nores) {
+			// The static variant's failed attempt: billed, no label.
+			ev.Outcome = nores.Outcome
 		}
-
-		var out xsystem.Outcome
-		var spent float64
-		noResult := false
-		tally := func(o xsystem.Outcome) {
-			st.CorruptFrames += o.CorruptFrames + o.CorruptDelivered
-			st.ImputedValues += o.ImputedValues
-		}
-		attempt := breaker == nil || breaker.Allow()
-		if attempt {
-			var cerr error
-			out, cerr = active.ClassifyOver(seg, opts())
-			spent = out.SpentSeconds
-			st.SensorEnergyJ += out.SensorEnergy
-			tally(out)
-			if cerr != nil {
-				if fallback == nil {
-					noResult = true
-				} else {
-					// Degradation ladder: recompute on the in-sensor
-					// fallback cut. Sensing already happened once — do
-					// not charge it twice.
-					fout, ferr := fallback.ClassifyOver(seg, opts())
-					spent += fout.SpentSeconds
-					st.SensorEnergyJ += fout.SensorEnergy - sensingEnergy(sys)
-					tally(fout)
-					if ferr != nil {
-						noResult = true
-					}
-				}
-			}
-		} else {
-			// Breaker open: fail fast straight to the fallback cut.
-			fout, ferr := fallback.ClassifyOver(seg, opts())
-			out = fout
-			spent = fout.SpentSeconds
-			st.SensorEnergyJ += fout.SensorEnergy
-			tally(fout)
-			if ferr != nil {
-				noResult = true
-			}
-		}
-
-		violated := noResult || out.DeadlineExceeded || spent > deadline
-		if violated {
+		st.SensorEnergyJ += ev.SensorEnergy
+		st.CorruptFrames += ev.CorruptFrames + ev.CorruptDelivered
+		st.ImputedValues += ev.ImputedValues
+		if err != nil || ev.DeadlineExceeded || ev.SpentSeconds > deadline {
 			st.Violations++
 		}
-		if noResult {
+		if err != nil {
 			st.NoResult++
 		}
-		if noResult || !out.Complete {
+		if err != nil || ev.Rung != adaptive.RungFull {
 			st.Degraded++
 		}
-		if ctrl != nil {
-			if ch := ctrl.ObserveEvent(now, out, violated); ch != nil {
-				active = ch.System
-			}
-			ch, err := ctrl.Evaluate(clock.Now())
-			if err != nil {
-				return st, err
-			}
-			if ch != nil {
-				active = ch.System
+		lat.Add(ev.SpentSeconds)
+		rt.Tick()
+		if err == nil {
+			rollback, swap := rt.Fold(ev.DeadlineExceeded, ev.SpentSeconds)
+			for _, ch := range [2]*adaptive.Change{rollback, swap} {
+				if ch != nil {
+					active = ch.System
+				}
 			}
 		}
-		st.Events++
-		lat.Add(spent)
-		clock.Advance(period)
 	}
 	ns, _ := active.Placement.Counts()
 	st.FinalSensorCells = ns
 	st.LatencyP50S = lat.Quantile(0.5)
 	st.LatencyP99S = lat.Quantile(0.99)
 	return st, nil
-}
-
-func sensingEnergy(sys *xsystem.System) float64 {
-	return sys.Problem().SensingEnergy
 }

@@ -8,11 +8,11 @@
 // modeled clock. Subjects are sharded to workers exactly like
 // serve.Pool shards them (subject mod workers), each worker serves
 // its FIFO serially, and every admitted event's service time is a
-// real ClassifyOver run against the worker's faulty link — so
-// overload and channel faults compound the way they do in the live
-// fleet. Subjects sharing a worker share one channel: they see the
-// same fault windows at the same instants (correlated storms), with
-// per-channel packet randomness.
+// real run of the engine's 2-end ladder (adaptive.EndRuntime) on the
+// worker's faulty link — so overload and channel faults compound the
+// way they do in the live fleet. Subjects sharing a worker share one
+// channel: they see the same fault windows at the same instants
+// (correlated storms), with per-channel packet randomness.
 //
 // Admission runs the same internal/admit controller the fleet wires
 // in front of its pool, driven by the modeled clock, and the run is
@@ -31,6 +31,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"xpro/internal/adaptive"
 	"xpro/internal/admit"
 	"xpro/internal/biosig"
 	"xpro/internal/faults"
@@ -258,12 +259,11 @@ type fcPending struct {
 	segIdx  int
 }
 
-// fcWorker is one serving channel: its own modeled clock and faulty
-// link (shared fault windows, per-channel packet randomness), the
-// FIFO of admitted events, and the in-service completion time.
+// fcWorker is one serving channel: its own 2-end runtime (shared fault
+// windows, per-channel packet randomness), the FIFO of admitted
+// events, and the in-service completion time.
 type fcWorker struct {
-	clock     *faults.Clock
-	link      *faults.Link
+	rt        *adaptive.EndRuntime
 	queue     []fcPending
 	head      int
 	inService bool
@@ -348,7 +348,7 @@ func FlashCrowd(sys *xsystem.System, segs []biosig.Segment, cfg FlashCrowdConfig
 	// unloaded latency of exactly the traffic the overload pass must
 	// serve: same composition, same channel faults, zero contention.
 	// The acceptance bound then isolates what overload adds.
-	res.Baseline, _, err = runCrowd(sys, fallback, segs, plan, pol, cfg, baseRate, horizon, false, nil, nil)
+	res.Baseline, _, err = runCrowd(sys, segs, plan, pol, cfg, baseRate, horizon, false, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -402,7 +402,7 @@ func FlashCrowd(sys *xsystem.System, segs []biosig.Segment, cfg FlashCrowdConfig
 	res.Admission, res.Brownout = ac, bc
 
 	var sheds []ShedRecord
-	res.Overload, sheds, err = runCrowd(sys, fallback, segs, plan, pol, cfg, baseRate, horizon, true, ctrl, brown)
+	res.Overload, sheds, err = runCrowd(sys, segs, plan, pol, cfg, baseRate, horizon, true, ctrl, brown)
 	if err != nil {
 		return nil, err
 	}
@@ -492,7 +492,7 @@ func genArrivals(plan *faults.Plan, cfg FlashCrowdConfig, baseRate, horizon floa
 // arrives (the infinite-server unloaded reference). ctrl and brown
 // may be nil (no admission). It returns the pass stats and, when
 // ctrl is set, the refusal log.
-func runCrowd(sys, fallback *xsystem.System, segs []biosig.Segment, plan *faults.Plan,
+func runCrowd(sys *xsystem.System, segs []biosig.Segment, plan *faults.Plan,
 	pol faults.Policy, cfg FlashCrowdConfig, baseRate, horizon float64, queueing bool,
 	ctrl *admit.Controller, brown *admit.Brownout) (LoadStats, []ShedRecord, error) {
 
@@ -500,13 +500,27 @@ func runCrowd(sys, fallback *xsystem.System, segs []biosig.Segment, plan *faults
 	var sheds []ShedRecord
 	workers := make([]*fcWorker, cfg.Workers)
 	for w := range workers {
-		clock := &faults.Clock{}
-		link, err := faults.NewLink(sys.Link, plan, clock, 0, cfg.LinkRetries,
-			cfg.Seed*101+int64(w)+17)
+		rt, err := adaptive.NewEndRuntime(sys, adaptive.EndConfig{
+			Policy: pol, Plan: plan, LinkRetries: cfg.LinkRetries, Seed: cfg.Seed*101 + int64(w) + 17,
+		})
 		if err != nil {
 			return st, nil, err
 		}
-		workers[w] = &fcWorker{clock: clock, link: link}
+		workers[w] = &fcWorker{rt: rt}
+	}
+	// serve runs one event on w's ladder starting at modeled time now,
+	// on the browned rung when browned, and returns its service time.
+	serve := func(w *fcWorker, now float64, seg biosig.Segment, browned bool) float64 {
+		clock := w.rt.Clock()
+		clock.Advance(now - clock.Now())
+		ev, err := w.rt.Serve(sys, seg, browned)
+		st.SensorEnergyJ += ev.SensorEnergy
+		if err != nil {
+			st.Failed++
+		} else {
+			st.Served++
+		}
+		return ev.SpentSeconds
 	}
 
 	arrivals := genArrivals(plan, cfg, baseRate, horizon)
@@ -533,26 +547,7 @@ func runCrowd(sys, fallback *xsystem.System, segs []biosig.Segment, plan *faults
 		for i, a := range arrivals {
 			st.Offered++
 			st.Admitted++
-			w := workers[a.subject%cfg.Workers]
-			w.clock.Advance(a.t - w.clock.Now())
-			opts := &xsystem.ResilientOptions{
-				Transport: w.link, Plan: plan, Clock: w.clock, Policy: pol,
-			}
-			seg := segs[i%len(segs)]
-			out, cerr := sys.ClassifyOver(seg, opts)
-			spent := out.SpentSeconds
-			st.SensorEnergyJ += out.SensorEnergy
-			if cerr != nil {
-				fout, ferr := fallback.ClassifyOver(seg, opts)
-				spent += fout.SpentSeconds
-				st.SensorEnergyJ += fout.SensorEnergy - sensingEnergy(sys)
-				cerr = ferr
-			}
-			if cerr != nil {
-				st.Failed++
-			} else {
-				st.Served++
-			}
+			spent := serve(workers[a.subject%cfg.Workers], a.t, segs[i%len(segs)], false)
 			lat.Add(spent)
 			classLat[a.class].Add(spent)
 			if a.t < lastStart[a.subject] {
@@ -566,7 +561,7 @@ func runCrowd(sys, fallback *xsystem.System, segs []biosig.Segment, plan *faults
 
 	// startService dequeues the front of w's FIFO at time now and runs
 	// it to completion on the rung active right now.
-	startService := func(w *fcWorker, now float64) error {
+	startService := func(w *fcWorker, now float64) {
 		p := w.queue[w.head]
 		w.head++
 		if w.head == len(w.queue) {
@@ -577,32 +572,10 @@ func runCrowd(sys, fallback *xsystem.System, segs []biosig.Segment, plan *faults
 			ctrl.ObserveSojourn(now, sojourn)
 		}
 		browned := brown != nil && brown.Active()
-		active := sys
 		if browned {
-			active = fallback
 			st.BrownedServed++
 		}
-		w.clock.Advance(now - w.clock.Now())
-		opts := &xsystem.ResilientOptions{
-			Transport: w.link, Plan: plan, Clock: w.clock, Policy: pol,
-		}
-		seg := segs[p.segIdx%len(segs)]
-		out, cerr := active.ClassifyOver(seg, opts)
-		spent := out.SpentSeconds
-		st.SensorEnergyJ += out.SensorEnergy
-		if cerr != nil && !browned {
-			// Degradation ladder: recompute on the in-sensor fallback
-			// cut; sensing is not charged twice.
-			fout, ferr := fallback.ClassifyOver(seg, opts)
-			spent += fout.SpentSeconds
-			st.SensorEnergyJ += fout.SensorEnergy - sensingEnergy(sys)
-			cerr = ferr
-		}
-		if cerr != nil {
-			st.Failed++
-		} else {
-			st.Served++
-		}
+		spent := serve(w, now, segs[p.segIdx%len(segs)], browned)
 		w.inService, w.busyUntil = true, now+spent
 		if ctrl != nil {
 			ctrl.ObserveService(spent)
@@ -616,7 +589,6 @@ func runCrowd(sys, fallback *xsystem.System, segs []biosig.Segment, plan *faults
 			st.OrderViolations++
 		}
 		lastStart[p.subject] = now
-		return nil
 	}
 
 	ai := 0
@@ -636,9 +608,7 @@ func runCrowd(sys, fallback *xsystem.System, segs []biosig.Segment, plan *faults
 			now := w.busyUntil
 			w.inService = false
 			if w.head < len(w.queue) {
-				if err := startService(w, now); err != nil {
-					return st, nil, err
-				}
+				startService(w, now)
 			}
 			continue
 		}
@@ -666,9 +636,7 @@ func runCrowd(sys, fallback *xsystem.System, segs []biosig.Segment, plan *faults
 		st.Admitted++
 		w.queue = append(w.queue, fcPending{arrival: a.t, subject: a.subject, class: a.class, segIdx: ai - 1})
 		if !w.inService {
-			if err := startService(w, a.t); err != nil {
-				return st, nil, err
-			}
+			startService(w, a.t)
 		}
 	}
 	finish()

@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
 	"sort"
 	"time"
 
+	"xpro/internal/adaptive"
 	"xpro/internal/aggregator"
 	"xpro/internal/biosig"
 	"xpro/internal/bsn"
@@ -410,40 +412,32 @@ func ExtFaults(l *Lab) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			clock := &faults.Clock{}
-			pol := faults.DefaultPolicy()
-			link, err := faults.NewLink(evalLink, plan, clock, 0, 0, seed)
-			if err != nil {
-				return nil, err
-			}
-			breaker, err := faults.NewBreaker(pol.BreakerThreshold, pol.BreakerCooldown, clock)
+			rt, err := adaptive.NewEndRuntime(sys, adaptive.EndConfig{
+				Policy: faults.DefaultPolicy(), Plan: plan, Seed: seed, Period: period, FailFast: true,
+			})
 			if err != nil {
 				return nil, err
 			}
 			var full, partial, local, nores int
 			var spent float64
 			for i := 0; i < events; i++ {
-				seg := es.Inst.Test.Segs[i%len(es.Inst.Test.Segs)]
-				if !breaker.Allow() {
-					nores++
-					clock.Advance(period)
-					continue
+				ev, err := rt.Serve(sys, es.Inst.Test.Segs[i%len(es.Inst.Test.Segs)], false)
+				var failed *xsystem.NoResultError
+				if errors.As(err, &failed) {
+					ev.Outcome = failed.Outcome
 				}
-				out, err := sys.ClassifyOver(seg, &xsystem.ResilientOptions{
-					Transport: link, Plan: plan, Clock: clock, Policy: pol, Breaker: breaker,
-				})
-				spent += out.SpentSeconds
+				spent += ev.SpentSeconds
 				switch {
 				case err != nil:
 					nores++
-				case out.Complete:
+				case ev.Rung == adaptive.RungFull:
 					full++
-				case !out.Delivered:
+				case ev.Rung == adaptive.RungSensorLocal:
 					local++
 				default:
 					partial++
 				}
-				clock.Advance(period)
+				rt.Tick()
 			}
 			t.AddRow(sym, sc, fmt.Sprint(full), fmt.Sprint(partial), fmt.Sprint(local),
 				fmt.Sprint(nores), fmt.Sprintf("%.3f", spent/events*1e3))

@@ -627,56 +627,66 @@ func (e *Engine) RecoverFrom(s *DurableStore) (RecoveryReport, error) {
 
 // stateLocked assembles the durable record from the live layer.
 func (r *resilient) stateLocked() SubjectState {
-	bs := r.breaker.Snapshot()
-	st := SubjectState{
-		Seq:                    r.seq,
-		ClockSeconds:           r.clock.Now(),
-		Breaker:                bs.State.String(),
-		BreakerFailures:        bs.Failures,
-		BreakerOpenedAtSeconds: bs.OpenedAt,
-		RNGDraws:               r.link.Draws(),
-		EnergySpentJoules:      r.energyJ,
-		QuarantinedEvents:      r.quarantined,
-		ImputedValues:          r.imputed,
-		Crashes:                r.crashes,
-		Recoveries:             r.recoveries,
+	rs := r.rt.Snapshot()
+	return SubjectState{
+		Seq:                      r.seq,
+		ClockSeconds:             rs.ClockSeconds,
+		Breaker:                  rs.Breaker.State.String(),
+		BreakerFailures:          rs.Breaker.Failures,
+		BreakerOpenedAtSeconds:   rs.Breaker.OpenedAt,
+		RNGDraws:                 rs.Draws,
+		EstimatedLoss:            rs.Estimator.Loss,
+		EstimatedOutage:          rs.Estimator.Outage,
+		EstimatorSamples:         rs.Estimator.Samples,
+		EstimatorPendingAttempts: rs.Estimator.PendAttempts,
+		EstimatorPendingFailed:   rs.Estimator.PendFailed,
+		EnergySpentJoules:        r.energyJ,
+		QuarantinedEvents:        r.quarantined,
+		ImputedValues:            r.imputed,
+		Crashes:                  r.crashes,
+		Recoveries:               r.recoveries,
 	}
-	if r.ctrl != nil {
-		es := r.ctrl.Estimator().Snapshot()
-		st.EstimatedLoss, st.EstimatedOutage = es.Loss, es.Outage
-		st.EstimatorSamples = es.Samples
-		st.EstimatorPendingAttempts, st.EstimatorPendingFailed = es.PendAttempts, es.PendFailed
-	}
-	return st
 }
 
 // applyLocked installs a decoded record. restoreClock distinguishes a
 // process-level Recover (rewind the clock to the record's instant)
 // from an in-timeline warm rejoin (the node kept living through
-// modeled time while down; only its volatile state is restored).
+// modeled time while down; only its volatile state is restored). The
+// whole record is checked before any of it is applied, so a rejected
+// one leaves the engine as it was.
 func (r *resilient) applyLocked(e *Engine, st SubjectState, restoreClock bool) error {
 	code, ok := breakerNames[st.Breaker]
 	if !ok {
 		return &RecoveryError{Section: "checkpoint", Reason: fmt.Sprintf("unknown breaker state %q", st.Breaker)}
 	}
-	if restoreClock {
-		r.clock.Restore(st.ClockSeconds)
-	}
-	if err := r.link.RestoreDraws(st.RNGDraws); err != nil {
-		return err
-	}
-	if err := r.breaker.Restore(faults.BreakerSnapshot{
-		State: code, Failures: st.BreakerFailures, OpenedAt: st.BreakerOpenedAtSeconds,
-	}); err != nil {
-		return err
-	}
-	if r.ctrl != nil {
-		if err := r.ctrl.Estimator().Restore(adaptive.EstimatorState{
+	rs := adaptive.EndState{
+		ClockSeconds: st.ClockSeconds,
+		Breaker:      faults.BreakerSnapshot{State: code, Failures: st.BreakerFailures, OpenedAt: st.BreakerOpenedAtSeconds},
+		Draws:        st.RNGDraws,
+		Estimator: adaptive.EstimatorState{
 			Loss: st.EstimatedLoss, Outage: st.EstimatedOutage, Samples: st.EstimatorSamples,
 			PendAttempts: st.EstimatorPendingAttempts, PendFailed: st.EstimatorPendingFailed,
-		}); err != nil {
-			return err
+		},
+	}
+	if !restoreClock {
+		rs.ClockSeconds = r.rt.Clock().Now()
+	}
+	if err := rs.Validate(); err != nil {
+		return err
+	}
+	if st.Tiered != nil {
+		// RestoreTieredState checks its snapshot before applying it too.
+		tp := e.tier.Load()
+		if tp == nil || !tp.Armed() {
+			return &RecoveryError{Section: "checkpoint",
+				Reason: "record carries tiered hop state but no tier plan is armed"}
 		}
+		if err := tp.RestoreTieredState(*st.Tiered); err != nil {
+			return &RecoveryError{Section: "checkpoint", Reason: err.Error()}
+		}
+	}
+	if err := r.rt.Restore(rs); err != nil {
+		return err
 	}
 	r.seq = st.Seq
 	r.energyJ = st.EnergySpentJoules
@@ -690,18 +700,7 @@ func (r *resilient) applyLocked(e *Engine, st SubjectState, restoreClock bool) e
 	if st.Recoveries > r.recoveries {
 		r.recoveries = st.Recoveries
 	}
-	if st.Tiered != nil {
-		tp := e.tier.Load()
-		if tp == nil || !tp.Armed() {
-			return &RecoveryError{Section: "checkpoint",
-				Reason: "record carries tiered hop state but no tier plan is armed"}
-		}
-		if err := tp.RestoreTieredState(*st.Tiered); err != nil {
-			return &RecoveryError{Section: "checkpoint", Reason: err.Error()}
-		}
-	}
-	r.lastState = r.plan.At(r.clock.Now())
-	r.lastOut = xsystem.Outcome{}
+	r.lastState = r.plan.At(r.rt.Clock().Now())
 	e.epoch.Add(1)
 	return nil
 }
@@ -719,7 +718,7 @@ func (r *resilient) checkpointLocked(e *Engine, w io.Writer) error {
 	} else if _, err := w.Write(buf); err != nil {
 		return err
 	}
-	r.lastCkpt = r.clock.Now()
+	r.lastCkpt = r.rt.Clock().Now()
 	e.obs.reg.Counter("xpro_checkpoints_total",
 		"Durable subject-state checkpoints written.").Inc()
 	return nil
@@ -733,8 +732,16 @@ func (r *resilient) ledgerLocked(e *Engine, res Result, err error) {
 	r.seq++
 	r.energyJ += res.SensorEnergyJoules
 	r.imputed += uint64(res.ImputedValues)
-	if err != nil && errors.Is(err, ErrSuspectData) {
-		r.quarantined++
+	if err != nil {
+		// A FailFast event returns no Result, but its attempt drained
+		// the battery all the same.
+		var nores *xsystem.NoResultError
+		if errors.As(err, &nores) {
+			r.energyJ += nores.Outcome.SensorEnergy
+		}
+		if errors.Is(err, ErrSuspectData) {
+			r.quarantined++
+		}
 	}
 	if r.store != nil {
 		r.journalLocked(e)
@@ -820,12 +827,7 @@ func (r *resilient) amnesiaLocked(e *Engine) {
 	r.energyJ = 0
 	r.quarantined = 0
 	r.imputed = 0
-	_ = r.link.RestoreDraws(0)
-	_ = r.breaker.Restore(faults.BreakerSnapshot{State: faults.BreakerClosed})
-	if r.ctrl != nil {
-		_ = r.ctrl.Estimator().Restore(adaptive.EstimatorState{})
-	}
-	r.lastOut = xsystem.Outcome{}
+	_ = r.rt.Restore(adaptive.EndState{ClockSeconds: r.rt.Clock().Now()})
 	e.epoch.Add(1)
 }
 
@@ -837,7 +839,7 @@ func (r *resilient) recoveryStatus() (live bool, crashes, recoveries uint64, ckp
 	defer r.mu.Unlock()
 	ckptAge = -1
 	if r.lastCkpt >= 0 {
-		ckptAge = r.clock.Now() - r.lastCkpt
+		ckptAge = r.rt.Clock().Now() - r.lastCkpt
 	}
 	return !r.down, r.crashes, r.recoveries, ckptAge
 }

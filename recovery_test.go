@@ -314,10 +314,10 @@ func eventPeriod(t *testing.T) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if probe.res == nil || probe.res.period <= 0 {
+	if probe.res == nil || !(probe.sys().EventsPerSecond() > 0) {
 		t.Fatal("probe engine has no event period")
 	}
-	return probe.res.period
+	return 1 / probe.sys().EventsPerSecond()
 }
 
 // In-timeline crash/reboot windows: events inside the window fail fast

@@ -206,15 +206,40 @@ func TestTieredCheckpointRecoverResume(t *testing.T) {
 // when the recovering engine has no armed tier plan to receive it.
 func TestTieredRecoverNeedsArmedPlan(t *testing.T) {
 	src := tieredTestEngine(t)
-	armedTieredPlan(t, src, &TierResilience{Seed: 3})
+	p := armedTieredPlan(t, src, &TierResilience{Seed: 3})
+	test := src.TestSet()
+	for i := 0; i < 30; i++ {
+		if _, err := src.ClassifyResult(test[i].Samples); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.ClassifyResult(test[i].Samples); err != nil {
+			t.Fatal(err)
+		}
+	}
 	store := NewDurableStore()
 	if err := src.Checkpoint(store); err != nil {
 		t.Fatal(err)
 	}
 	bare := tieredTestEngine(t)
-	_, err := bare.RecoverFrom(store)
-	if !errors.Is(err, ErrRecoveryCorrupt) {
+	for i := 0; i < 5; i++ {
+		if _, err := bare.ClassifyResult(test[i].Samples); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, err := bare.SubjectState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bare.RecoverFrom(store); !errors.Is(err, ErrRecoveryCorrupt) {
 		t.Fatalf("got %v, want ErrRecoveryCorrupt (no armed plan)", err)
+	}
+	// The rejected record leaves the engine untouched.
+	after, err := bare.SubjectState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprintf("%+v", after) != fmt.Sprintf("%+v", before) {
+		t.Fatalf("rejected record moved the engine:\n got %+v\nwant %+v", after, before)
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"xpro/internal/partition"
 	"xpro/internal/telemetry"
 	"xpro/internal/topology"
-	"xpro/internal/wireless"
 	"xpro/internal/xsystem"
 )
 
@@ -256,31 +255,20 @@ func (p *FaultPlan) internal() (*faults.Plan, error) {
 	return out, nil
 }
 
-// resilient is the engine's fault-tolerance state: the policy compiled
-// to internal types, the virtual clock, the fault-injected transport,
-// the circuit breaker and the precomputed in-sensor fallback cut.
-// Events are serialized through mu — the modeled clock, the breaker
-// and the link's random stream are single-threaded by design, so that
-// a seeded run replays bit-identically.
+// resilient is the engine's fault-tolerance state: the 2-end serving
+// runtime (adaptive.EndRuntime: the virtual clock, the fault-injected
+// link, the circuit breaker, the precomputed in-sensor fallback cut and
+// the degradation ladder over them), the integrity gate and the durable
+// ledgers. Events are serialized through mu — the modeled clock, the
+// breaker and the link's random stream are single-threaded by design,
+// so that a seeded run replays bit-identically.
 type resilient struct {
-	mu       sync.Mutex
-	policy   faults.Policy
-	plan     *faults.Plan
-	clock    *faults.Clock
-	breaker  *faults.Breaker
-	link     *faults.Link
-	fallback *xsystem.System
-	period   float64
-	failFast bool
+	mu   sync.Mutex
+	rt   *adaptive.EndRuntime
+	plan *faults.Plan
 	// integ is the data-plane integrity config (nil without
-	// Config.Integrity); framing is its compiled wire half.
-	integ   *Integrity
-	framing *faults.Framing
-	// ctrl is the adaptive repartitioning controller (nil without
-	// Config.Adaptive); lastOut is the most recent cross-end attempt's
-	// transfer record, the channel evidence ObserveEvent folds.
-	ctrl    *adaptive.Controller
-	lastOut xsystem.Outcome
+	// Config.Integrity).
+	integ *Integrity
 	// lastState is the fault-plan state seen by the previous event;
 	// crossing a window edge bumps the engine's serving epoch so
 	// memoized network views rebuild.
@@ -292,7 +280,7 @@ type resilient struct {
 	// (when attached via EnableRecovery) receives one journal record per
 	// applied event; lastCkpt is the modeled time of the last checkpoint
 	// (-1: never). down marks the node inside a node-crash/reboot
-	// window; seed re-arms the link RNG on restore.
+	// window.
 	seq         uint64
 	energyJ     float64
 	quarantined uint64
@@ -302,7 +290,6 @@ type resilient struct {
 	down        bool
 	store       *DurableStore
 	lastCkpt    float64
-	seed        int64
 
 	// browned is set by the fleet brownout controller: while true,
 	// every event routes straight to the degradation ladder's cheap
@@ -337,24 +324,15 @@ func buildResilient(cfg Config, sys *xsystem.System, g *topology.Graph,
 	if err != nil {
 		return nil, err
 	}
-	clock := &faults.Clock{}
 	var seed int64
 	if cfg.FaultPlan != nil {
 		seed = cfg.FaultPlan.Seed
 	}
-	link, err := faults.NewLink(sys.Link, plan, clock, rc.BaseLoss, 0, seed)
-	if err != nil {
-		return nil, err
-	}
-	breaker, err := faults.NewBreaker(pol.BreakerThreshold, pol.BreakerCooldown, clock)
-	if err != nil {
-		return nil, err
-	}
 	// The adaptive re-cut controller: same reference system, same delay
-	// constraint T_XPro = min(T_F, T_B) the static generator used. Its
-	// estimator taps every channel signal the layer already produces —
-	// the link's per-send statistics here, breaker transitions below,
-	// fault-window state and outcomes per event in classify.
+	// constraint T_XPro = min(T_F, T_B) the static generator used. The
+	// runtime feeds its estimator every channel signal it produces: the
+	// link's per-send statistics, breaker transitions, fault-window
+	// state and outcomes per event.
 	var ctrl *adaptive.Controller
 	if cfg.Adaptive != nil {
 		limit := sys.DelayOf(partition.InSensor(g)).Total()
@@ -365,59 +343,29 @@ func buildResilient(cfg Config, sys *xsystem.System, g *topology.Graph,
 		if err != nil {
 			return nil, err
 		}
-		link.Observer = func(tr wireless.Transfer, retransmissions int, serr error) {
-			ctrl.Estimator().ObserveSendStats(tr, retransmissions, serr)
-		}
-	}
-	stateGauge := obs.reg.Gauge("xpro_breaker_state",
-		"Circuit breaker state: 0 closed, 1 half-open, 2 open.")
-	transitions := obs.reg.Counter("xpro_breaker_transitions_total",
-		"Circuit breaker state changes.")
-	stateGauge.Set(float64(faults.BreakerClosed))
-	breaker.OnTransition = func(from, to faults.BreakerState) {
-		stateGauge.Set(float64(to))
-		transitions.Inc()
-		if ctrl != nil {
-			ctrl.Estimator().ObserveBreaker(to)
-		}
-	}
-	// The all-sensor extreme of the same s-t graph: the fallback cut
-	// events route through when the cross-end path cannot complete. A
-	// sibling of the engine's system, it shares its characterization,
-	// pricing problem and compiled graph.
-	fb, err := sys.WithPlacement(partition.InSensor(g))
-	if err != nil {
-		return nil, fmt.Errorf("xpro: building fallback cut: %w", err)
 	}
 	period := 0.0
 	if ev := sys.EventsPerSecond(); ev > 0 {
 		period = 1 / ev
 	}
-	return &resilient{
-		policy: pol, plan: plan, clock: clock, breaker: breaker, link: link,
-		fallback: fb, period: period, failFast: rc.FailFast, ctrl: ctrl,
-		integ: cfg.Integrity, framing: cfg.Integrity.framing(),
-		seed: seed, lastCkpt: -1,
-	}, nil
+	rt, err := adaptive.NewEndRuntime(sys, adaptive.EndConfig{
+		Policy: pol, Plan: plan, BaseLoss: rc.BaseLoss, Seed: seed,
+		Framing: cfg.Integrity.framing(), Period: period, FailFast: rc.FailFast, Controller: ctrl,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &resilient{rt: rt, plan: plan, integ: cfg.Integrity, lastCkpt: -1}, nil
 }
 
-// classify runs one event through the resilience ladder:
-//
-//  1. breaker open → skip the link entirely, fallback cut;
-//  2. cross-end attempt with retry/backoff under the deadline budget;
-//  3. partial fusion when only some base scores arrived;
-//  4. fallback: in-sensor cut (link faults) or software ensemble
-//     (sensor brownout);
-//  5. FailFast policies surface the error instead of steps 3–4.
-func (r *resilient) classify(e *Engine, seg biosig.Segment) (Result, error) {
-	return r.classifyCtx(context.Background(), e, seg)
-}
-
-// classifyCtx is classify honoring a context: a canceled or expired
-// ctx abandons the event with a typed ErrCanceled error BEFORE it
-// touches the modeled timeline — the clock does not advance, the
-// breaker records nothing, the link RNG stays untouched — so canceled
-// events are invisible to seeded replay and never trip the breaker.
+// classifyCtx runs one event through the fault-tolerance layer: the
+// node-down window and the integrity gate, then the runtime's ladder
+// (adaptive.EndRuntime.Serve), the clock advance and the adaptive
+// folds. A canceled or expired ctx abandons the event with a typed
+// ErrCanceled error BEFORE it touches the modeled timeline — the clock
+// does not advance, the breaker records nothing, the link RNG stays
+// untouched — so canceled events are invisible to seeded replay and
+// never trip the breaker.
 func (r *resilient) classifyCtx(ctx context.Context, e *Engine, seg biosig.Segment) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, e.canceledError(err)
@@ -432,10 +380,10 @@ func (r *resilient) classifyCtx(ctx context.Context, e *Engine, seg biosig.Segme
 
 	start := time.Now()
 	res, err := r.classifyLocked(e, seg)
-	r.clock.Advance(r.period)
+	r.rt.Tick()
 
 	m := e.obs.reg
-	now := r.clock.Now()
+	now := r.rt.Clock().Now()
 	if err != nil && errors.Is(err, ErrNodeDown) {
 		// The node was dark: nothing was served, sensed or journaled.
 		// The arrival still consumed modeled time (the Advance above),
@@ -491,19 +439,15 @@ func (r *resilient) classifyCtx(ctx context.Context, e *Engine, seg biosig.Segme
 		r.ledgerLocked(e, res, err)
 		return res, err
 	}
-	if r.ctrl != nil {
-		// Close the adaptive loop: fold the event's channel evidence,
-		// let probation roll a misbehaving fresh cut back, then ask the
-		// controller whether the estimated channel prices a better cut.
-		violated := res.DeadlineExceeded || res.SpentSeconds > r.policy.Deadline
-		if ch := r.ctrl.ObserveEvent(now, r.lastOut, violated); ch != nil {
-			r.install(e, ch)
-		}
-		if ch, cerr := r.ctrl.Evaluate(now); cerr == nil && ch != nil {
+	// Close the adaptive loop: probation may roll a misbehaving fresh
+	// cut back, and the estimated channel may price a better cut.
+	rollback, swap := r.rt.Fold(res.DeadlineExceeded, res.SpentSeconds)
+	for _, ch := range [2]*adaptive.Change{rollback, swap} {
+		if ch != nil {
 			r.install(e, ch)
 		}
 	}
-	res.Breaker = r.breaker.State().String()
+	res.Breaker = r.rt.Breaker().State().String()
 	// The ledger entry comes after the breaker read and the adaptive
 	// folds above: the journal record must capture the post-event state
 	// exactly, or a recovered engine would diverge from this one.
@@ -549,7 +493,7 @@ func (r *resilient) classifyCtx(ctx context.Context, e *Engine, seg biosig.Segme
 }
 
 func (r *resilient) classifyLocked(e *Engine, seg biosig.Segment) (Result, error) {
-	now := r.clock.Now()
+	now := r.rt.Clock().Now()
 	state := r.plan.At(now)
 	// A node inside a node-crash/reboot window is off the air: the
 	// event fails fast before the admission gate, the breaker or the
@@ -584,77 +528,53 @@ func (r *resilient) classifyLocked(e *Engine, seg biosig.Segment) (Result, error
 		r.lastState = state
 		e.epoch.Add(1)
 	}
-	if r.ctrl != nil {
-		// Ambient channel observation: what the modem can see of the
-		// environment this instant, whether or not the active cut puts
-		// payloads on the air — a controller parked on the in-sensor cut
-		// still notices the channel recovering.
-		r.ctrl.Estimator().ObserveState(state)
-		r.lastOut = xsystem.Outcome{}
+	ev, err := r.rt.Serve(e.sys(), seg, r.browned.Load())
+	if err != nil {
+		return Result{}, worded(err)
 	}
-	if r.browned.Load() {
-		// Fleet brownout: sustained overload forced every engine onto
-		// its cheap rung. Skip the cross-end attempt entirely — no link
-		// retries, no backoff stalls — and serve from the precomputed
-		// in-sensor fallback (or the software fallback if the sensor's
-		// cell array is also browned out). Service time drops to the
-		// fallback's stable cost, which is the whole point: capacity
-		// rises instead of the queue.
-		return r.fallbackClassify(e, seg, state, xsystem.Outcome{})
+	res := Result{
+		Label: ev.Label, Degraded: ev.Rung != adaptive.RungFull, Mode: rungModes[ev.Rung],
+		VotesUsed: ev.VotesUsed, VotesTotal: ev.VotesTotal,
+		Retries: ev.Retries, LostTransfers: ev.LostTransfers,
+		DeadlineExceeded: ev.DeadlineExceeded, SpentSeconds: ev.SpentSeconds,
+		CorruptFrames: ev.CorruptFrames, CorruptDelivered: ev.CorruptDelivered,
+		ImputedValues: ev.ImputedValues, SensorEnergyJoules: ev.SensorEnergy,
 	}
-	opt := &xsystem.ResilientOptions{
-		Transport: r.link,
-		Plan:      r.plan,
-		Clock:     r.clock,
-		Policy:    r.policy,
-		Breaker:   r.breaker,
-		Integrity: r.framing,
+	// The gate's exit check: an event that leaned too hard on
+	// imputation is quarantined — the label it produced rides along for
+	// inspection, but the caller gets ErrSuspectData.
+	if r.integ.gateOn() && ev.WireValues > 0 {
+		if f := float64(ev.ImputedValues) / float64(ev.WireValues); f > r.integ.maxImputedFraction() {
+			res.Mode, res.Degraded = ModeSuspectData, true
+			return res, &SuspectDataError{Reasons: []string{"excess-imputation"}}
+		}
 	}
+	return res, nil
+}
 
-	if r.breaker.Allow() {
-		out, err := e.sys().ClassifyOver(seg, opt)
-		r.lastOut = out
-		if err == nil {
-			res := Result{
-				Label: out.Label, VotesUsed: out.VotesUsed, VotesTotal: out.VotesTotal,
-				Retries: out.Retries, LostTransfers: out.LostTransfers,
-				DeadlineExceeded: out.DeadlineExceeded, SpentSeconds: out.SpentSeconds,
-				CorruptFrames: out.CorruptFrames, CorruptDelivered: out.CorruptDelivered,
-				ImputedValues: out.ImputedValues, SensorEnergyJoules: out.SensorEnergy,
-			}
-			switch {
-			case out.Complete:
-				res.Mode = ModeFull
-			case !out.Delivered:
-				res.Mode, res.Degraded = ModeSensorLocal, true
-			default:
-				res.Mode, res.Degraded = ModePartial, true
-			}
-			// The gate's exit check: an event that leaned too hard on
-			// imputation is quarantined — the label it produced rides
-			// along for inspection, but the caller gets ErrSuspectData.
-			if r.integ.gateOn() && out.WireValues > 0 {
-				if f := float64(out.ImputedValues) / float64(out.WireValues); f > r.integ.maxImputedFraction() {
-					res.Mode, res.Degraded = ModeSuspectData, true
-					return res, &SuspectDataError{Reasons: []string{"excess-imputation"}}
-				}
-			}
-			return res, nil
-		}
-		var nores *xsystem.NoResultError
-		if !errors.As(err, &nores) {
-			return Result{}, err // a genuine pipeline failure, not a fault
-		}
-		if r.failFast {
-			return Result{}, fmt.Errorf("xpro: classify failed without fallback (FailFast): %w", err)
-		}
-		return r.fallbackClassify(e, seg, state, nores.Outcome)
+// rungModes maps the runtime's ladder rungs onto the public modes.
+var rungModes = [...]DegradeMode{
+	adaptive.RungFull:             ModeFull,
+	adaptive.RungPartial:          ModePartial,
+	adaptive.RungSensorLocal:      ModeSensorLocal,
+	adaptive.RungFallbackSensor:   ModeFallbackSensor,
+	adaptive.RungFallbackSoftware: ModeFallbackSoftware,
+}
+
+// worded gives an error of the runtime's ladder the engine's wording;
+// a genuine pipeline failure passes through as it is.
+func worded(err error) error {
+	var nores *xsystem.NoResultError
+	var down *faults.ErrLinkDown
+	switch {
+	case errors.Is(err, adaptive.ErrFallback), errors.Is(err, adaptive.ErrNoPath):
+		return fmt.Errorf("xpro: %w", err)
+	case errors.As(err, &nores):
+		return fmt.Errorf("xpro: classify failed without fallback (FailFast): %w", err)
+	case errors.As(err, &down):
+		return fmt.Errorf("xpro: circuit breaker open and FailFast set: %w", err)
 	}
-	if r.failFast {
-		return Result{}, fmt.Errorf("xpro: circuit breaker open and FailFast set: %w",
-			&faults.ErrLinkDown{At: r.clock.Now(), Until: r.plan.Until(r.clock.Now(), faults.LinkOutage)})
-	}
-	return r.fallbackClassify(e, seg, state, xsystem.Outcome{})
+	return err
 }
 
 // install makes a controller Change live: the new system is stored
@@ -671,12 +591,12 @@ func (r *resilient) install(e *Engine, ch *adaptive.Change) {
 		ev = tr.NextEvent()
 		tr.Add(telemetry.Span{
 			Event: ev, Name: "recut-" + ch.Kind, End: "event",
-			Start: time.Now(), DelaySeconds: r.clock.Now(),
+			Start: time.Now(), DelaySeconds: r.rt.Clock().Now(),
 		})
 	}
 	sensor, _ := ch.Placement.Counts()
 	e.obs.events.Append(telemetry.Event{
-		Trace: ev, TimeSeconds: r.clock.Now(), Kind: "recut-" + ch.Kind,
+		Trace: ev, TimeSeconds: r.rt.Clock().Now(), Kind: "recut-" + ch.Kind,
 		Detail: fmt.Sprintf("sensor-cells=%d", sensor),
 	})
 }
@@ -690,7 +610,7 @@ func (r *resilient) usingFallback() bool {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.breaker.State() == faults.BreakerOpen
+	return r.rt.Breaker().State() == faults.BreakerOpen
 }
 
 // setBrownedOut applies (or releases) the fleet brownout on this
@@ -721,74 +641,9 @@ func (e *Engine) brownedOut() bool {
 // runs, not as it was built.
 func (e *Engine) effectiveSystem() *xsystem.System {
 	if e.res != nil && e.res.usingFallback() {
-		return e.res.fallback
+		return e.res.rt.Fallback()
 	}
 	return e.sys()
-}
-
-// fallbackClassify serves the event from a degraded path after the
-// cross-end cut failed (or was skipped by an open breaker).
-func (r *resilient) fallbackClassify(e *Engine, seg biosig.Segment, state faults.State, attempt xsystem.Outcome) (Result, error) {
-	base := Result{
-		Degraded: true,
-		Retries:  attempt.Retries, LostTransfers: attempt.LostTransfers,
-		DeadlineExceeded: attempt.DeadlineExceeded, SpentSeconds: attempt.SpentSeconds,
-		SensorEnergyJoules: attempt.SensorEnergy,
-	}
-	if state.Brownout {
-		// The sensor's cell array is below threshold: the in-sensor
-		// fallback cannot compute, but sensing survives — stream raw
-		// samples and classify in software on the aggregator.
-		txEnergy, ok := r.sendRaw(e)
-		base.SensorEnergyJoules += txEnergy
-		if !ok {
-			return Result{}, fmt.Errorf("xpro: sensor browned out and link unavailable: no path to a classification")
-		}
-		label, err := e.ens.Predict(seg)
-		if err != nil {
-			return Result{}, err
-		}
-		base.Label, base.Mode = label, ModeFallbackSoftware
-		return base, nil
-	}
-	// The in-sensor fallback cut: every cell on the wearable, the label
-	// available locally even with the link hard down.
-	out, err := r.fallback.ClassifyOver(seg, &xsystem.ResilientOptions{Policy: r.policy})
-	if err != nil {
-		return Result{}, fmt.Errorf("xpro: fallback cut failed: %w", err)
-	}
-	base.Label, base.Mode = out.Label, ModeFallbackSensor
-	base.VotesUsed, base.VotesTotal = out.VotesUsed, out.VotesTotal
-	if base.SpentSeconds == 0 {
-		base.SpentSeconds = out.SpentSeconds
-	}
-	// The fallback run's sensor-side energy rides on top of whatever the
-	// failed attempt already spent; when the attempt sensed the segment
-	// once, the fallback does not sense it again.
-	fe := out.SensorEnergy
-	if attempt.SensorEnergy > 0 {
-		fe -= r.fallback.Problem().SensingEnergy
-	}
-	if fe > 0 {
-		base.SensorEnergyJoules += fe
-	}
-	return base, nil
-}
-
-// sendRaw attempts to move the raw segment across the link under the
-// retry policy (used by the software fallback during brownouts). It
-// returns the sensor-side TX energy spent across all attempts,
-// successful or not — retransmissions drain the battery either way.
-func (r *resilient) sendRaw(e *Engine) (float64, bool) {
-	var txEnergy float64
-	for attempt := 0; attempt <= r.policy.MaxRetries; attempt++ {
-		tr, err := r.link.Send(e.graph.SourceBits)
-		txEnergy += tr.TxEnergy
-		if err == nil {
-			return txEnergy, true
-		}
-	}
-	return txEnergy, false
 }
 
 // ClassifyResult is Classify with degradation provenance: the label
@@ -804,7 +659,7 @@ func (e *Engine) ClassifyResult(samples []float64) (Result, error) {
 		e.observePlainEvents(1)
 		return Result{Label: label, Mode: ModeFull}, nil
 	}
-	return e.res.classify(e, seg)
+	return e.res.classifyCtx(context.Background(), e, seg)
 }
 
 // StreamResult is one streamed classification with its degradation

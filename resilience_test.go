@@ -187,6 +187,27 @@ func TestResilienceFailFastUnwraps(t *testing.T) {
 	if !errors.As(err, &down) {
 		t.Errorf("error chain should reach *faults.ErrLinkDown: %v", err)
 	}
+	// The failed attempt drained the battery: the ledger bills it. Once
+	// the breaker opens, events spend nothing.
+	st, err := eng.SubjectState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !(nores.Outcome.SensorEnergy > 0) || st.EnergySpentJoules != nores.Outcome.SensorEnergy {
+		t.Errorf("ledger %g J after a failed attempt that spent %g J", st.EnergySpentJoules, nores.Outcome.SensorEnergy)
+	}
+	spent := st.EnergySpentJoules
+	for i := 0; i < 10 && eng.SLOReport().Breaker != "open"; i++ {
+		if _, err = eng.Classify(eng.TestSet()[0].Samples); errors.As(err, &nores) {
+			spent += nores.Outcome.SensorEnergy
+		}
+	}
+	if _, err = eng.Classify(eng.TestSet()[0].Samples); err == nil || errors.As(err, &nores) {
+		t.Fatalf("open breaker under FailFast: got %v, want a bare link-down error", err)
+	}
+	if st, _ = eng.SubjectState(); st.EnergySpentJoules != spent {
+		t.Errorf("ledger %g J, want %g J: a breaker-open event spent energy", st.EnergySpentJoules, spent)
+	}
 }
 
 // Brownout: in-sensor compute is gone but sensing and the link survive,

@@ -345,8 +345,8 @@ func TestCancelPropagatesWithoutTrippingBreaker(t *testing.T) {
 	if _, err := e.ClassifyResultContext(context.Background(), seg); err != nil {
 		t.Fatal(err)
 	}
-	clockBefore := e.res.clock.Now()
-	breakerBefore := e.res.breaker.State()
+	clockBefore := e.res.rt.Clock().Now()
+	breakerBefore := e.res.rt.Breaker().State()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -357,10 +357,10 @@ func TestCancelPropagatesWithoutTrippingBreaker(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled classify: %v does not wrap context.Canceled", err)
 	}
-	if got := e.res.clock.Now(); got != clockBefore {
+	if got := e.res.rt.Clock().Now(); got != clockBefore {
 		t.Fatalf("canceled event advanced the modeled clock: %v -> %v", clockBefore, got)
 	}
-	if got := e.res.breaker.State(); got != breakerBefore {
+	if got := e.res.rt.Breaker().State(); got != breakerBefore {
 		t.Fatalf("canceled event changed breaker state: %v -> %v", breakerBefore, got)
 	}
 	if got := e.Observer().MetricValue("xpro_breaker_transitions_total"); got != 0 {
@@ -471,12 +471,12 @@ func TestGenerationBumpsOnBreakerAndFaultEdges(t *testing.T) {
 	}
 	seg := segsOf(e, 1)[0]
 	before := e.generation()
-	for i := 0; i < 400 && e.res.breaker.State() != faults.BreakerOpen; i++ {
+	for i := 0; i < 400 && e.res.rt.Breaker().State() != faults.BreakerOpen; i++ {
 		if _, err := e.ClassifyResult(seg); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if e.res.breaker.State() != faults.BreakerOpen {
+	if e.res.rt.Breaker().State() != faults.BreakerOpen {
 		t.Fatal("outage never opened the breaker; epoch check is vacuous")
 	}
 	if got := e.generation(); got <= before {

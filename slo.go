@@ -265,7 +265,7 @@ func (e *Engine) buildSLOLocked() SLOReport {
 		rep.SuspectRate = float64(rejected) / float64(total)
 	}
 	if e.res != nil {
-		rep.Breaker = e.res.breaker.State().String()
+		rep.Breaker = e.res.rt.Breaker().State().String()
 	}
 	return rep
 }

@@ -359,14 +359,22 @@ func newEngine(cfg Config, sys *xsystem.System, ens *ensemble.Ensemble,
 		gen: gen, acc: acc, obs: obs, res: res,
 		slo: newSLOHandles(obs.reg, cfg.SLOWindowSeconds)}
 	e.active.Store(sys)
-	if res != nil && res.breaker != nil {
-		// Breaker transitions change which system effectiveSystem
-		// returns; bump the serving epoch so memoized network views
-		// rebuild, and land on the span trace and the structured event
-		// log (sharing one trace ID). Chained after the metrics/estimator
-		// hook installed by buildResilient.
-		prev := res.breaker.OnTransition
-		res.breaker.OnTransition = func(from, to faults.BreakerState) {
+	if res != nil {
+		// Breaker transitions land on the breaker gauges, change which
+		// system effectiveSystem returns (so the serving epoch moves and
+		// memoized network views rebuild), and land on the span trace
+		// and the structured event log (sharing one trace ID). Chained
+		// around the estimator hook the runtime installs.
+		stateGauge := obs.reg.Gauge("xpro_breaker_state",
+			"Circuit breaker state: 0 closed, 1 half-open, 2 open.")
+		transitions := obs.reg.Counter("xpro_breaker_transitions_total",
+			"Circuit breaker state changes.")
+		stateGauge.Set(float64(faults.BreakerClosed))
+		br, clock := res.rt.Breaker(), res.rt.Clock()
+		prev := br.OnTransition
+		br.OnTransition = func(from, to faults.BreakerState) {
+			stateGauge.Set(float64(to))
+			transitions.Inc()
 			if prev != nil {
 				prev(from, to)
 			}
@@ -375,10 +383,10 @@ func newEngine(cfg Config, sys *xsystem.System, ens *ensemble.Ensemble,
 			if tr := obs.tracer; tr != nil {
 				ev = tr.NextEvent()
 				tr.Add(telemetry.Span{Event: ev, Name: "breaker", End: "event",
-					Start: time.Now(), DelaySeconds: res.clock.Now()})
+					Start: time.Now(), DelaySeconds: clock.Now()})
 			}
 			obs.events.Append(telemetry.Event{
-				Trace: ev, TimeSeconds: res.clock.Now(), Kind: "breaker",
+				Trace: ev, TimeSeconds: clock.Now(), Kind: "breaker",
 				Detail: from.String() + "->" + to.String(),
 			})
 		}
@@ -396,7 +404,7 @@ func newEngine(cfg Config, sys *xsystem.System, ens *ensemble.Ensemble,
 		}
 		return 200, h
 	})
-	if res != nil && res.ctrl != nil {
+	if res != nil && res.rt.Controller() != nil {
 		obs.setStatus("adaptive", func() any { return e.AdaptiveStatus() })
 	}
 	return e, nil
@@ -531,7 +539,7 @@ func New(cfg Config) (*Engine, error) {
 // exposes the provenance.
 func (e *Engine) Classify(samples []float64) (int, error) {
 	if e.res != nil {
-		res, err := e.res.classify(e, biosig.Segment{Samples: samples})
+		res, err := e.ClassifyResult(samples)
 		return res.Label, err
 	}
 	label, err := e.sys().Classify(biosig.Segment{Samples: samples})
