@@ -328,12 +328,19 @@ func (d *Dataset) ClassCounts() map[int]int {
 // segment.
 func (s Segment) PadTo(n int) []float64 {
 	out := make([]float64, n)
-	copied := copy(out, s.Samples)
-	if copied < n && copied > 0 {
-		last := out[copied-1]
-		for i := copied; i < n; i++ {
-			out[i] = last
-		}
-	}
+	s.PadInto(out)
 	return out
+}
+
+// PadInto is PadTo writing into out, len(out) samples; an empty
+// segment pads with zeros.
+func (s Segment) PadInto(out []float64) {
+	copied := copy(out, s.Samples)
+	last := 0.0
+	if copied > 0 {
+		last = out[copied-1]
+	}
+	for i := copied; i < len(out); i++ {
+		out[i] = last
+	}
 }

@@ -198,6 +198,14 @@ func TestPadTo(t *testing.T) {
 	if got := empty.PadTo(3); len(got) != 3 || got[0] != 0 {
 		t.Errorf("empty PadTo = %v", got)
 	}
+	// PadInto overwrites every slot of a reused buffer.
+	buf := []float64{9, 9, 9, 9, 9, 9}
+	if s.PadInto(buf); buf[5] != 0.3 {
+		t.Errorf("PadInto = %v, want %v", buf, want)
+	}
+	if empty.PadInto(buf); buf[0] != 0 || buf[5] != 0 {
+		t.Errorf("empty PadInto = %v, want zeros", buf)
+	}
 }
 
 func TestFamilyString(t *testing.T) {

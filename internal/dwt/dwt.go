@@ -42,31 +42,37 @@ func (w Wavelet) String() string {
 	}
 }
 
-// db4Lo is the standard Daubechies-4 analysis low-pass filter.
-var db4Lo = func() []float64 {
-	s3 := math.Sqrt(3)
-	d := 4 * math.Sqrt2
-	return []float64{(1 + s3) / d, (3 + s3) / d, (3 - s3) / d, (1 - s3) / d}
-}()
+// The analysis filter pairs, built once: the low-pass filter and its
+// quadrature mirror hi[k] = (−1)^k · lo[L−1−k].
+var (
+	haarLo = []float64{1 / math.Sqrt2, 1 / math.Sqrt2}
+	haarHi = mirror(haarLo)
+	db4Lo  = func() []float64 {
+		s3 := math.Sqrt(3)
+		d := 4 * math.Sqrt2
+		return []float64{(1 + s3) / d, (3 + s3) / d, (3 - s3) / d, (1 - s3) / d}
+	}()
+	db4Hi = mirror(db4Lo)
+)
 
-// filters returns the analysis low-pass and high-pass filters for w.
-func (w Wavelet) filters() (lo, hi []float64) {
-	switch w {
-	case DB4:
-		lo = db4Lo
-	default:
-		r := 1 / math.Sqrt2
-		lo = []float64{r, r}
-	}
-	// Quadrature mirror: hi[k] = (−1)^k · lo[L−1−k].
-	hi = make([]float64, len(lo))
+func mirror(lo []float64) []float64 {
+	hi := make([]float64, len(lo))
 	for k := range lo {
 		hi[k] = lo[len(lo)-1-k]
 		if k%2 == 1 {
 			hi[k] = -hi[k]
 		}
 	}
-	return lo, hi
+	return hi
+}
+
+// filters returns the analysis low-pass and high-pass filters for w.
+// The slices are shared: callers must not modify them.
+func (w Wavelet) filters() (lo, hi []float64) {
+	if w == DB4 {
+		return db4Lo, db4Hi
+	}
+	return haarLo, haarHi
 }
 
 // Step performs one analysis step on signal x, returning the
@@ -74,17 +80,28 @@ func (w Wavelet) filters() (lo, hi []float64) {
 // len(x) must be even and at least the filter length; the signal is
 // extended periodically, keeping the transform orthonormal.
 func Step(w Wavelet, x []float64) (approx, detail []float64, err error) {
+	approx, detail = make([]float64, len(x)/2), make([]float64, len(x)/2)
+	if err := StepInto(w, approx, detail, x); err != nil {
+		return nil, nil, err
+	}
+	return approx, detail, nil
+}
+
+// StepInto is Step writing into caller-owned outputs, each len(x)/2
+// long and neither overlapping x.
+func StepInto(w Wavelet, approx, detail, x []float64) error {
 	lo, hi := w.filters()
 	n := len(x)
 	if n < len(lo) {
-		return nil, nil, fmt.Errorf("dwt: signal length %d shorter than %s filter length %d", n, w, len(lo))
+		return fmt.Errorf("dwt: signal length %d shorter than %s filter length %d", n, w, len(lo))
 	}
 	if n%2 != 0 {
-		return nil, nil, fmt.Errorf("dwt: signal length %d is odd", n)
+		return fmt.Errorf("dwt: signal length %d is odd", n)
 	}
 	half := n / 2
-	approx = make([]float64, half)
-	detail = make([]float64, half)
+	if len(approx) != half || len(detail) != half {
+		return fmt.Errorf("dwt: outputs of length %d and %d for a %d-sample signal", len(approx), len(detail), n)
+	}
 	for i := 0; i < half; i++ {
 		var a, d float64
 		for k := 0; k < len(lo); k++ {
@@ -95,7 +112,7 @@ func Step(w Wavelet, x []float64) (approx, detail []float64, err error) {
 		approx[i] = a
 		detail[i] = d
 	}
-	return approx, detail, nil
+	return nil
 }
 
 // InverseStep reconstructs the even-length signal from one analysis step.
@@ -201,22 +218,33 @@ func MaxLevels(w Wavelet, n int) int {
 // arithmetic the in-sensor DWT functional cell implements. Only Haar is
 // supported in hardware (2-tap filter: one add, one subtract, one scale).
 func StepFixed(x []fixed.Num) (approx, detail []fixed.Num, err error) {
+	approx, detail = make([]fixed.Num, len(x)/2), make([]fixed.Num, len(x)/2)
+	if err := StepFixedInto(approx, detail, x); err != nil {
+		return nil, nil, err
+	}
+	return approx, detail, nil
+}
+
+// StepFixedInto is StepFixed writing into caller-owned outputs, each
+// len(x)/2 long and neither overlapping x.
+func StepFixedInto(approx, detail, x []fixed.Num) error {
 	n := len(x)
 	if n < 2 || n%2 != 0 {
-		return nil, nil, fmt.Errorf("dwt: fixed-point step needs even length ≥ 2, got %d", n)
+		return fmt.Errorf("dwt: fixed-point step needs even length ≥ 2, got %d", n)
+	}
+	half := n / 2
+	if len(approx) != half || len(detail) != half {
+		return fmt.Errorf("dwt: outputs of length %d and %d for a %d-sample signal", len(approx), len(detail), n)
 	}
 	// 1/√2 in Q16.16.
 	r := fixed.FromFloat(1 / math.Sqrt2)
-	half := n / 2
-	approx = make([]fixed.Num, half)
-	detail = make([]fixed.Num, half)
 	for i := 0; i < half; i++ {
 		a := fixed.Add(x[2*i], x[2*i+1])
 		d := fixed.Sub(x[2*i], x[2*i+1])
 		approx[i] = fixed.Mul(a, r)
 		detail[i] = fixed.Mul(d, r)
 	}
-	return approx, detail, nil
+	return nil
 }
 
 // DecomposeFixed computes a levels-deep Haar DWT in fixed point.

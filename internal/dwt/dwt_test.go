@@ -224,6 +224,47 @@ func TestFixedStepErrors(t *testing.T) {
 	}
 }
 
+// The Into forms write exactly what Step and StepFixed return, over
+// whatever the outputs held, and reject outputs of the wrong length.
+func TestStepIntoMatchesStep(t *testing.T) {
+	x := randSignal(rand.New(rand.NewSource(5)), 64)
+	for _, w := range []Wavelet{Haar, DB4} {
+		a, d, err := Step(w, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := randSignal(rand.New(rand.NewSource(6)), 64)
+		if err := StepInto(w, out[32:], out[:32], x); err != nil {
+			t.Fatal(err)
+		}
+		for i := range a {
+			if math.Float64bits(out[32+i]) != math.Float64bits(a[i]) || math.Float64bits(out[i]) != math.Float64bits(d[i]) {
+				t.Fatalf("%s: StepInto coefficient %d differs from Step", w, i)
+			}
+		}
+		if err := StepInto(w, out[:31], out[32:], x); err == nil {
+			t.Errorf("%s: a short approx output should error", w)
+		}
+	}
+	fx := fixed.FromSlice(x)
+	a, d, err := StepFixed(fx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := fixed.FromSlice(randSignal(rand.New(rand.NewSource(6)), 64))
+	if err := StepFixedInto(out[32:], out[:32], fx); err != nil {
+		t.Fatal(err)
+	}
+	for i := range a {
+		if out[32+i] != a[i] || out[i] != d[i] {
+			t.Fatalf("StepFixedInto coefficient %d differs from StepFixed", i)
+		}
+	}
+	if err := StepFixedInto(out[32:], out[:33], fx); err == nil {
+		t.Error("a long detail output should error")
+	}
+}
+
 func TestWaveletString(t *testing.T) {
 	if Haar.String() != "haar" || DB4.String() != "db4" {
 		t.Error("wavelet names wrong")

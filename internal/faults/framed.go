@@ -100,8 +100,10 @@ func (l *Link) sendValues(dataBits int64, values int, perValue int64, fr *Framin
 	// Framed path: each packet wears frame.IntegrityBits of envelope.
 	// Track arrival order so the reassembler — the same type the
 	// receiver runs — recovers duplicates and reordering by sequence
-	// number and pins what is genuinely missing.
-	var arrivals []uint8
+	// number and pins what is genuinely missing. SendValues sends fewer
+	// than 256 packets this way, each arriving at most twice.
+	var buf [512]uint8
+	arrivals := buf[:0]
 	pendingSwap := false
 	for p := int64(0); p < packets; p++ {
 		payloadBits := int64(wireless.MaxPayloadBits)

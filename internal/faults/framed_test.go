@@ -262,6 +262,36 @@ func TestUnframedSmears(t *testing.T) {
 	}
 }
 
+// A loss-free framed send allocates only the report it returns, also
+// when each of its 255 frames arrives twice.
+func TestFramedSendAllocatesOnlyItsReport(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	dups := &Plan{Windows: []Window{{Kind: Duplicate, Start: 0, End: 1e6, Rate: 1}}}
+	fr := &Framing{}
+	const packets = 255
+	for _, plan := range []*Plan{nil, dups} {
+		l, err := NewLink(wireless.Model2(), plan, &Clock{}, 0, 2, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		send := func() *frame.RxReport {
+			_, rx, err := l.SendValues(packets*wireless.MaxPayloadBits, packets*16, fr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rx
+		}
+		if rx := send(); rx.LostFrames != 0 || (plan != nil) != (rx.Duplicates == packets) {
+			t.Fatalf("plan %v: report %+v, want no loss and %d duplicates under the duplicate window", plan, rx, packets)
+		}
+		if got := testing.AllocsPerRun(50, func() { send() }); got != 1 {
+			t.Errorf("plan %v: a loss-free framed send allocates %.0f times, want 1 (its report)", plan, got)
+		}
+	}
+}
+
 // TestSendValuesDeterministic: identical seeds and clocks replay the
 // identical corrupted stream, reports included.
 func TestSendValuesDeterministic(t *testing.T) {

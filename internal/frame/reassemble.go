@@ -1,6 +1,6 @@
 package frame
 
-import "sort"
+import "slices"
 
 // Disposition classifies one observed frame arrival.
 type Disposition int
@@ -103,7 +103,7 @@ func (r *Reassembler) Missing() []uint8 {
 	for s := range r.missing {
 		out = append(out, s)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

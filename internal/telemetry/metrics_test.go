@@ -215,6 +215,31 @@ func TestSanitizeName(t *testing.T) {
 	}
 }
 
+// Looking a registered series up by a name that is already clean
+// allocates nothing, so hot paths may look their metrics up per call.
+func TestCleanNameLookupsAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	r := NewRegistry()
+	labeled := WithLabels("lookup_labeled_total", map[string]string{"end": "sensor"})
+	for _, c := range []struct {
+		kind   string
+		lookup func()
+	}{
+		{"Counter", func() { r.Counter("lookup_total", "") }},
+		{"labeled Counter", func() { r.Counter(labeled, "") }},
+		{"Gauge", func() { r.Gauge("lookup_gauge", "") }},
+		{"Histogram", func() { r.Histogram("lookup_seconds", "", DurationBuckets) }},
+		{"Quantile", func() { r.Quantile("lookup_wall_seconds", "", 0) }},
+	} {
+		c.lookup() // registers the series
+		if got := testing.AllocsPerRun(100, c.lookup); got != 0 {
+			t.Errorf("%s lookup by a clean name: %.0f allocs, want 0", c.kind, got)
+		}
+	}
+}
+
 func TestPublishExpvarIdempotent(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("pub_total", "").Inc()

@@ -42,7 +42,8 @@ type Sketch struct {
 const DefaultSketchK = 512
 
 // NewSketch creates an empty sketch with per-level capacity k
-// (non-positive k takes DefaultSketchK).
+// (non-positive k takes DefaultSketchK). Levels start empty and grow as
+// items arrive, so a sketch holds memory for what it has seen.
 func NewSketch(k int) *Sketch {
 	if k <= 0 {
 		k = DefaultSketchK
@@ -52,7 +53,7 @@ func NewSketch(k int) *Sketch {
 	}
 	return &Sketch{
 		k:      k,
-		levels: [][]float64{make([]float64, 0, k+1)},
+		levels: [][]float64{nil},
 		parity: []bool{false},
 		min:    math.Inf(1),
 		max:    math.Inf(-1),
@@ -92,7 +93,7 @@ func (s *Sketch) compact() {
 		}
 		s.parity[h] = !s.parity[h]
 		if h+1 == len(s.levels) {
-			s.levels = append(s.levels, make([]float64, 0, s.k+1))
+			s.levels = append(s.levels, nil)
 			s.parity = append(s.parity, false)
 		}
 		for i := off; i < len(lv); i += 2 {
@@ -116,7 +117,7 @@ func (s *Sketch) Merge(other *Sketch) {
 			continue
 		}
 		for h >= len(s.levels) {
-			s.levels = append(s.levels, make([]float64, 0, s.k+1))
+			s.levels = append(s.levels, nil)
 			s.parity = append(s.parity, false)
 		}
 		s.levels[h] = append(s.levels[h], other.levels[h]...)

@@ -158,6 +158,56 @@ func TestSketchDeterminism(t *testing.T) {
 	}
 }
 
+// presized builds a sketch as NewSketch did before its levels grew on
+// demand, each level holding k+1 items from birth. It makes more levels
+// up front than any stream below fills, so it never adds one.
+func presized(k int) *Sketch {
+	s := &Sketch{k: k, min: math.Inf(1), max: math.Inf(-1)}
+	for h := 0; h < 24; h++ {
+		s.levels = append(s.levels, make([]float64, 0, k+1))
+		s.parity = append(s.parity, false)
+	}
+	return s
+}
+
+// Levels that grow on demand answer bit for bit what pre-sized levels
+// answer, on seeded streams, through compactions and merges.
+func TestSketchGrowthMatchesPresized(t *testing.T) {
+	qs := []float64{0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 1}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for name, gen := range sampleStreams(t) {
+		for _, k := range []int{8, DefaultSketchK} {
+			for _, n := range []int{1, k, k + 1, 20*k + 7} {
+				r := rand.New(rand.NewSource(int64(n)))
+				grown, ref := NewSketch(k), presized(k)
+				for _, v := range gen(r, n) {
+					grown.Add(v)
+					ref.Add(v)
+				}
+				for _, m := range []int{n/3 + 1, 2 * n} {
+					g, p := NewSketch(k), presized(k)
+					for _, v := range gen(r, m) {
+						g.Add(v)
+						p.Add(v)
+					}
+					grown.Merge(g)
+					ref.Merge(p)
+				}
+				if grown.Count() != ref.Count() || !same(grown.Sum(), ref.Sum()) ||
+					!same(grown.Min(), ref.Min()) || !same(grown.Max(), ref.Max()) ||
+					grown.retained() != ref.retained() {
+					t.Fatalf("%s k=%d n=%d: grown sketch diverged from the pre-sized one", name, k, n)
+				}
+				for _, q := range qs {
+					if a, b := grown.Quantile(q), ref.Quantile(q); !same(a, b) {
+						t.Fatalf("%s k=%d n=%d: Quantile(%g) = %g, pre-sized %g", name, k, n, q, a, b)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestSketchBoundedMemory: retained items stay O(k log(n/k)).
 func TestSketchBoundedMemory(t *testing.T) {
 	s := NewSketch(64)

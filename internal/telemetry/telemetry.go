@@ -245,19 +245,31 @@ func familyOf(name string) string {
 
 // sanitizeName maps name to the exposition character set
 // [a-zA-Z0-9_:]; the {label="value"} suffix, if present, is kept as is.
+// A name whose family is already clean comes back unchanged, without
+// a copy.
 func sanitizeName(name string) string {
 	fam := familyOf(name)
+	i := 0
+	for i < len(fam) && nameChar(fam[i], i) {
+		i++
+	}
+	if i == len(fam) {
+		return name
+	}
 	clean := []byte(fam)
-	for i := 0; i < len(clean); i++ {
-		c := clean[i]
-		ok := c == '_' || c == ':' ||
-			(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-			(c >= '0' && c <= '9' && i > 0)
-		if !ok {
+	for ; i < len(clean); i++ {
+		if !nameChar(clean[i], i) {
 			clean[i] = '_'
 		}
 	}
 	return string(clean) + name[len(fam):]
+}
+
+// nameChar reports whether c may stand at position i of a family name.
+func nameChar(c byte, i int) bool {
+	return c == '_' || c == ':' ||
+		(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+		(c >= '0' && c <= '9' && i > 0)
 }
 
 // claim reserves a family for kind and records its help text. It

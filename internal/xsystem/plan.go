@@ -1,6 +1,9 @@
 package xsystem
 
 import (
+	"sync"
+
+	"xpro/internal/fixed"
 	"xpro/internal/partition"
 	"xpro/internal/topology"
 )
@@ -14,8 +17,8 @@ import (
 //   - graphPlan, placement-independent, built once in New and shared by
 //     pointer with every sibling: CSR in-edges, the transfer groups
 //     and source readers of the pricing problem's partition.View (the
-//     same slices, not a copy), and each group's slice offset and
-//     per-value wire width;
+//     same slices, not a copy), each group's slice offset and per-value
+//     wire width, each cell's output slot, and the pool of walk arenas;
 //   - placementPlan, per 2-end placement: the Delay and Energy books,
 //     each cell's end and modeled (energy, delay), the per-end cell
 //     counts, and the placement as a 1-hop tierPlan;
@@ -25,8 +28,12 @@ import (
 //     compute energies, each crossing group's hop span and the
 //     per-consumer crossing lists.
 //
-// Per-event state — transfer legs, cell outputs, lost flags, ledgers —
-// is not part of any plan and stays per call.
+// Per-event state — the padded and Q16.16 segment, cell outputs,
+// transfer legs, lost flags, scratch vectors — lives in an arena the
+// walk takes from its graph plan's pool and puts back when it returns,
+// so siblings share one pool and a clean 2-end event allocates nothing.
+// The k-tier entry allocates only its hop list and the per-hop books
+// its caller keeps.
 
 // groupLayout places a transfer group's values in its producer's
 // output: the offset of its slice (a DWT cell emits detail ‖ approx,
@@ -50,6 +57,14 @@ type graphPlan struct {
 	// Cell id's groups, ascending, are prodGroups[prodStart[id]:prodStart[id+1]].
 	prodStart, prodGroups []int
 	readers               []topology.CellID
+	// Cell id writes its output to [outOff[id], outOff[id+1]) of an
+	// arena's outputs: detail ‖ approx for a DWT cell, one value else.
+	outOff []int
+	// segLen is the segment length, maxIn the largest in-degree and
+	// maxOut the longest cell output.
+	segLen, maxIn, maxOut int
+	// arenas pools *arena; each is built on first use.
+	arenas sync.Pool
 }
 
 func compileGraph(g *topology.Graph, order []topology.CellID, v *partition.View) *graphPlan {
@@ -68,6 +83,19 @@ func compileGraph(g *topology.Graph, order []topology.CellID, v *partition.View)
 		gp.ins[inNext[e.To]] = e
 		inNext[e.To]++
 	}
+
+	gp.segLen = g.SegLen
+	gp.outOff = make([]int, n+1)
+	for i, c := range g.Cells {
+		out := c.OutValues
+		if c.Role == topology.RoleDWT {
+			out *= 2
+		}
+		gp.outOff[i+1] = gp.outOff[i] + out
+		gp.maxIn = max(gp.maxIn, gp.inStart[i+1]-gp.inStart[i])
+		gp.maxOut = max(gp.maxOut, out)
+	}
+	gp.arenas.New = func() any { return gp.newArena() }
 
 	gp.layout = make([]groupLayout, len(gp.groups))
 	gp.prodStart = make([]int, n+1)
@@ -90,6 +118,68 @@ func compileGraph(g *topology.Graph, order []topology.CellID, v *partition.View)
 		prodNext[tg.From]++
 	}
 	return gp
+}
+
+// arena is one walk's working memory, sized from the graph plan: a walk
+// takes one from the plan's pool when it starts and puts it back on
+// every return, so no two concurrent walks share one, and nothing a
+// walk returns points into one.
+type arena struct {
+	// ev holds the segment padded and in Q16.16; its rawFloat is the
+	// caller's samples, dropped when the arena goes back.
+	ev event
+	// fx and fl hold cell id's output at [off[id], off[id+1]) (the
+	// plan's outOff), in the representation of the cell's end.
+	off []int
+	fx  []fixed.Num
+	fl  []float64
+	// xfx and xfl are an SVM cell's input vector; qfx and qfl a
+	// crossing read quantized to the wire.
+	xfx, qfx []fixed.Num
+	xfl, qfl []float64
+	// legs grows to the deepest chain the arena has walked.
+	legs []leg
+	// flags is each cell's lost flag, then each in-edge's avail flag.
+	flags []bool
+	// ints, air and outage back the per-hop books of the 2-end entry
+	// points, which drop them.
+	ints   [4]int
+	air    [2]float64
+	outage [1]bool
+}
+
+func (gp *graphPlan) newArena() *arena {
+	n := gp.outOff[len(gp.outOff)-1]
+	return &arena{
+		ev:    makeEvent(gp.segLen),
+		off:   gp.outOff,
+		fx:    make([]fixed.Num, n),
+		fl:    make([]float64, n),
+		xfx:   make([]fixed.Num, gp.maxIn),
+		xfl:   make([]float64, gp.maxIn),
+		qfx:   make([]fixed.Num, gp.maxOut),
+		qfl:   make([]float64, gp.maxOut),
+		legs:  make([]leg, 1+len(gp.groups)),
+		flags: make([]bool, len(gp.outOff)-1+len(gp.ins)),
+	}
+}
+
+// take returns an arena for one walk; put gives it back.
+func (gp *graphPlan) take() *arena { return gp.arenas.Get().(*arena) }
+
+func (gp *graphPlan) put(a *arena) {
+	a.ev.rawFloat = nil
+	gp.arenas.Put(a)
+}
+
+// output returns cell id's output slot: Q16.16 when the cell runs on the
+// sensor, float64 otherwise.
+func (a *arena) output(id topology.CellID, onSensor bool) value {
+	lo, hi := a.off[id], a.off[id+1]
+	if onSensor {
+		return value{fx: a.fx[lo:hi]}
+	}
+	return value{fl: a.fl[lo:hi]}
 }
 
 // inEdges returns the edges feeding cell id, in Graph.Edges order.

@@ -99,35 +99,32 @@ func perValueBits(e topology.Edge) int64 {
 	return e.Bits / int64(e.Values)
 }
 
-// crossFloat converts a producer value for consumption on the other end
-// in float64, applying wire quantization.
-func crossFloat(v value, e topology.Edge) []float64 {
-	fs := v.asFloat()
+// crossFloat quantizes producer value v, consumed on the other end of
+// edge e in float64, into dst, which must be at least as long as v, and
+// returns that prefix of dst.
+func crossFloat(dst []float64, v value, e topology.Edge) []float64 {
 	bits := perValueBits(e)
-	out := make([]float64, len(fs))
-	for i, f := range fs {
-		out[i] = quantizeWire(f, bits)
+	dst = dst[:v.len()]
+	for i := range dst {
+		dst[i] = quantizeWire(v.at(i), bits)
 	}
-	return out
+	return dst
 }
 
-// crossFixed converts a producer value for consumption on the other end
-// in Q16.16, applying wire quantization.
-func crossFixed(v value, e topology.Edge) []fixed.Num {
-	fs := crossFloat(v, e)
-	return fixed.FromSlice(fs)
+// crossFixed is crossFloat for a consumer that computes in Q16.16.
+func crossFixed(dst []fixed.Num, v value, e topology.Edge) []fixed.Num {
+	bits := perValueBits(e)
+	dst = dst[:v.len()]
+	for i := range dst {
+		dst[i] = fixed.FromFloat(quantizeWire(v.at(i), bits))
+	}
+	return dst
 }
 
-// crossScalar is crossFloat(v, e)[0] without the copy: element 0 of a
-// crossing payload, quantized to the wire.
+// crossScalar is element 0 of a crossing payload, quantized to the
+// wire.
 func crossScalar(v value, e topology.Edge) float64 {
-	var f float64
-	if v.fl != nil {
-		f = v.fl[0]
-	} else {
-		f = v.fx[0].Float()
-	}
-	return quantizeWire(f, perValueBits(e))
+	return quantizeWire(v.at(0), perValueBits(e))
 }
 
 // normFixed applies a feature normalization range in Q16.16: the

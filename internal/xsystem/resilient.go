@@ -149,10 +149,9 @@ func (s *System) ClassifyOver(seg biosig.Segment, opt *ResilientOptions) (Outcom
 		opt = &ResilientOptions{}
 	}
 	hops := [1]hop{{Hop: partition.Hop{Link: s.Link}, tr: opt.Transport, breaker: opt.Breaker}}
-	out, err := s.walk(seg, s.plan.chain, hops[:], TieredOptions{
+	return s.walk(seg, s.plan.chain, hops[:], TieredOptions{
 		Plan: opt.Plan, Clock: opt.Clock, Policy: opt.Policy, Integrity: opt.Integrity,
-	}, spanSink{})
-	return out.Outcome, err
+	}, spanSink{}, nil)
 }
 
 // applyDamage rewrites view — the receiver's copy of one crossing
@@ -189,13 +188,14 @@ func applyDamage(view []float64, bits int64, rx *frame.RxReport, policy frame.Im
 	return frame.Impute(view, missing, policy)
 }
 
-// fusePartial fuses the available base-classifier scores: the trained
-// bias plus each available vote, exactly the fusion cell's computation
-// restricted to the votes that arrived. fetch resolves the i-th
-// in-edge's producer value as the fusion cell sees it (including any
-// receive-side damage). It returns the fused value in the
-// representation of the fusion cell's end and the vote count used.
-func (s *System) fusePartial(c topology.Cell, ins []topology.Edge, avail []bool, fetch func(int) value) (value, int) {
+// fusePartial fuses the available base-classifier scores into out, the
+// fusion cell's output slot: the trained bias plus each available vote,
+// exactly the fusion cell's computation restricted to the votes that
+// arrived. fetch resolves the i-th in-edge's producer value as the
+// fusion cell sees it (including any receive-side damage). The score is
+// in the representation of the fusion cell's end; it returns the vote
+// count used.
+func (s *System) fusePartial(c topology.Cell, ins []topology.Edge, avail []bool, fetch func(int) value, out value) int {
 	used := 0
 	if s.Placement.OnSensor(c.ID) {
 		score := fixed.FromFloat(s.Ens.Weights[len(s.Ens.Bases)])
@@ -210,7 +210,8 @@ func (s *System) fusePartial(c topology.Cell, ins []topology.Edge, avail []bool,
 			score = fixed.Add(score, fixed.Mul(fixed.FromFloat(s.Ens.Weights[i]), vote))
 			used++
 		}
-		return value{fx: []fixed.Num{score}}, used
+		out.fx[0] = score
+		return used
 	}
 	score := s.Ens.Weights[len(s.Ens.Bases)]
 	for i, e := range ins {
@@ -224,5 +225,6 @@ func (s *System) fusePartial(c topology.Cell, ins []topology.Edge, avail []bool,
 		score += s.Ens.Weights[i] * vote
 		used++
 	}
-	return value{fl: []float64{score}}, used
+	out.fl[0] = score
+	return used
 }

@@ -365,7 +365,20 @@ func (ts *TieredSystem) ClassifyOver(seg biosig.Segment, opt *TieredOptions) (Ti
 			hops[h].tr, hops[h].breaker = opt.Hops[h].Link, opt.Hops[h].Breaker
 		}
 	}
-	return ts.walk(seg, ts.tplan, hops, *opt, spanSink{})
+	var out TieredOutcome
+	var err error
+	out.Outcome, err = ts.walk(seg, ts.tplan, hops, *opt, spanSink{}, &out)
+	return out, err
+}
+
+// bindBooks points out's per-hop books at ints (four books), air (two)
+// and outage, one entry per hop each.
+func bindBooks(out *TieredOutcome, ints []int, air []float64, outage []bool) {
+	nh := len(outage)
+	out.HopTransfersOK, out.HopRetries = ints[:nh:nh], ints[nh:2*nh:2*nh]
+	out.HopLost, out.HopSkipped = ints[2*nh:3*nh:3*nh], ints[3*nh:4*nh:4*nh]
+	out.HopOutage = outage
+	out.HopEnergyJ, out.HopAirSeconds = air[:nh:nh], air[nh:2*nh:2*nh]
 }
 
 // spanSink records one span per executed cell of one traced event: the
@@ -406,28 +419,33 @@ func (sk spanSink) cell(pl *placementPlan, c topology.Cell, t0 time.Time, err er
 // walk executes the pipeline on one segment over tier plan tp, crossing
 // hop h through hops[h] under opt's node-level plan, clock, policy and
 // framing (opt.Hops is the entry point's business, not the walk's), and
-// records each executed cell's span into spans.
-func (s *System) walk(seg biosig.Segment, tp *tierPlan, hops []hop, opt TieredOptions, spans spanSink) (TieredOutcome, error) {
+// records each executed cell's span into spans. Its buffers come from
+// an arena of the plan's pool. When books is set, the per-hop books are
+// allocated into its Hop* slices for the caller to keep; nil books (a
+// 2-end walk, one hop) are kept in the arena and dropped with it.
+func (s *System) walk(seg biosig.Segment, tp *tierPlan, hops []hop, opt TieredOptions, spans spanSink, books *TieredOutcome) (Outcome, error) {
 	nh := len(hops)
 	if s.Ens == nil {
-		return TieredOutcome{}, errors.New("xsystem: cost-analysis-only system has no classifier (built with nil ensemble)")
+		return Outcome{}, errors.New("xsystem: cost-analysis-only system has no classifier (built with nil ensemble)")
 	}
 	if len(seg.Samples) != s.Graph.SegLen {
-		return TieredOutcome{}, fmt.Errorf("xsystem: segment length %d, engine built for %d", len(seg.Samples), s.Graph.SegLen)
+		return Outcome{}, fmt.Errorf("xsystem: segment length %d, engine built for %d", len(seg.Samples), s.Graph.SegLen)
 	}
-	r := &trun{opt: opt}
-	out := &r.out
-	// The per-hop books share three backing arrays, each slice capped at
-	// its own nh entries.
-	books, air := make([]int, 4*nh), make([]float64, 2*nh)
-	out.HopTransfersOK, out.HopRetries = books[:nh:nh], books[nh:2*nh:2*nh]
-	out.HopLost, out.HopSkipped = books[2*nh:3*nh:3*nh], books[3*nh:]
-	out.HopOutage = make([]bool, nh)
-	out.HopEnergyJ, out.HopAirSeconds = air[:nh:nh], air[nh:]
-
 	g := s.Graph
 	tpl := tp.tiers
 	pl := s.plan
+	a := pl.take()
+	defer pl.put(a)
+
+	r := &trun{opt: opt}
+	out := &r.out
+	if books != nil {
+		bindBooks(out, make([]int, 4*nh), make([]float64, 2*nh), make([]bool, nh))
+		*books = *out
+	} else {
+		a.ints, a.air, a.outage = [4]int{}, [2]float64{}, [1]bool{}
+		bindBooks(out, a.ints[:], a.air[:], a.outage[:])
+	}
 	state := opt.Plan.At(opt.now())
 
 	// The compute schedule is the collapsed two-natured runtime's:
@@ -443,7 +461,7 @@ func (s *System) walk(seg biosig.Segment, tp *tierPlan, hops []hop, opt TieredOp
 		wait := opt.Plan.Until(opt.now(), faults.AggStall) - opt.now()
 		if r.overBudget(wait) {
 			out.DeadlineExceeded = true
-			return *out, &NoResultError{Outcome: out.Outcome}
+			return out.Outcome, &NoResultError{Outcome: out.Outcome}
 		}
 		out.SpentSeconds += wait
 	}
@@ -451,7 +469,11 @@ func (s *System) walk(seg biosig.Segment, tp *tierPlan, hops []hop, opt TieredOp
 	// Crossing payloads, memoized per (payload, hop): the raw segment
 	// (when the source readers sit above tier 0), one span per crossing
 	// transfer group, and the final result march below.
-	legs := make([]leg, tp.legs)
+	if len(a.legs) < tp.legs {
+		a.legs = make([]leg, tp.legs)
+	}
+	legs := a.legs[:tp.legs]
+	clear(legs)
 	srcTier := tp.srcTier
 	// crossed sends every crossing group the in-edge at CSR slot k waits
 	// on to tier t, and reports whether all of them arrived.
@@ -466,8 +488,10 @@ func (s *System) walk(seg biosig.Segment, tp *tierPlan, hops []hop, opt TieredOp
 		return ok
 	}
 
-	ev := newEvent(g, seg)
-	outputs := make([]value, len(g.Cells))
+	ev := &a.ev
+	ev.load(seg.Samples)
+	// output returns the value cell id computed this event.
+	output := func(id topology.CellID) value { return a.output(id, s.Placement.OnSensor(id)) }
 
 	// dirtyView reconstructs what a consumer on tier t received of a
 	// producer's crossing output when any traversed hop damaged it —
@@ -481,7 +505,7 @@ func (s *System) walk(seg biosig.Segment, tp *tierPlan, hops []hop, opt TieredOp
 				continue
 			}
 			if view == nil {
-				view = append([]float64(nil), outputs[producer].asFloat()...)
+				view = append([]float64(nil), output(producer).asFloat()...)
 			}
 			// The group's slice of the producer's full output.
 			n, lay := pl.groups[gi].Values, pl.layout[gi]
@@ -509,7 +533,9 @@ func (s *System) walk(seg biosig.Segment, tp *tierPlan, hops []hop, opt TieredOp
 			per = g.SourceBits / int64(g.SegLen)
 		}
 		r.applyLegs(samples, per, legs, tp.raw, srcTier)
-		evRx = newEvent(g, biosig.Segment{Samples: samples, Label: seg.Label})
+		relayed := makeEvent(g.SegLen)
+		relayed.load(samples)
+		evRx = &relayed
 		return evRx
 	}
 
@@ -525,10 +551,10 @@ func (s *System) walk(seg biosig.Segment, tp *tierPlan, hops []hop, opt TieredOp
 				return value{fl: view}
 			}
 		}
-		return outputs[e.From]
+		return output(e.From)
 	}
-	flags := make([]bool, len(g.Cells)+len(pl.ins))
-	lost, availAll := flags[:len(g.Cells)], flags[len(g.Cells):]
+	clear(a.flags)
+	lost, availAll := a.flags[:len(g.Cells)], a.flags[len(g.Cells):]
 	complete := true
 	for _, id = range pl.order {
 		c := g.Cells[id]
@@ -560,7 +586,7 @@ func (s *System) walk(seg biosig.Segment, tp *tierPlan, hops []hop, opt TieredOp
 				out.SensorEnergy += tp.sensorEnergy[id]
 			}
 			t0 := spans.start()
-			v, used := s.fusePartial(c, ins, avail, fetch)
+			used := s.fusePartial(c, ins, avail, fetch, output(id))
 			out.VotesTotal = len(ins)
 			out.VotesUsed = used
 			minVotes := opt.Policy.MinVotes
@@ -577,7 +603,6 @@ func (s *System) walk(seg biosig.Segment, tp *tierPlan, hops []hop, opt TieredOp
 				complete = false
 			}
 			spans.cell(pl, c, t0, nil)
-			outputs[id] = v
 			continue
 		}
 		allIn := true
@@ -600,26 +625,21 @@ func (s *System) walk(seg biosig.Segment, tp *tierPlan, hops []hop, opt TieredOp
 			cellEv = rxEvent()
 		}
 		t0 := spans.start()
-		v, err := s.evalCell(c, ins, fetch, cellEv)
+		err := s.evalCell(c, ins, fetch, cellEv, a, output(id))
 		spans.cell(pl, c, t0, err)
 		if err != nil {
-			return *out, fmt.Errorf("xsystem: cell %s: %w", c.Name, err)
+			return out.Outcome, fmt.Errorf("xsystem: cell %s: %w", c.Name, err)
 		}
-		outputs[id] = v
 	}
 
 	if lost[g.Output] {
-		return *out, &NoResultError{Cause: r.lastErr, Outcome: out.Outcome}
+		return out.Outcome, &NoResultError{Cause: r.lastErr, Outcome: out.Outcome}
 	}
-	final := outputs[g.Output]
-	switch {
-	case final.fl != nil && len(final.fl) > 0:
-		out.Score = final.fl[0]
-	case final.fx != nil && len(final.fx) > 0:
-		out.Score = final.fx[0].Float()
-	default:
-		return *out, &NoResultError{Cause: r.lastErr, Outcome: out.Outcome}
+	final := output(g.Output)
+	if final.len() == 0 {
+		return out.Outcome, &NoResultError{Cause: r.lastErr, Outcome: out.Outcome}
 	}
+	out.Score = final.at(0)
 	if out.Score >= 0 {
 		out.Label = 1
 	}
@@ -661,5 +681,5 @@ func (s *System) walk(seg biosig.Segment, tp *tierPlan, hops []hop, opt TieredOp
 		complete = false
 	}
 	out.Complete = complete && out.Delivered
-	return *out, nil
+	return out.Outcome, nil
 }

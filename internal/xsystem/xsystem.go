@@ -451,6 +451,21 @@ func (v value) asFloat() []float64 {
 	return fixed.ToSlice(v.fx)
 }
 
+// len returns how many values v holds; at returns value i in float64.
+func (v value) len() int {
+	if v.fl != nil {
+		return len(v.fl)
+	}
+	return len(v.fx)
+}
+
+func (v value) at(i int) float64 {
+	if v.fl != nil {
+		return v.fl[i]
+	}
+	return v.fx[i].Float()
+}
+
 // Classify executes the partitioned pipeline on one segment and returns
 // the predicted label (0 or 1). Sensor-side cells compute in Q16.16,
 // aggregator-side cells in float64; values crossing the link are
@@ -468,7 +483,7 @@ func (s *System) Classify(seg biosig.Segment) (int, error) {
 		spans.event = spans.tr.NextEvent()
 	}
 	hops := [1]hop{{Hop: partition.Hop{Link: s.Link}}}
-	out, err := s.walk(seg, s.plan.chain, hops[:], TieredOptions{}, spans)
+	out, err := s.walk(seg, s.plan.chain, hops[:], TieredOptions{}, spans, nil)
 	m := s.metrics()
 	if err != nil {
 		m.Counter("xpro_classify_errors_total",
@@ -512,14 +527,25 @@ type event struct {
 	paddedFixed []fixed.Num
 }
 
-func newEvent(g *topology.Graph, seg biosig.Segment) *event {
-	rawFloat := seg.Samples
-	paddedFloat := seg.PadTo(ensemble.DWTInputLen)
-	return &event{
-		rawFloat:    rawFloat,
-		paddedFloat: paddedFloat,
-		rawFixed:    fixed.FromSlice(rawFloat),
-		paddedFixed: fixed.FromSlice(paddedFloat),
+// makeEvent allocates an event's buffers for segments of segLen samples.
+func makeEvent(segLen int) event {
+	return event{
+		paddedFloat: make([]float64, ensemble.DWTInputLen),
+		rawFixed:    make([]fixed.Num, segLen),
+		paddedFixed: make([]fixed.Num, ensemble.DWTInputLen),
+	}
+}
+
+// load fills ev from samples, which it keeps as rawFloat: the copy
+// padded to the DWT input length, and both Q16.16 images.
+func (ev *event) load(samples []float64) {
+	ev.rawFloat = samples
+	biosig.Segment{Samples: samples}.PadInto(ev.paddedFloat)
+	for i, f := range samples {
+		ev.rawFixed[i] = fixed.FromFloat(f)
+	}
+	for i, f := range ev.paddedFloat {
+		ev.paddedFixed[i] = fixed.FromFloat(f)
 	}
 }
 
@@ -534,18 +560,16 @@ func dwtSlice[T any](producer topology.Cell, wantApprox bool, out []T) []T {
 	return out[:half]
 }
 
-// evalCell executes one functional cell on one event. fetch returns the
-// producer value of the i-th in-edge; the cell computes in Q16.16 when
-// placed on the sensor, float64 on the aggregator.
-func (s *System) evalCell(c topology.Cell, ins []topology.Edge, fetch func(int) value, ev *event) (value, error) {
-	var out value
-	var err error
+// evalCell executes one functional cell on one event into out, its
+// output slot. fetch returns the producer value of the i-th in-edge;
+// the cell computes in Q16.16 (out.fx) when placed on the sensor,
+// float64 (out.fl) on the aggregator. Vectors come from a's scratch.
+// The walk fuses through fusePartial, never here.
+func (s *System) evalCell(c topology.Cell, ins []topology.Edge, fetch func(int) value, ev *event, a *arena, out value) error {
 	if s.Placement.OnSensor(c.ID) {
-		out.fx, err = s.evalFixed(c, ins, fetch, ev)
-	} else {
-		out.fl, err = s.evalFloat(c, ins, fetch, ev)
+		return s.evalFixed(c, ins, fetch, ev, a, out.fx)
 	}
-	return out, err
+	return s.evalFloat(c, ins, fetch, ev, a, out.fl)
 }
 
 // scalarFixed reads element 0 of v, the producer value on in-edge e,
@@ -567,8 +591,7 @@ func (s *System) scalarFloat(c topology.CellID, e topology.Edge, v value) float6
 	return crossScalar(v, e)
 }
 
-func (s *System) evalFixed(c topology.Cell, ins []topology.Edge, fetch func(int) value, ev *event) ([]fixed.Num, error) {
-	raw, padded := ev.rawFixed, ev.paddedFixed
+func (s *System) evalFixed(c topology.Cell, ins []topology.Edge, fetch func(int) value, ev *event, a *arena, out []fixed.Num) error {
 	gather := func(i int, wantApprox bool) []fixed.Num {
 		e := ins[i]
 		if e.From == topology.SourceID {
@@ -580,7 +603,7 @@ func (s *System) evalFixed(c topology.Cell, ins []topology.Edge, fetch func(int)
 			v = fetch(i).asFixed()
 		} else {
 			// The payload crossed the link: apply wire quantization.
-			v = crossFixed(fetch(i), e)
+			v = crossFixed(a.qfx, fetch(i), e)
 		}
 		if from.Role == topology.RoleDWT {
 			return dwtSlice(from, wantApprox, v)
@@ -589,56 +612,38 @@ func (s *System) evalFixed(c topology.Cell, ins []topology.Edge, fetch func(int)
 	}
 	switch c.Role {
 	case topology.RoleDWT:
-		var in []fixed.Num
-		if c.Level == 1 {
-			in = padded
-		} else {
+		in := ev.paddedFixed
+		if c.Level != 1 {
 			in = gather(0, true)
 		}
-		a, d, err := dwt.StepFixed(in)
-		if err != nil {
-			return nil, err
-		}
-		return append(d, a...), nil // detail ‖ approx
+		return dwt.StepFixedInto(out[c.OutValues:], out[:c.OutValues], in) // detail ‖ approx
 	case topology.RoleFeature:
-		var in []fixed.Num
-		if c.Feature.Domain == ensemble.TimeDomain {
-			in = raw
-		} else {
+		in := ev.rawFixed
+		if c.Feature.Domain != ensemble.TimeDomain {
 			in = gather(0, c.Feature.Domain == ensemble.DWTLevels+1)
 		}
 		v := stats.ComputeFixed(c.Feature.Feat, in)
 		// Feature cells emit the §4.4 [0,1]-normalized value.
-		return []fixed.Num{normFixed(v, s.Ens.FeatureRange(c.Feature))}, nil
+		out[0] = normFixed(v, s.Ens.FeatureRange(c.Feature))
 	case topology.RoleStdStage:
 		// The Var cell emits a normalized variance; undo that, take the
 		// square root, and apply the Std feature's own normalization.
 		varRange := s.Ens.FeatureRange(ensemble.FeatureSpec{Domain: c.Feature.Domain, Feat: stats.Var})
 		raw := fixed.FromFloat(varRange.Invert(s.scalarFixed(c.ID, ins[0], fetch(0)).Float()))
-		return []fixed.Num{normFixed(fixed.Sqrt(raw), s.Ens.FeatureRange(c.Feature))}, nil
+		out[0] = normFixed(fixed.Sqrt(raw), s.Ens.FeatureRange(c.Feature))
 	case topology.RoleSVM:
-		x := make([]fixed.Num, len(ins))
+		x := a.xfx[:len(ins)]
 		for i, e := range ins {
 			x[i] = s.scalarFixed(c.ID, e, fetch(i))
 		}
-		return []fixed.Num{s.Ens.Bases[c.Base].Model.DecisionFixed(x)}, nil
-	case topology.RoleFusion:
-		score := fixed.FromFloat(s.Ens.Weights[len(s.Ens.Bases)])
-		for i, e := range ins {
-			vote := fixed.FromInt(-1)
-			if s.scalarFixed(c.ID, e, fetch(i)) >= 0 {
-				vote = fixed.One
-			}
-			score = fixed.Add(score, fixed.Mul(fixed.FromFloat(s.Ens.Weights[i]), vote))
-		}
-		return []fixed.Num{score}, nil
+		out[0] = s.Ens.Bases[c.Base].Model.DecisionFixed(x)
 	default:
-		return nil, fmt.Errorf("unknown role %v", c.Role)
+		return fmt.Errorf("unknown role %v", c.Role)
 	}
+	return nil
 }
 
-func (s *System) evalFloat(c topology.Cell, ins []topology.Edge, fetch func(int) value, ev *event) ([]float64, error) {
-	raw, padded := ev.rawFloat, ev.paddedFloat
+func (s *System) evalFloat(c topology.Cell, ins []topology.Edge, fetch func(int) value, ev *event, a *arena, out []float64) error {
 	gather := func(i int, wantApprox bool) []float64 {
 		e := ins[i]
 		if e.From == topology.SourceID {
@@ -650,7 +655,7 @@ func (s *System) evalFloat(c topology.Cell, ins []topology.Edge, fetch func(int)
 			v = fetch(i).asFloat()
 		} else {
 			// The payload crossed the link: apply wire quantization.
-			v = crossFloat(fetch(i), e)
+			v = crossFloat(a.qfl, fetch(i), e)
 		}
 		if from.Role == topology.RoleDWT {
 			return dwtSlice(from, wantApprox, v)
@@ -659,26 +664,18 @@ func (s *System) evalFloat(c topology.Cell, ins []topology.Edge, fetch func(int)
 	}
 	switch c.Role {
 	case topology.RoleDWT:
-		var in []float64
-		if c.Level == 1 {
-			in = padded
-		} else {
+		in := ev.paddedFloat
+		if c.Level != 1 {
 			in = gather(0, true)
 		}
-		a, d, err := dwt.Step(dwt.Haar, in)
-		if err != nil {
-			return nil, err
-		}
-		return append(d, a...), nil
+		return dwt.StepInto(dwt.Haar, out[c.OutValues:], out[:c.OutValues], in)
 	case topology.RoleFeature:
-		var in []float64
-		if c.Feature.Domain == ensemble.TimeDomain {
-			in = raw
-		} else {
+		in := ev.rawFloat
+		if c.Feature.Domain != ensemble.TimeDomain {
 			in = gather(0, c.Feature.Domain == ensemble.DWTLevels+1)
 		}
 		// Feature cells emit the §4.4 [0,1]-normalized value.
-		return []float64{s.Ens.FeatureRange(c.Feature).Apply(stats.Compute(c.Feature.Feat, in))}, nil
+		out[0] = s.Ens.FeatureRange(c.Feature).Apply(stats.Compute(c.Feature.Feat, in))
 	case topology.RoleStdStage:
 		// The Var cell emits a normalized variance; undo that, take the
 		// square root, and apply the Std feature's own normalization.
@@ -687,26 +684,17 @@ func (s *System) evalFloat(c topology.Cell, ins []topology.Edge, fetch func(int)
 		if rawVar < 0 {
 			rawVar = 0
 		}
-		return []float64{s.Ens.FeatureRange(c.Feature).Apply(math.Sqrt(rawVar))}, nil
+		out[0] = s.Ens.FeatureRange(c.Feature).Apply(math.Sqrt(rawVar))
 	case topology.RoleSVM:
-		x := make([]float64, len(ins))
+		x := a.xfl[:len(ins)]
 		for i, e := range ins {
 			x[i] = s.scalarFloat(c.ID, e, fetch(i))
 		}
-		return []float64{s.Ens.Bases[c.Base].Model.Decision(x)}, nil
-	case topology.RoleFusion:
-		score := s.Ens.Weights[len(s.Ens.Bases)]
-		for i, e := range ins {
-			vote := -1.0
-			if s.scalarFloat(c.ID, e, fetch(i)) >= 0 {
-				vote = 1.0
-			}
-			score += s.Ens.Weights[i] * vote
-		}
-		return []float64{score}, nil
+		out[0] = s.Ens.Bases[c.Base].Model.Decision(x)
 	default:
-		return nil, fmt.Errorf("unknown role %v", c.Role)
+		return fmt.Errorf("unknown role %v", c.Role)
 	}
+	return nil
 }
 
 // Accuracy classifies every segment of d through the cross-end pipeline.
