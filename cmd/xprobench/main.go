@@ -4,9 +4,12 @@
 //
 // Usage:
 //
-//	xprobench [-exp all|table1|fig4|fig8..fig13|headline|ext-lossy|ext-frontier]
+//	xprobench [-exp all|table1|fig4|fig8..fig13|headline|ext-…|scorecard]
 //	          [-cases C1,C2,...] [-protocol fast|paper] [-rate 2048]
 //	          [-format text|md|csv]
+//
+// -h lists every experiment id; the ext- ids select the repository's
+// extension tables (ext-faults, ext-adaptive, ext-tiered-faults, …).
 //
 // The fast protocol is the paper's §4.4 training protocol with a scaled
 // candidate pool (runs in about a minute for all six cases); the paper

@@ -24,12 +24,7 @@ import (
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("xprobench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	exp := fs.String("exp", "all", "experiment id (all, table1, fig4, fig8..fig13, headline, ext-lossy, ext-frontier, ext-faults, ext-adaptive, ...)")
-	faultsOnly := fs.Bool("faults", false, "shorthand for -exp ext-faults: the graceful-degradation table under injected fault scenarios")
-	adaptiveOnly := fs.Bool("adaptive", false, "shorthand for -exp ext-adaptive: the chaos-soak table comparing static, ladder and adaptive re-cut variants under channel drift")
-	corruptionOnly := fs.Bool("corruption", false, "shorthand for -exp ext-corruption: the framed-transport vs bare-wire table under a seeded bit-flip storm")
-	overloadOnly := fs.Bool("overload", false, "shorthand for -exp ext-overload: the flash-crowd table proving deadline-aware admission holds p99 under a 10x surge with strict-priority shedding")
-	tierFaultsOnly := fs.Bool("tier-faults", false, "shorthand for -exp ext-tiered-faults: the hub-storm table comparing the static k-way walk, the 2-rung ladder and the tier-collapse ladder under identical seeded storms")
+	exp := fs.String("exp", "all", "experiment id: all, "+experimentIDs())
 	parallel := fs.Int("parallel", 0, "worker-pool width for the ext-parallel experiment; with no -exp it is shorthand for -exp ext-parallel (0 = GOMAXPROCS, sequential comparison always included)")
 	tiers := fs.Int("tiers", 0, "tier-chain depth for the ext-multiway experiment; with no -exp it is shorthand for -exp ext-multiway (0 = the canonical 3: sensor - hub - cloud)")
 	cases := fs.String("cases", "", "comma-separated case symbols (default: all six)")
@@ -117,21 +112,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		lab.Cases = strings.Split(*cases, ",")
 	}
 
-	if *faultsOnly {
-		*exp = "ext-faults"
-	}
-	if *adaptiveOnly {
-		*exp = "ext-adaptive"
-	}
-	if *corruptionOnly {
-		*exp = "ext-corruption"
-	}
-	if *overloadOnly {
-		*exp = "ext-overload"
-	}
-	if *tierFaultsOnly {
-		*exp = "ext-tiered-faults"
-	}
 	if *parallel != 0 {
 		if *parallel < 0 {
 			fmt.Fprintf(stderr, "xprobench: -parallel must be >= 0, got %d\n", *parallel)
@@ -174,6 +154,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		printSLOTable(stdout)
 	}
 	return 0
+}
+
+// experimentIDs lists the registered experiment ids, comma-separated.
+func experimentIDs() string {
+	var ids []string
+	for _, r := range experiments.Runners() {
+		ids = append(ids, r.ID)
+	}
+	return strings.Join(ids, ", ")
 }
 
 // printSLOTable renders every windowed quantile series that landed on

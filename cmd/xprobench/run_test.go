@@ -89,12 +89,12 @@ func TestRunTable1SingleCase(t *testing.T) {
 	}
 }
 
-func TestRunAdaptiveShorthand(t *testing.T) {
+func TestRunAdaptive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains an engine and runs a chaos soak")
 	}
 	var out, errOut bytes.Buffer
-	if code := run([]string{"-adaptive", "-cases", "C1"}, &out, &errOut); code != 0 {
+	if code := run([]string{"-exp", "ext-adaptive", "-cases", "C1"}, &out, &errOut); code != 0 {
 		t.Fatalf("exit %d, stderr %q", code, errOut.String())
 	}
 	s := out.String()
@@ -108,14 +108,14 @@ func TestRunAdaptiveShorthand(t *testing.T) {
 	}
 }
 
-// -corruption is shorthand for the ext-corruption experiment: bare and
-// framed rows per case under the seeded bit-flip storm.
-func TestRunCorruptionShorthand(t *testing.T) {
+// The ext-corruption experiment prints bare and framed rows per case
+// under the seeded bit-flip storm.
+func TestRunCorruption(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains an engine and replays two corruption soaks")
 	}
 	var out, errOut bytes.Buffer
-	if code := run([]string{"-corruption", "-cases", "C1"}, &out, &errOut); code != 0 {
+	if code := run([]string{"-exp", "ext-corruption", "-cases", "C1"}, &out, &errOut); code != 0 {
 		t.Fatalf("exit %d, stderr %q", code, errOut.String())
 	}
 	s := out.String()

@@ -114,12 +114,6 @@ func NewCollapseLadder(nHops int, cfg CollapseConfig) (*CollapseLadder, error) {
 // Health returns a copy of one hop's state.
 func (l *CollapseLadder) Health(hop int) HopHealth { return l.hops[hop] }
 
-// Counters returns (collapses, recoveries, rollbacks): tiers dropped,
-// revivals, and probation failures that rolled straight back down.
-func (l *CollapseLadder) Counters() (collapses, recoveries, rollbacks int) {
-	return l.collapses, l.recoveries, l.rollbacks
-}
-
 // Cap returns the highest tier the serving placement may use: the
 // lowest dead hop's index (hop h dead ⇒ tiers ≤ h), or the full chain
 // when every hop is live.

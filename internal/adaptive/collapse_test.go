@@ -31,8 +31,7 @@ func TestCollapseLadderHysteresis(t *testing.T) {
 	if l.Cap() != 1 {
 		t.Fatalf("hop 1 dead: cap %d, want 1", l.Cap())
 	}
-	collapses, _, _ := l.Counters()
-	if collapses != 1 {
+	if collapses := l.Snapshot().Collapses; collapses != 1 {
 		t.Fatalf("collapses = %d, want 1", collapses)
 	}
 	// Lower hop dying caps lower still.
@@ -75,8 +74,7 @@ func TestCollapseLadderProbeScheduleAndRecovery(t *testing.T) {
 	if l.Health(0).Dead {
 		t.Fatal("two clean probes should revive the hop")
 	}
-	_, recoveries, _ := l.Counters()
-	if recoveries != 1 {
+	if recoveries := l.Snapshot().Recoveries; recoveries != 1 {
 		t.Fatalf("recoveries = %d, want 1", recoveries)
 	}
 	// A failure inside probation rolls straight back down.
@@ -85,8 +83,7 @@ func TestCollapseLadderProbeScheduleAndRecovery(t *testing.T) {
 	if !l.Health(0).Dead {
 		t.Fatal("probation failure should re-collapse immediately")
 	}
-	_, _, rollbacks := l.Counters()
-	if rollbacks != 1 {
+	if rollbacks := l.Snapshot().Rollbacks; rollbacks != 1 {
 		t.Fatalf("rollbacks = %d, want 1", rollbacks)
 	}
 	// Probe interval caps at MaxProbeSeconds.

@@ -112,9 +112,13 @@ const (
 
 // EndEvent is one event served by an EndRuntime. A fallback event's
 // Outcome carries the serving rung's label and votes; the failed
-// attempt's retries, lost transfers, deadline flag and time (the
-// in-sensor cut's time when the attempt spent none); and the attempt's
-// sensor energy plus what the fallback spent beyond the one sensing.
+// attempt's retries, lost transfers and deadline flag; its time (the
+// in-sensor cut's time when the attempt spent none), to which the
+// software fallback adds the raw segment's air time over every try and
+// the ensemble's compute on the aggregator; and the attempt's sensor
+// energy plus what the fallback spent beyond the one sensing (the
+// software fallback's transmit energy, and the sensing when no attempt
+// sensed the segment).
 type EndEvent struct {
 	xsystem.Outcome
 	Rung EndRung
@@ -181,16 +185,19 @@ func (rt *EndRuntime) fallBack(seg biosig.Segment, state faults.State, attempt x
 	}}
 	if state.Brownout {
 		// Sensing survives a brownout: stream the raw segment under the
-		// retry policy, every try draining the battery, and classify in
-		// software on the aggregator.
-		var tx float64
+		// retry policy, every try draining the battery and taking its
+		// air time, and classify in software on the aggregator, which
+		// takes the in-aggregator engine's back-end time.
 		sent := false
 		for try := 0; try <= rt.opt.Policy.MaxRetries && !sent; try++ {
 			tr, err := rt.link.Send(rt.fallback.Graph.SourceBits)
-			tx += tr.TxEnergy
+			ev.SensorEnergy += tr.TxEnergy
+			ev.SpentSeconds += tr.Delay
 			sent = err == nil
 		}
-		ev.SensorEnergy += tx
+		if attempt.SensorEnergy == 0 {
+			ev.SensorEnergy += rt.fallback.Problem().SensingEnergy
+		}
 		if !sent {
 			return EndEvent{}, ErrNoPath
 		}
@@ -198,6 +205,7 @@ func (rt *EndRuntime) fallBack(seg biosig.Segment, state faults.State, attempt x
 		if err != nil {
 			return EndEvent{}, err
 		}
+		ev.SpentSeconds += rt.fallback.DelayOf(partition.InAggregator(rt.fallback.Graph)).BackEnd
 		ev.Label, ev.Rung = label, RungFallbackSoftware
 		return ev, nil
 	}

@@ -198,3 +198,34 @@ func TestEndRuntimeFallbackDrawsNothing(t *testing.T) {
 			ev.Rung, sw.Snapshot().Draws)
 	}
 }
+
+// Inside a sensor brownout the software fallback books the raw
+// segment's air time and the ensemble's compute on the aggregator, at
+// least the in-aggregator engine's clean time, and the sensing and the
+// raw segment's transmit energy, whether or not an attempt ran first.
+func TestEndRuntimeSoftwareFallbackBill(t *testing.T) {
+	sys, segs := trivialC1(t)
+	agg := sys.DelayOf(partition.InAggregator(sys.Graph))
+	minSpent := agg.Wireless + agg.BackEnd
+	minEnergy := sys.Problem().SensingEnergy + sys.Link.Cost(sys.Graph.SourceBits).TxEnergy
+	for _, browned := range []bool{true, false} {
+		rt, err := NewEndRuntime(sys, EndConfig{Policy: faults.DefaultPolicy(), Plan: allRun(faults.Brownout, 0)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev, err := rt.Serve(sys, segs[0], browned)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ev.Rung != RungFallbackSoftware {
+			t.Fatalf("browned %v: rung %d, want the software fallback", browned, ev.Rung)
+		}
+		if ev.SpentSeconds < minSpent*(1-1e-12) {
+			t.Errorf("browned %v: spent %v s, want at least the in-aggregator engine's %v s", browned, ev.SpentSeconds, minSpent)
+		}
+		if ev.SensorEnergy < minEnergy*(1-1e-12) {
+			t.Errorf("browned %v: sensor energy %v J, want at least sensing plus the raw segment's transmit energy %v J",
+				browned, ev.SensorEnergy, minEnergy)
+		}
+	}
+}

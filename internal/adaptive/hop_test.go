@@ -20,8 +20,8 @@ func threeTierFixture(t testing.TB, seed int64) (*partition.TieredProblem, parti
 		t.Fatal(err)
 	}
 	hw := sensornode.Characterize(g, celllib.P90)
-	tiers, hops := partition.DefaultThreeTier(wireless.Model2(), wireless.Model3())
-	tp, err := partition.NewTieredProblem(g, hw, tiers, hops, 1e-6)
+	tiers, hops := partition.DefaultChain(3, wireless.Model2(), wireless.Model3())
+	tp, err := partition.NewProblem(g, hw, wireless.Model2(), 1e-6, nil).Tiered(tiers, hops)
 	if err != nil {
 		t.Fatal(err)
 	}

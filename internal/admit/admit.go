@@ -72,19 +72,6 @@ func (c Class) String() string {
 	return fmt.Sprintf("class(%d)", uint8(c))
 }
 
-// ParseClass maps a canonical class name back to its Class.
-func ParseClass(s string) (Class, error) {
-	switch s {
-	case "batch":
-		return Batch, nil
-	case "interactive":
-		return Interactive, nil
-	case "alert":
-		return Alert, nil
-	}
-	return Batch, fmt.Errorf("admit: unknown class %q", s)
-}
-
 // ErrShed is the sentinel matched by errors.Is for admission
 // rejections. The concrete error is always a *ShedError.
 var ErrShed = errors.New("admission shed")

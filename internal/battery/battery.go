@@ -13,7 +13,6 @@ package battery
 
 import (
 	"fmt"
-	"math"
 	"time"
 )
 
@@ -61,57 +60,4 @@ func (b Battery) LifetimeHours(avgPowerW float64) (float64, error) {
 		return 0, err
 	}
 	return d.Hours(), nil
-}
-
-// Phase is one segment of a repeating load profile.
-type Phase struct {
-	Duration time.Duration
-	PowerW   float64
-}
-
-// LifetimeUnderProfile returns how long the battery sustains a load that
-// cycles through the given profile — e.g. a monitor that analyzes at
-// full rate 16 h/day and idles overnight. The battery dies partway
-// through whichever phase exhausts it.
-func (b Battery) LifetimeUnderProfile(profile []Phase) (time.Duration, error) {
-	if len(profile) == 0 {
-		return 0, fmt.Errorf("battery: empty load profile")
-	}
-	var cycleEnergy float64
-	var cycleTime time.Duration
-	for i, p := range profile {
-		if p.Duration <= 0 || p.PowerW < 0 {
-			return 0, fmt.Errorf("battery: invalid phase %d (%v, %v W)", i, p.Duration, p.PowerW)
-		}
-		cycleEnergy += p.PowerW * p.Duration.Seconds()
-		cycleTime += p.Duration
-	}
-	if cycleEnergy <= 0 {
-		return 0, fmt.Errorf("battery: profile draws no energy")
-	}
-	remaining := b.EnergyJ()
-	full := math.Floor(remaining / cycleEnergy)
-	if full > 0 && remaining == full*cycleEnergy {
-		// Exact multiple: walk the last cycle explicitly so the battery
-		// dies at the end of its final powered phase, not after a free
-		// idle tail.
-		full--
-	}
-	total := time.Duration(float64(cycleTime) * full)
-	remaining -= full * cycleEnergy
-	for _, p := range profile {
-		phaseEnergy := p.PowerW * p.Duration.Seconds()
-		if phaseEnergy < remaining {
-			remaining -= phaseEnergy
-			total += p.Duration
-			continue
-		}
-		if p.PowerW > 0 {
-			total += time.Duration(remaining / p.PowerW * float64(time.Second))
-			break
-		}
-		// Zero-power phase with charge left: free time.
-		total += p.Duration
-	}
-	return total, nil
 }

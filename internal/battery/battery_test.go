@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestSensorBatteryEnergy(t *testing.T) {
@@ -49,82 +48,6 @@ func TestLifetimeErrors(t *testing.T) {
 	}
 	if _, err := b.LifetimeHours(-1); err == nil {
 		t.Error("negative power should error")
-	}
-}
-
-func TestLifetimeUnderProfile(t *testing.T) {
-	b := Battery{CapacitymAh: 1000, Voltage: 3.6, UsableFrac: 1} // 12960 J
-	// 1 h at 3.6 W (12960 J/h)... one hour per cycle of pure load.
-	d, err := b.LifetimeUnderProfile([]Phase{{Duration: time.Hour, PowerW: 3.6}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(d.Hours()-1) > 1e-9 {
-		t.Errorf("single-phase lifetime = %v, want 1h", d)
-	}
-	// Duty cycling: 1 h on at 3.6 W, 1 h off → battery lasts 1 h of load
-	// spread over 2 h of wall time (the off hour is free).
-	d, err = b.LifetimeUnderProfile([]Phase{
-		{Duration: time.Hour, PowerW: 3.6},
-		{Duration: time.Hour, PowerW: 0},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(d.Hours()-1) > 1e-9 {
-		t.Errorf("duty-cycled lifetime = %v, want 1h (dies mid first on-phase boundary)", d)
-	}
-	// Half load on-phase: the charge funds two on-hours at 1.8 W; the
-	// battery dies at the end of the second on-phase, after one full
-	// cycle (2 h) plus that on-hour → 3 h wall time.
-	d, err = b.LifetimeUnderProfile([]Phase{
-		{Duration: time.Hour, PowerW: 1.8},
-		{Duration: time.Hour, PowerW: 0},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(d.Hours()-3) > 1e-6 {
-		t.Errorf("half-load duty-cycled lifetime = %v, want 3h", d)
-	}
-}
-
-func TestLifetimeUnderProfileErrors(t *testing.T) {
-	b := SensorBattery()
-	if _, err := b.LifetimeUnderProfile(nil); err == nil {
-		t.Error("empty profile should error")
-	}
-	if _, err := b.LifetimeUnderProfile([]Phase{{Duration: -time.Second, PowerW: 1}}); err == nil {
-		t.Error("negative duration should error")
-	}
-	if _, err := b.LifetimeUnderProfile([]Phase{{Duration: time.Second, PowerW: -1}}); err == nil {
-		t.Error("negative power should error")
-	}
-	if _, err := b.LifetimeUnderProfile([]Phase{{Duration: time.Second, PowerW: 0}}); err == nil {
-		t.Error("zero-energy profile should error")
-	}
-}
-
-// Property: a duty-cycled profile always lasts at least as long (wall
-// clock) as the continuous full load.
-func TestQuickDutyCyclingNeverHurts(t *testing.T) {
-	b := SensorBattery()
-	f := func(onRaw, offRaw uint8) bool {
-		on := time.Duration(onRaw%23+1) * time.Minute
-		off := time.Duration(offRaw%23) * time.Minute
-		p := 1e-3
-		continuous, err1 := b.Lifetime(p)
-		cycled, err2 := b.LifetimeUnderProfile([]Phase{
-			{Duration: on, PowerW: p},
-			{Duration: off + time.Nanosecond, PowerW: 0},
-		})
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		return cycled >= continuous-time.Second
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -298,27 +298,6 @@ func (d *Dataset) Folds(k int, rng *rand.Rand) []*Dataset {
 	return folds
 }
 
-// Merge concatenates datasets with identical segment length.
-func Merge(parts ...*Dataset) *Dataset {
-	if len(parts) == 0 {
-		return &Dataset{}
-	}
-	out := &Dataset{Name: parts[0].Name, Symbol: parts[0].Symbol, SegLen: parts[0].SegLen}
-	for _, p := range parts {
-		out.Segs = append(out.Segs, p.Segs...)
-	}
-	return out
-}
-
-// ClassCounts returns the number of segments per label.
-func (d *Dataset) ClassCounts() map[int]int {
-	m := make(map[int]int)
-	for _, s := range d.Segs {
-		m[s.Label]++
-	}
-	return m
-}
-
 // PadTo returns the segment's samples padded (by repeating the final
 // sample) or truncated to length n. XPro's DWT chain requires a
 // power-of-two-friendly length: the evaluation uses 5 DWT levels with

@@ -91,7 +91,10 @@ func TestNormalizedRange(t *testing.T) {
 func TestClassBalance(t *testing.T) {
 	for _, spec := range TestCases() {
 		d := Generate(spec)
-		cc := d.ClassCounts()
+		cc := map[int]int{}
+		for _, s := range d.Segs {
+			cc[s.Label]++
+		}
 		if diff := cc[0] - cc[1]; diff < -1 || diff > 1 {
 			t.Errorf("%s: class counts %v not balanced", spec.Symbol, cc)
 		}
@@ -165,19 +168,6 @@ func TestFolds(t *testing.T) {
 	// k<2 clamps to 2.
 	if got := d.Folds(1, rng); len(got) != 2 {
 		t.Errorf("Folds(1) = %d folds, want clamp to 2", len(got))
-	}
-}
-
-func TestMerge(t *testing.T) {
-	d := Generate(TestCases()[0])
-	rng := rand.New(rand.NewSource(2))
-	a, b := d.Split(0.5, rng)
-	m := Merge(a, b)
-	if len(m.Segs) != len(d.Segs) {
-		t.Error("merge loses segments")
-	}
-	if Merge().Segs != nil {
-		t.Error("empty merge should have no segments")
 	}
 }
 

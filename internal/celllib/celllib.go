@@ -53,9 +53,6 @@ const (
 	Pipeline
 )
 
-// Modes lists all ALU modes.
-var Modes = []Mode{Serial, Parallel, Pipeline}
-
 func (m Mode) String() string {
 	switch m {
 	case Serial:

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"sort"
 
-	"xpro/internal/celllib"
 	"xpro/internal/partition"
 	"xpro/internal/sensornode"
 	"xpro/internal/topology"
@@ -204,12 +203,6 @@ func Simulate(g *topology.Graph, p partition.Placement, hw *sensornode.Hardware)
 	}
 	res.UngatedEnergy += res.GatedEnergy
 	return res, nil
-}
-
-// CompletionSeconds converts the completion cycle to seconds at the cell
-// clock.
-func (r *Result) CompletionSeconds() float64 {
-	return float64(r.CompletionCycle) / celllib.ClockHz
 }
 
 // PeakPower returns the maximum instantaneous power of the array during

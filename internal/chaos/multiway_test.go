@@ -16,7 +16,7 @@ import (
 func tieredSystem(t testing.TB, f *fixture) *xsystem.TieredSystem {
 	t.Helper()
 	s := crossSystem(t, f, wireless.Model2())
-	tiers, hops := partition.DefaultThreeTier(s.Link, wireless.Model3())
+	tiers, hops := partition.DefaultChain(3, s.Link, wireless.Model3())
 	ts, err := xsystem.NewTiered(s, tiers, hops)
 	if err != nil {
 		t.Fatal(err)

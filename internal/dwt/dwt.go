@@ -115,27 +115,6 @@ func StepInto(w Wavelet, approx, detail, x []float64) error {
 	return nil
 }
 
-// InverseStep reconstructs the even-length signal from one analysis step.
-func InverseStep(w Wavelet, approx, detail []float64) ([]float64, error) {
-	if len(approx) != len(detail) {
-		return nil, fmt.Errorf("dwt: approx length %d != detail length %d", len(approx), len(detail))
-	}
-	lo, hi := w.filters()
-	half := len(approx)
-	n := 2 * half
-	if n < len(lo) {
-		return nil, fmt.Errorf("dwt: output length %d shorter than %s filter length %d", n, w, len(lo))
-	}
-	x := make([]float64, n)
-	// Transpose of the periodic analysis operator (orthonormal ⇒ inverse).
-	for i := 0; i < half; i++ {
-		for k := 0; k < len(lo); k++ {
-			x[(2*i+k)%n] += lo[k]*approx[i] + hi[k]*detail[i]
-		}
-	}
-	return x, nil
-}
-
 // Decomposition is a multi-level DWT of a signal segment.
 type Decomposition struct {
 	Wavelet Wavelet
@@ -148,9 +127,6 @@ type Decomposition struct {
 	// of level 5.
 	Approx []float64
 }
-
-// Levels returns the number of decomposition levels.
-func (d *Decomposition) Levels() int { return len(d.Details) }
 
 // Band returns the i-th band in XPro's cell ordering: bands 0..L−1 are
 // details of levels 1..L and band L is the final approximation.
@@ -188,32 +164,6 @@ func Decompose(w Wavelet, x []float64, levels int) (*Decomposition, error) {
 	return dec, nil
 }
 
-// Reconstruct inverts a Decomposition back to the original signal.
-func Reconstruct(dec *Decomposition) ([]float64, error) {
-	cur := append([]float64(nil), dec.Approx...)
-	for l := len(dec.Details) - 1; l >= 0; l-- {
-		x, err := InverseStep(dec.Wavelet, cur, dec.Details[l])
-		if err != nil {
-			return nil, fmt.Errorf("dwt: inverse level %d: %w", l+1, err)
-		}
-		cur = x
-	}
-	return cur, nil
-}
-
-// MaxLevels returns the deepest decomposition supported for a signal of
-// length n with wavelet w (each level halves the length; it must stay at
-// least the filter length and even).
-func MaxLevels(w Wavelet, n int) int {
-	lo, _ := w.filters()
-	levels := 0
-	for n%2 == 0 && n >= 2*len(lo) {
-		n /= 2
-		levels++
-	}
-	return levels
-}
-
 // StepFixed performs one Haar analysis step in Q16.16 fixed point — the
 // arithmetic the in-sensor DWT functional cell implements. Only Haar is
 // supported in hardware (2-tap filter: one add, one subtract, one scale).
@@ -245,24 +195,4 @@ func StepFixedInto(approx, detail, x []fixed.Num) error {
 		detail[i] = fixed.Mul(d, r)
 	}
 	return nil
-}
-
-// DecomposeFixed computes a levels-deep Haar DWT in fixed point.
-func DecomposeFixed(x []fixed.Num, levels int) (details [][]fixed.Num, approx []fixed.Num, err error) {
-	if levels < 1 {
-		return nil, nil, fmt.Errorf("dwt: levels must be ≥ 1, got %d", levels)
-	}
-	if len(x)%(1<<uint(levels)) != 0 {
-		return nil, nil, fmt.Errorf("dwt: length %d not divisible by 2^%d", len(x), levels)
-	}
-	cur := append([]fixed.Num(nil), x...)
-	for l := 0; l < levels; l++ {
-		a, d, err := StepFixed(cur)
-		if err != nil {
-			return nil, nil, fmt.Errorf("dwt: fixed level %d: %w", l+1, err)
-		}
-		details = append(details, d)
-		cur = a
-	}
-	return details, cur, nil
 }

@@ -26,7 +26,7 @@ func FuzzRoundTrip(f *testing.F) {
 		if err != nil {
 			return // invalid shape: rejected, not crashed
 		}
-		back, err := Reconstruct(dec)
+		back, err := reconstruct(dec)
 		if err != nil {
 			t.Fatalf("reconstruct failed after successful decompose: %v", err)
 		}

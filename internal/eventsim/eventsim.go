@@ -459,36 +459,6 @@ func Simulate(in Input) (*Trace, error) {
 	return trace, nil
 }
 
-// BusyTime sums activity durations per location ("sensor", "link",
-// "aggregator").
-func (t *Trace) BusyTime() map[string]float64 {
-	m := make(map[string]float64)
-	for _, a := range t.Activities {
-		if a.Kind == KindStall {
-			continue
-		}
-		m[a.Where] += a.End - a.Start
-	}
-	return m
-}
-
-// StallTime sums the time activities spent blocked by fault windows.
-func (t *Trace) StallTime() float64 {
-	var s float64
-	for _, a := range t.Activities {
-		if a.Kind == KindStall {
-			s += a.End - a.Start
-		}
-	}
-	return s
-}
-
-// ViolatesDeadline reports whether the event finished after the given
-// delay constraint — how an outage window shows up in a trace.
-func (t *Trace) ViolatesDeadline(limitSeconds float64) bool {
-	return t.Finish > limitSeconds
-}
-
 // Render formats the trace as an indented timeline (µs).
 func (t *Trace) Render() string {
 	out := ""

@@ -25,6 +25,30 @@ type fixture struct {
 
 var cached *fixture
 
+// busyTime sums activity durations per location ("sensor", "link",
+// "aggregator").
+func (t *Trace) busyTime() map[string]float64 {
+	m := make(map[string]float64)
+	for _, a := range t.Activities {
+		if a.Kind == KindStall {
+			continue
+		}
+		m[a.Where] += a.End - a.Start
+	}
+	return m
+}
+
+// stallTime sums the time activities spent blocked by fault windows.
+func (t *Trace) stallTime() float64 {
+	var s float64
+	for _, a := range t.Activities {
+		if a.Kind == KindStall {
+			s += a.End - a.Start
+		}
+	}
+	return s
+}
+
 func getFixture(t testing.TB) *fixture {
 	t.Helper()
 	if cached != nil {
@@ -135,7 +159,7 @@ func TestBusyTimeMatchesComponents(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		busy := tr.BusyTime()
+		busy := tr.busyTime()
 		add := s.DelayPerEvent()
 		if math.Abs(busy["link"]-add.Wireless) > 1e-12 {
 			t.Errorf("%s: link busy %v != wireless %v", name, busy["link"], add.Wireless)

@@ -20,8 +20,8 @@ func TestSimulateLinkOutageDelaysEvent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if clean.StallTime() != 0 {
-		t.Fatalf("clean schedule has stall time %v", clean.StallTime())
+	if clean.stallTime() != 0 {
+		t.Fatalf("clean schedule has stall time %v", clean.stallTime())
 	}
 	crossing := false
 	for _, a := range clean.Activities {
@@ -47,18 +47,18 @@ func TestSimulateLinkOutageDelaysEvent(t *testing.T) {
 	if faulty.Finish < outageEnd {
 		t.Errorf("transfers ran during the outage: finish %v < %v", faulty.Finish, outageEnd)
 	}
-	if faulty.StallTime() == 0 {
+	if faulty.stallTime() == 0 {
 		t.Error("outage left no stall time in the trace")
 	}
 	limit := clean.Finish * 2
-	if clean.ViolatesDeadline(limit) {
+	if clean.Finish > limit {
 		t.Error("clean schedule should meet twice its own finish")
 	}
-	if !faulty.ViolatesDeadline(limit) {
+	if faulty.Finish <= limit {
 		t.Error("outage schedule should violate the clean deadline")
 	}
 	// Stalls are bookkeeping, not work: busy time excludes them.
-	for res, busy := range faulty.BusyTime() {
+	for res, busy := range faulty.busyTime() {
 		if busy > faulty.Finish {
 			t.Errorf("resource %s busy %v exceeds finish %v", res, busy, faulty.Finish)
 		}
@@ -80,8 +80,8 @@ func TestSimulateStartOffsetEscapesWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if shifted.StallTime() != 0 {
-		t.Errorf("event after the window stalled %v", shifted.StallTime())
+	if shifted.stallTime() != 0 {
+		t.Errorf("event after the window stalled %v", shifted.stallTime())
 	}
 }
 
@@ -132,7 +132,7 @@ func TestSimulateBrownoutAndStall(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
-		if tr.StallTime() == 0 {
+		if tr.stallTime() == 0 {
 			t.Errorf("%v window produced no stalls", kind)
 		}
 		if tr.Finish < 0.5 {

@@ -108,7 +108,7 @@ func TestQuickSyntheticBusyTimeInvariant(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		busy := tr.BusyTime()
+		busy := tr.busyTime()
 		var wantSensor, wantAgg float64
 		for i := range in.Graph.Cells {
 			id := topology.CellID(i)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"xpro/internal/biosig"
 	"xpro/internal/celllib"
 	"xpro/internal/stats"
 	"xpro/internal/wireless"
@@ -386,13 +385,4 @@ func AllFormat(l *Lab, w io.Writer, f Format) error {
 		}
 	}
 	return nil
-}
-
-// Dataset accessor used by example programs.
-func DatasetFor(sym string) (*biosig.Dataset, error) {
-	spec, err := biosig.CaseBySymbol(sym)
-	if err != nil {
-		return nil, err
-	}
-	return biosig.Generate(spec), nil
 }

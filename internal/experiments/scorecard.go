@@ -125,17 +125,3 @@ func boolWord(b bool, yes, no string) string {
 	}
 	return no
 }
-
-// ScorecardPasses reports whether every scorecard claim passes.
-func ScorecardPasses(l *Lab) (bool, *Table, error) {
-	t, err := Scorecard(l)
-	if err != nil {
-		return false, nil, err
-	}
-	for _, row := range t.Rows {
-		if row[len(row)-1] != "PASS" {
-			return false, t, nil
-		}
-	}
-	return true, t, nil
-}

@@ -231,12 +231,6 @@ type State struct {
 	Graceful bool
 }
 
-// Corrupting reports whether any payload-corruption fault (bit flips,
-// duplication, reordering) is active.
-func (s State) Corrupting() bool {
-	return s.BitErrorRate > 0 || s.DupRate > 0 || s.ReorderRate > 0
-}
-
 // At returns the fault state at modeled time t. A nil plan is
 // fault-free.
 func (p *Plan) At(t float64) State {

@@ -43,12 +43,6 @@ func TestPlanAtOverlappingWindows(t *testing.T) {
 				tc.at, st.Loss, st.BitErrorRate, st.LinkDown, tc.loss, tc.ber, tc.linkDown)
 		}
 	}
-	if !p.At(7).Corrupting() {
-		t.Error("a bit-flip window must report Corrupting")
-	}
-	if p.At(20).Corrupting() {
-		t.Error("a clean instant must not report Corrupting")
-	}
 }
 
 func TestWindowRateValidation(t *testing.T) {

@@ -36,9 +36,6 @@ const (
 	Min Num = math.MinInt32
 )
 
-// Eps is the smallest positive increment (2^-16 ≈ 1.5e-5).
-const Eps Num = 1
-
 // FromFloat converts a float64 to the nearest representable Num,
 // saturating at the representable range.
 func FromFloat(f float64) Num {
@@ -102,14 +99,6 @@ func Neg(x Num) Num {
 		return Max
 	}
 	return -x
-}
-
-// Abs returns |x| with saturation (|Min| saturates to Max).
-func Abs(x Num) Num {
-	if x < 0 {
-		return Neg(x)
-	}
-	return x
 }
 
 // Mul returns x·y rounded to nearest, with saturation.
@@ -240,14 +229,12 @@ func Exp(x Num) Num {
 	return Num(int64(term) >> sh)
 }
 
-// Exp's saturation bounds: e^10.4 ≈ 32859 > Max range; e^-11.1 < Eps.
+// Exp's saturation bounds: e^10.4 ≈ 32859 > Max range; e^-11.1 is below
+// 2^-16, the smallest positive Num.
 var (
 	expMax = FromFloat(10.39)
 	expMin = FromFloat(-11.1)
 )
-
-// Recip returns 1/x (the S-ALU reciprocal primitive).
-func Recip(x Num) Num { return Div(One, x) }
 
 // FromSlice converts a float64 slice to fixed point.
 func FromSlice(fs []float64) []Num {

@@ -71,15 +71,12 @@ func TestAddSubSaturate(t *testing.T) {
 	}
 }
 
-func TestNegAbs(t *testing.T) {
+func TestNeg(t *testing.T) {
 	if Neg(Min) != Max {
 		t.Error("Neg(Min) should saturate to Max")
 	}
-	if Abs(Min) != Max {
-		t.Error("Abs(Min) should saturate to Max")
-	}
-	if Abs(FromInt(-7)) != FromInt(7) {
-		t.Error("Abs(-7) != 7")
+	if Neg(FromInt(-7)) != FromInt(7) {
+		t.Error("Neg(-7) != 7")
 	}
 }
 
@@ -177,12 +174,6 @@ func TestExpSaturation(t *testing.T) {
 	}
 	if Exp(0) != One {
 		t.Errorf("Exp(0) = %v, want 1", Exp(0))
-	}
-}
-
-func TestRecip(t *testing.T) {
-	if Recip(FromInt(4)).Float() != 0.25 {
-		t.Error("Recip(4) != 0.25")
 	}
 }
 

@@ -2,48 +2,8 @@ package frame
 
 import "testing"
 
-// The hot path of the integrity layer: one 32-byte frame (the
-// transceiver's MaxPayloadBits) encoded, decoded and — on loss —
-// imputed, once per crossing packet per event.
-
-func benchPayload() []byte {
-	p := make([]byte, 32)
-	for i := range p {
-		p[i] = byte(i * 37)
-	}
-	return p
-}
-
-func BenchmarkEncode(b *testing.B) {
-	p := benchPayload()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Encode(uint8(i), p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDecode(b *testing.B) {
-	buf, err := Encode(9, benchPayload())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Decode(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCRC16(b *testing.B) {
-	p := benchPayload()
-	b.SetBytes(int64(len(p)))
-	for i := 0; i < b.N; i++ {
-		CRC16(p)
-	}
-}
+// The receive side of the integrity layer: imputing lost samples and
+// tracking sequence numbers in the Reassembler.
 
 func benchImpute(b *testing.B, p ImputePolicy) {
 	vals := make([]float64, 256)

@@ -1,8 +1,8 @@
-// Package frame implements the framed wire codec of the data-integrity
-// layer: every Q-quantized payload crossing the body-area link is split
-// into transceiver packets (internal/wireless), and each packet is
-// wrapped in a frame carrying a sequence number, an explicit payload
-// length and a CRC-16/CCITT checksum over header and payload.
+// Package frame models the data-integrity layer of the body-area link:
+// every Q-quantized payload crossing the link is split into transceiver
+// packets (internal/wireless), and each packet is wrapped in a frame
+// carrying a sequence number, an explicit payload length and a
+// CRC-16/CCITT checksum over header and payload.
 //
 // The paper's transceiver simulator (§4.2) charges an 8-bit header per
 // packet but assumes every delivered packet is bit-perfect. Real
@@ -17,14 +17,11 @@
 //   - samples lost beyond the retry budget are repaired by a pluggable
 //     imputation policy (hold-last, linear, zero).
 //
-// The layer costs IntegrityBits extra on-air bits per frame, priced
-// through the same per-bit transceiver energy model as the payload.
+// The link is modeled, not run byte by byte: faults.Link draws each
+// frame's fate and charges the envelope's IntegrityBits extra on-air
+// bits per frame, priced through the same per-bit transceiver energy
+// model as the payload.
 package frame
-
-import (
-	"errors"
-	"fmt"
-)
 
 const (
 	// HeaderBytes is the frame header: sequence number + payload length.
@@ -35,93 +32,4 @@ const (
 	// layer beyond the transceiver's own 8-bit packet header: 8-bit
 	// sequence number, 8-bit length and 16-bit CRC.
 	IntegrityBits = 8 * (HeaderBytes + TrailerBytes)
-	// MaxPayloadBytes is the largest payload one frame can carry (the
-	// length field is one byte).
-	MaxPayloadBytes = 255
 )
-
-// Frame is one decoded wire frame.
-type Frame struct {
-	// Seq is the 8-bit wrapping sequence number.
-	Seq uint8
-	// Payload aliases the decoded buffer (no copy).
-	Payload []byte
-}
-
-// Typed decode failures. Decode wraps them with detail; match with
-// errors.Is.
-var (
-	// ErrTruncated reports a buffer shorter than a minimal frame.
-	ErrTruncated = errors.New("frame: buffer shorter than a minimal frame")
-	// ErrLength reports a length field that disagrees with the buffer.
-	ErrLength = errors.New("frame: length field disagrees with buffer size")
-	// ErrCRC reports a checksum mismatch: the frame was corrupted in
-	// flight.
-	ErrCRC = errors.New("frame: CRC mismatch")
-	// ErrTooLarge reports an Encode payload over MaxPayloadBytes.
-	ErrTooLarge = errors.New("frame: payload exceeds 255 bytes")
-)
-
-// crc16Table is the CRC-16/CCITT-FALSE table (polynomial 0x1021).
-var crc16Table = func() [256]uint16 {
-	var t [256]uint16
-	for i := 0; i < 256; i++ {
-		crc := uint16(i) << 8
-		for b := 0; b < 8; b++ {
-			if crc&0x8000 != 0 {
-				crc = crc<<1 ^ 0x1021
-			} else {
-				crc <<= 1
-			}
-		}
-		t[i] = crc
-	}
-	return t
-}()
-
-// CRC16 computes the CRC-16/CCITT-FALSE checksum (poly 0x1021, init
-// 0xFFFF) of data. It detects every single- and double-bit error over
-// frames far longer than the 32-byte payloads used here.
-func CRC16(data []byte) uint16 {
-	crc := uint16(0xFFFF)
-	for _, b := range data {
-		crc = crc<<8 ^ crc16Table[byte(crc>>8)^b]
-	}
-	return crc
-}
-
-// Encode wraps payload in a frame:
-//
-//	[seq 1B][len 1B][payload ≤255B][crc16 2B big-endian]
-//
-// The CRC covers seq, len and payload.
-func Encode(seq uint8, payload []byte) ([]byte, error) {
-	if len(payload) > MaxPayloadBytes {
-		return nil, fmt.Errorf("%w (%d)", ErrTooLarge, len(payload))
-	}
-	buf := make([]byte, 0, HeaderBytes+len(payload)+TrailerBytes)
-	buf = append(buf, seq, byte(len(payload)))
-	buf = append(buf, payload...)
-	crc := CRC16(buf)
-	return append(buf, byte(crc>>8), byte(crc)), nil
-}
-
-// Decode parses one frame. The returned payload aliases buf. Every
-// corruption is surfaced as a typed error: a frame is never silently
-// mis-sliced — when Decode returns nil, len(Frame.Payload) equals the
-// frame's length field and the CRC verified over header and payload.
-func Decode(buf []byte) (Frame, error) {
-	if len(buf) < HeaderBytes+TrailerBytes {
-		return Frame{}, fmt.Errorf("%w (%d bytes)", ErrTruncated, len(buf))
-	}
-	n := int(buf[1])
-	if len(buf) != HeaderBytes+n+TrailerBytes {
-		return Frame{}, fmt.Errorf("%w (field %d, buffer %d)", ErrLength, n, len(buf))
-	}
-	body := buf[:len(buf)-TrailerBytes]
-	want := uint16(buf[len(buf)-2])<<8 | uint16(buf[len(buf)-1])
-	if got := CRC16(body); got != want {
-		return Frame{}, fmt.Errorf("%w (want %#04x, got %#04x)", ErrCRC, want, got)
-	}
-	return Frame{Seq: buf[0], Payload: buf[HeaderBytes : HeaderBytes+n]}, nil
-}

@@ -1,81 +1,9 @@
 package frame
 
 import (
-	"bytes"
-	"errors"
 	"math"
 	"testing"
 )
-
-func TestCRC16KnownVector(t *testing.T) {
-	// The CRC-16/CCITT-FALSE check value of "123456789" is 0x29B1.
-	if got := CRC16([]byte("123456789")); got != 0x29B1 {
-		t.Fatalf("CRC16 check value = %#04x, want 0x29b1", got)
-	}
-	if got := CRC16(nil); got != 0xFFFF {
-		t.Fatalf("CRC16(nil) = %#04x, want the 0xffff init value", got)
-	}
-}
-
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	payloads := [][]byte{nil, {}, {0}, {0xFF}, []byte("hello, wire"), bytes.Repeat([]byte{0xA5}, MaxPayloadBytes)}
-	for _, p := range payloads {
-		for _, seq := range []uint8{0, 1, 127, 255} {
-			buf, err := Encode(seq, p)
-			if err != nil {
-				t.Fatalf("Encode(%d, %d bytes): %v", seq, len(p), err)
-			}
-			if len(buf) != HeaderBytes+len(p)+TrailerBytes {
-				t.Fatalf("frame length %d, want %d", len(buf), HeaderBytes+len(p)+TrailerBytes)
-			}
-			fr, err := Decode(buf)
-			if err != nil {
-				t.Fatalf("Decode: %v", err)
-			}
-			if fr.Seq != seq || !bytes.Equal(fr.Payload, p) {
-				t.Fatalf("round trip: got seq %d payload %x, want %d %x", fr.Seq, fr.Payload, seq, p)
-			}
-		}
-	}
-	if _, err := Encode(0, make([]byte, MaxPayloadBytes+1)); !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("oversized payload: err = %v, want ErrTooLarge", err)
-	}
-}
-
-func TestDecodeDetectsEverySingleBitFlip(t *testing.T) {
-	buf, err := Encode(42, []byte{0x00, 0x7F, 0xFF, 0x12, 0x34})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < len(buf)*8; i++ {
-		flipped := append([]byte(nil), buf...)
-		flipped[i/8] ^= 1 << uint(i%8)
-		if _, err := Decode(flipped); err == nil {
-			t.Fatalf("single-bit flip at bit %d went undetected", i)
-		}
-	}
-}
-
-func TestDecodeTypedErrors(t *testing.T) {
-	buf, _ := Encode(1, []byte{1, 2, 3})
-	cases := []struct {
-		name string
-		buf  []byte
-		want error
-	}{
-		{"empty", nil, ErrTruncated},
-		{"short", []byte{1, 2, 3}, ErrTruncated},
-		{"length high", func() []byte { b := append([]byte(nil), buf...); b[1] = 200; return b }(), ErrLength},
-		{"truncated tail", buf[:len(buf)-1], ErrLength},
-		{"payload flip", func() []byte { b := append([]byte(nil), buf...); b[2] ^= 0x80; return b }(), ErrCRC},
-		{"crc flip", func() []byte { b := append([]byte(nil), buf...); b[len(b)-1] ^= 1; return b }(), ErrCRC},
-	}
-	for _, tc := range cases {
-		if _, err := Decode(tc.buf); !errors.Is(err, tc.want) {
-			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
-		}
-	}
-}
 
 func TestReassemblerInOrder(t *testing.T) {
 	var r Reassembler

@@ -27,9 +27,6 @@ func Dot(a, b []float64) float64 {
 	return s
 }
 
-// Norm2 returns the Euclidean norm of a.
-func Norm2(a []float64) float64 { return math.Sqrt(Dot(a, a)) }
-
 // Matrix is a dense row-major matrix.
 type Matrix struct {
 	Rows, Cols int

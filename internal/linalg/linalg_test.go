@@ -19,12 +19,6 @@ func TestDot(t *testing.T) {
 	Dot([]float64{1}, []float64{1, 2})
 }
 
-func TestNorm2(t *testing.T) {
-	if Norm2([]float64{3, 4}) != 5 {
-		t.Error("norm wrong")
-	}
-}
-
 func TestMatrixBasics(t *testing.T) {
 	m := NewMatrix(2, 3)
 	m.Set(0, 0, 1)

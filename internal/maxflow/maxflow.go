@@ -79,10 +79,6 @@ func (g *Graph) AddEdge(from, to int, capacity float64) int {
 	return idx
 }
 
-// Edge returns a copy of the edge with the given index (as returned by
-// AddEdge).
-func (g *Graph) Edge(idx int) Edge { return g.edges[idx] }
-
 // Reset clears all flow, allowing the network to be solved again
 // (e.g. after capacity updates via SetCap).
 func (g *Graph) Reset() {

@@ -8,6 +8,10 @@ import (
 	"testing/quick"
 )
 
+// edge returns a copy of the edge with the given index (as returned by
+// AddEdge).
+func (g *Graph) edge(idx int) Edge { return g.edges[idx] }
+
 func TestClassicNetwork(t *testing.T) {
 	// CLRS-style example: max flow 23.
 	g := New(6)
@@ -72,7 +76,7 @@ func TestMinCutPartition(t *testing.T) {
 	}
 	var total float64
 	for _, ei := range cut {
-		total += g.Edge(ei).Cap
+		total += g.edge(ei).Cap
 	}
 	if math.Abs(total-val) > 1e-9 {
 		t.Errorf("cut edge capacities %v != flow %v", total, val)
@@ -96,7 +100,7 @@ func TestInfiniteEdgeNeverCut(t *testing.T) {
 		t.Fatal("cut should be finite")
 	}
 	for _, ei := range cut {
-		if g.Edge(ei).Cap >= Inf/2 {
+		if g.edge(ei).Cap >= Inf/2 {
 			t.Error("infinite edge appears in min cut")
 		}
 	}
@@ -229,8 +233,8 @@ func TestAddEdgeAfterSolveMatchesFreshGraph(t *testing.T) {
 					seed, round, got, side, cut, want, wantSide, wantCut)
 			}
 			for i := 0; i < 2*len(es); i++ {
-				if g.Edge(i) != fresh.Edge(i) {
-					t.Fatalf("seed %d round %d: edge %d carries %+v, fresh graph %+v", seed, round, i, g.Edge(i), fresh.Edge(i))
+				if g.edge(i) != fresh.edge(i) {
+					t.Fatalf("seed %d round %d: edge %d carries %+v, fresh graph %+v", seed, round, i, g.edge(i), fresh.edge(i))
 				}
 			}
 		}
@@ -283,7 +287,7 @@ func TestQuickMaxFlowMinCutDuality(t *testing.T) {
 		}
 		var total float64
 		for _, ei := range cut {
-			e := g.Edge(ei)
+			e := g.edge(ei)
 			total += e.Cap
 			if !side[e.From] || side[e.To] {
 				return false

@@ -107,18 +107,6 @@ func (p TierPlacement) Collapse(boundary Tier) Placement {
 	return q
 }
 
-// FromBinary lifts a 2-end placement onto k tiers: sensor cells to tier
-// 0, aggregator cells to the top tier.
-func FromBinary(p Placement, k int) TierPlacement {
-	q := make(TierPlacement, len(p))
-	for i, e := range p {
-		if e == Aggregator {
-			q[i] = Tier(k - 1)
-		}
-	}
-	return q
-}
-
 // AllAt returns the placement with every cell on tier t.
 func AllAt(g *topology.Graph, t Tier) TierPlacement {
 	p := make(TierPlacement, len(g.Cells))
@@ -180,14 +168,6 @@ type TieredProblem struct {
 	view *View
 }
 
-// DefaultThreeTier returns the canonical sensor → hub → cloud chain:
-// the sensor tier carries the full battery weight, the phone-class hub
-// a token one, the wall-powered cloud none; body is the sensor↔hub link
-// and uplink the hub↔cloud link.
-func DefaultThreeTier(body, uplink wireless.Model) ([]TierSpec, []Hop) {
-	return DefaultChain(3, body, uplink)
-}
-
 // DefaultChain generalizes the three-tier defaults to a k-tier chain:
 // sensor at the bottom (full battery weight), k−2 intermediate hubs
 // with geometrically shrinking compute cost and battery weight, and an
@@ -218,26 +198,11 @@ func DefaultChain(k int, body, uplink wireless.Model) ([]TierSpec, []Hop) {
 	return tiers, hops
 }
 
-// NewTieredProblem validates the chain and applies defaults.
-func NewTieredProblem(g *topology.Graph, hw *sensornode.Hardware, tiers []TierSpec, hops []Hop, sensingEnergy float64) (*TieredProblem, error) {
-	tp, err := newTieredProblem(g, hw, tiers, hops, sensingEnergy)
-	if err == nil {
-		tp.view = newView(g)
-	}
-	return tp, err
-}
-
 // Tiered poses pr's graph, hardware and sensing energy on a k-tier
-// chain, as NewTieredProblem does, sharing pr's view.
+// chain: it validates the chain, applies its defaults and shares pr's
+// view.
 func (pr *Problem) Tiered(tiers []TierSpec, hops []Hop) (*TieredProblem, error) {
-	tp, err := newTieredProblem(pr.Graph, pr.HW, tiers, hops, pr.SensingEnergy)
-	if err == nil {
-		tp.view = pr.View()
-	}
-	return tp, err
-}
-
-func newTieredProblem(g *topology.Graph, hw *sensornode.Hardware, tiers []TierSpec, hops []Hop, sensingEnergy float64) (*TieredProblem, error) {
+	g, hw := pr.Graph, pr.HW
 	if g == nil || hw == nil {
 		return nil, fmt.Errorf("partition: tiered problem needs a graph and hardware")
 	}
@@ -265,8 +230,9 @@ func newTieredProblem(g *topology.Graph, hw *sensornode.Hardware, tiers []TierSp
 		HW:            hw,
 		Tiers:         tiers,
 		Hops:          hops,
-		SensingEnergy: sensingEnergy,
+		SensingEnergy: pr.SensingEnergy,
 		ResultTier:    Tier(len(tiers) - 1),
+		view:          pr.View(),
 	}, nil
 }
 

@@ -456,9 +456,9 @@ func TestRecutHopNeverRegresses(t *testing.T) {
 	}
 }
 
-// TestCollapseAndLift: Collapse/FromBinary round-trip the 2-end
-// runtime's view of a tier placement, and CapAt degrades feasibly.
-func TestCollapseAndLift(t *testing.T) {
+// TestCollapseAndCap: Collapse gives the 2-end runtime's view of a tier
+// placement, and CapAt degrades feasibly.
+func TestCollapseAndCap(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := tinyDAG(rng, 9)
 	tp, err := tinyTiered(g, 3)
@@ -479,12 +479,6 @@ func TestCollapseAndLift(t *testing.T) {
 			}
 		}
 	}
-	lifted := FromBinary(p.Collapse(1), 3)
-	for i := range lifted {
-		if lifted[i] != 0 && lifted[i] != 2 {
-			t.Fatalf("lift must use extreme tiers, got %d", lifted[i])
-		}
-	}
 	for max := Tier(0); max < 3; max++ {
 		capped := p.CapAt(max)
 		if err := tp.CheckPlacement(capped); err != nil {
@@ -496,8 +490,8 @@ func TestCollapseAndLift(t *testing.T) {
 	}
 }
 
-// TestNewTieredProblemValidation covers the constructor's error paths
-// and defaults.
+// TestNewTieredProblemValidation covers the error paths and defaults of
+// Problem.Tiered, the tiered problem's constructor.
 func TestNewTieredProblemValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := tinyDAG(rng, 5)
@@ -509,18 +503,19 @@ func TestNewTieredProblemValidation(t *testing.T) {
 		t.Fatalf("defaults: ResultTier=%d", tp.ResultTier)
 	}
 	tiers, hops := tinyChain(3)
-	if _, err := NewTieredProblem(nil, tp.HW, tiers, hops, 0); err == nil {
+	if _, err := (&Problem{HW: tp.HW}).Tiered(tiers, hops); err == nil {
 		t.Error("nil graph accepted")
 	}
-	if _, err := NewTieredProblem(g, tp.HW, tiers[:1], hops[:0], 0); err == nil {
+	pr := NewProblem(g, tp.HW, hops[0].Link, 0, nil)
+	if _, err := pr.Tiered(tiers[:1], hops[:0]); err == nil {
 		t.Error("single tier accepted")
 	}
-	if _, err := NewTieredProblem(g, tp.HW, tiers, hops[:1], 0); err == nil {
+	if _, err := pr.Tiered(tiers, hops[:1]); err == nil {
 		t.Error("hop/tier mismatch accepted")
 	}
 	bad := append([]TierSpec(nil), tiers...)
 	bad[1].EnergyWeight = -1
-	if _, err := NewTieredProblem(g, tp.HW, bad, hops, 0); err == nil {
+	if _, err := pr.Tiered(bad, hops); err == nil {
 		t.Error("negative weight accepted")
 	}
 	// A graph Validate rejects: without its source edges, no cell reads
@@ -535,10 +530,7 @@ func TestNewTieredProblemValidation(t *testing.T) {
 	if unsourced.Validate() == nil {
 		t.Fatal("a graph without source edges passes Validate")
 	}
-	if _, err := NewTieredProblem(&unsourced, tp.HW, tiers, hops, 0); err == nil {
-		t.Error("NewTieredProblem accepted a graph Validate rejects")
-	}
-	pr := NewProblem(&unsourced, tp.HW, hops[0].Link, 0, nil)
+	pr = NewProblem(&unsourced, tp.HW, hops[0].Link, 0, nil)
 	if _, err := pr.Tiered(tiers, hops); err == nil {
 		t.Error("Problem.Tiered accepted a graph Validate rejects")
 	}
@@ -565,9 +557,10 @@ func TestNewTieredProblemValidation(t *testing.T) {
 	}
 }
 
-// TestDefaultThreeTierShape pins the canonical chain's structure.
+// TestDefaultThreeTierShape pins the canonical sensor → hub → cloud
+// chain's structure.
 func TestDefaultThreeTierShape(t *testing.T) {
-	tiers, hops := DefaultThreeTier(wireless.Model2(), wireless.Model3())
+	tiers, hops := DefaultChain(3, wireless.Model2(), wireless.Model3())
 	if len(tiers) != 3 || len(hops) != 2 {
 		t.Fatalf("got %d tiers, %d hops", len(tiers), len(hops))
 	}

@@ -27,7 +27,6 @@ package partition
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"xpro/internal/sensornode"
@@ -430,75 +429,4 @@ func (pr *Problem) greedyRepair(start Placement, delayOf func(Placement) float64
 		out = append(out, append(Placement(nil), cur...))
 	}
 	return out
-}
-
-// Sensitivity is the marginal cost of moving one cell to the other end.
-type Sensitivity struct {
-	Cell topology.CellID
-	// DeltaEnergy is the sensor-energy change if only this cell flips
-	// ends (grouped source readers flip as a unit and report the same
-	// delta). Positive means the current side is the right one.
-	DeltaEnergy float64
-}
-
-// Explain returns, for every cell, the energy cost of flipping it to the
-// other end — the sensitivity analysis behind a generated cut. For a
-// minimum cut every delta is ≥ 0 (up to float noise); large deltas mark
-// load-bearing placement decisions, near-zero deltas mark ties.
-func (pr *Problem) Explain(p Placement) []Sensitivity {
-	g := pr.Graph
-	v := pr.View()
-	base := pr.SensorEnergy(p)
-	out := make([]Sensitivity, len(g.Cells))
-	var groupDelta float64
-	groupDone := false
-	for i := range g.Cells {
-		id := topology.CellID(i)
-		q := append(Placement(nil), p...)
-		if v.reader[id] {
-			if !groupDone {
-				for _, r := range v.Readers {
-					q[r] = flip(q[r])
-				}
-				groupDelta = pr.SensorEnergy(q) - base
-				groupDone = true
-			}
-			out[i] = Sensitivity{Cell: id, DeltaEnergy: groupDelta}
-			continue
-		}
-		q[id] = flip(q[id])
-		out[i] = Sensitivity{Cell: id, DeltaEnergy: pr.SensorEnergy(q) - base}
-	}
-	return out
-}
-
-func flip(e End) End {
-	if e == Sensor {
-		return Aggregator
-	}
-	return Sensor
-}
-
-// CutEnergies prices the named cuts of Fig. 12 plus the unconstrained
-// optimum, sorted by energy (cheapest first).
-type NamedCut struct {
-	Name      string
-	Placement Placement
-	Energy    float64
-}
-
-// NamedCuts evaluates the four cuts compared in §5.5.
-func (pr *Problem) NamedCuts() []NamedCut {
-	minP, minE := pr.MinCut()
-	cuts := []NamedCut{
-		{Name: "aggregator", Placement: InAggregator(pr.Graph)},
-		{Name: "trivial", Placement: Trivial(pr.Graph)},
-		{Name: "sensor", Placement: InSensor(pr.Graph)},
-		{Name: "cross", Placement: minP, Energy: minE},
-	}
-	for i := range cuts[:3] {
-		cuts[i].Energy = pr.SensorEnergy(cuts[i].Placement)
-	}
-	sort.SliceStable(cuts, func(i, j int) bool { return cuts[i].Energy < cuts[j].Energy })
-	return cuts
 }

@@ -309,29 +309,6 @@ func TestGenerateUsesRepair(t *testing.T) {
 	}
 }
 
-func TestNamedCuts(t *testing.T) {
-	pr := testProblem(t)
-	cuts := pr.NamedCuts()
-	if len(cuts) != 4 {
-		t.Fatalf("named cuts = %d, want 4", len(cuts))
-	}
-	names := make(map[string]bool)
-	for i, c := range cuts {
-		names[c.Name] = true
-		if i > 0 && cuts[i-1].Energy > c.Energy {
-			t.Error("named cuts must be sorted by energy")
-		}
-	}
-	for _, want := range []string{"aggregator", "trivial", "sensor", "cross"} {
-		if !names[want] {
-			t.Errorf("missing cut %q", want)
-		}
-	}
-	if cuts[0].Name != "cross" && cuts[0].Energy != pr.SensorEnergy(cuts[0].Placement) {
-		t.Error("cheapest cut inconsistent")
-	}
-}
-
 func TestGroupedOK(t *testing.T) {
 	pr := testProblem(t)
 	g := pr.Graph
@@ -368,40 +345,6 @@ func BenchmarkGenerate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := pr.Generate(delayOf, float64(len(pr.Graph.Cells))); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// For a minimum cut, flipping any single cell (or the grouped readers as
-// a unit) can never reduce sensor energy.
-func TestExplainMinCutNonNegative(t *testing.T) {
-	pr := testProblem(t)
-	p, base := pr.MinCut()
-	sens := pr.Explain(p)
-	if len(sens) != len(pr.Graph.Cells) {
-		t.Fatalf("sensitivities = %d, want %d", len(sens), len(pr.Graph.Cells))
-	}
-	for _, s := range sens {
-		if s.DeltaEnergy < -1e-12 {
-			t.Errorf("cell %d: flipping reduces energy by %v — cut not minimal", s.Cell, -s.DeltaEnergy)
-		}
-	}
-	_ = base
-}
-
-// Grouped readers report one shared delta.
-func TestExplainGroupedShared(t *testing.T) {
-	pr := testProblem(t)
-	p := InSensor(pr.Graph)
-	sens := pr.Explain(p)
-	readers := pr.Graph.SourceReaders()
-	if len(readers) < 2 {
-		t.Skip("needs ≥ 2 source readers")
-	}
-	first := sens[readers[0]].DeltaEnergy
-	for _, id := range readers[1:] {
-		if sens[id].DeltaEnergy != first {
-			t.Error("grouped readers must share one sensitivity")
 		}
 	}
 }

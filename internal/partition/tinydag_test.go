@@ -116,5 +116,5 @@ func tinyChain(k int) ([]TierSpec, []Hop) {
 func tinyTiered(g *topology.Graph, k int) (*TieredProblem, error) {
 	hw := sensornode.Characterize(g, celllib.P90)
 	tiers, hops := tinyChain(k)
-	return NewTieredProblem(g, hw, tiers, hops, 1e-6)
+	return (&Problem{Graph: g, HW: hw, SensingEnergy: 1e-6}).Tiered(tiers, hops)
 }

@@ -24,7 +24,7 @@
 //
 // The pool is also the fleet's crash bulkhead: a job that panics kills
 // only its worker goroutine, which is replaced on the spot (the shard's
-// queue keeps draining in order), the panic is counted and reported to
+// queue keeps draining in order), the panic is reported to
 // Options.OnPanic, and the pool keeps serving every other shard.
 package serve
 
@@ -34,7 +34,6 @@ import (
 	"hash/fnv"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -132,8 +131,6 @@ type Pool struct {
 	shutdownOnce sync.Once
 	waitOnce     sync.Once
 	done         chan struct{}
-
-	panics atomic.Uint64
 }
 
 // NewPool starts the workers.
@@ -160,14 +157,13 @@ func NewPool(opt Options) *Pool {
 }
 
 // worker drains q until it closes. A panicking job kills only this
-// goroutine: the panic is counted and reported, and a replacement
+// goroutine: the panic is reported, and a replacement
 // worker — inheriting this one's WaitGroup slot — resumes draining the
 // same queue in order. The shard loses nothing but the job that blew
 // up.
 func (p *Pool) worker(i int, q chan func()) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			p.panics.Add(1)
 			if p.onPanic != nil {
 				p.onPanic(i, rec)
 			}
@@ -183,10 +179,6 @@ func (p *Pool) worker(i int, q chan func()) {
 
 // Workers returns the worker count.
 func (p *Pool) Workers() int { return len(p.queues) }
-
-// Panics returns how many jobs have panicked (and been contained)
-// since the pool started.
-func (p *Pool) Panics() uint64 { return p.panics.Load() }
 
 // Shard maps a subject name to a stable shard key (FNV-1a).
 func Shard(name string) uint64 {

@@ -31,21 +31,6 @@ func ComputeFixed(f Feature, x []fixed.Num) fixed.Num {
 	}
 }
 
-// ComputeAllFixed evaluates every feature over x, indexed by Feature.
-// Var and Std share the variance datapath (cell-level reuse).
-func ComputeAllFixed(x []fixed.Num) []fixed.Num {
-	out := make([]fixed.Num, NumFeatures)
-	for _, f := range AllFeatures {
-		if f == Std {
-			// Reuse the Var cell output (design rule 3).
-			out[Std] = fixed.Sqrt(out[Var])
-			continue
-		}
-		out[f] = ComputeFixed(f, x)
-	}
-	return out
-}
-
 // MaxFixed returns the maximum sample.
 func MaxFixed(x []fixed.Num) fixed.Num {
 	m := x[0]

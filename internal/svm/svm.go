@@ -43,25 +43,9 @@ func (k KernelKind) String() string {
 	}
 }
 
-// Algorithm selects the dual optimizer.
-type Algorithm int
-
-const (
-	// AlgSMO is Platt-style SMO with a randomized second choice — the
-	// default, whose randomized behaviour is part of the calibrated
-	// evaluation protocol.
-	AlgSMO Algorithm = iota
-	// AlgMVP is maximal-violating-pair working-set selection
-	// (LIBSVM-style): deterministic and typically much faster on
-	// overlapping training sets.
-	AlgMVP
-)
-
 // Params configures SMO training.
 type Params struct {
 	Kernel KernelKind
-	// Algorithm selects the optimizer (default AlgSMO).
-	Algorithm Algorithm
 	// C is the soft-margin penalty. Defaults to 1.
 	C float64
 	// Gamma is the RBF width. Defaults to 1/dim.
@@ -94,7 +78,7 @@ func (p Params) withDefaults(dim int) Params {
 //
 // The fields are read-only once the model has made its first
 // fixed-point decision: DecisionFixed quantizes them to Q16.16 once and
-// reuses that image. Every constructor (Train, TrainMVP, Prune,
+// reuses that image. Every constructor (Train, Prune,
 // topology.Synthetic) finishes writing the fields before returning.
 type Model struct {
 	Kernel  KernelKind
@@ -161,16 +145,10 @@ func kernel(kind KernelKind, gamma float64, a, b []float64) float64 {
 	}
 }
 
-// Train fits an SVM to rows x with labels y ∈ {−1, +1} using the
-// configured algorithm.
+// Train fits an SVM to rows x with labels y ∈ {−1, +1} by Platt-style
+// SMO with a randomized second choice, seeded by p.Seed; that randomized
+// behaviour is part of the calibrated evaluation protocol.
 func Train(x [][]float64, y []int, p Params) (*Model, error) {
-	if p.Algorithm == AlgMVP {
-		return TrainMVP(x, y, p)
-	}
-	return trainSMO(x, y, p)
-}
-
-func trainSMO(x [][]float64, y []int, p Params) (*Model, error) {
 	n := len(x)
 	if n == 0 || len(y) != n {
 		return nil, ErrBadTrainingSet
@@ -370,12 +348,4 @@ func (m *Model) DecisionFixed(x []fixed.Num) fixed.Num {
 		acc = fixed.Add(acc, fixed.Mul(q.coeffs[i], kv))
 	}
 	return acc
-}
-
-// PredictFixed returns the fixed-point predicted label (−1 or +1).
-func (m *Model) PredictFixed(x []fixed.Num) int {
-	if m.DecisionFixed(x) >= 0 {
-		return 1
-	}
-	return -1
 }

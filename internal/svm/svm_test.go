@@ -155,7 +155,7 @@ func TestFixedDecisionTracksFloat(t *testing.T) {
 		}
 		agree := 0
 		for _, row := range x {
-			if m.PredictFixed(fixed.FromSlice(row)) == m.Predict(row) {
+			if (m.DecisionFixed(fixed.FromSlice(row)) >= 0) == (m.Predict(row) == 1) {
 				agree++
 			}
 		}

@@ -168,23 +168,9 @@ func (q *Quantile) windowSketchLocked(dst *Sketch) {
 	}
 }
 
-// WindowSketch returns a merged copy of the sketches covering the
-// rolling window — the fleet aggregation primitive: merge every
-// engine's window sketch, then query.
-func (q *Quantile) WindowSketch() *Sketch {
-	dst := NewSketch(0)
-	if q == nil {
-		return dst
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.windowSketchLocked(dst)
-	return dst
-}
-
 // MergeWindowTo merges the sketches covering the rolling window into
-// dst — the allocation-lean variant of WindowSketch for pollers that
-// keep a scratch sketch.
+// dst, a scratch sketch the poller keeps — the fleet aggregation
+// primitive: merge every engine's window, then query.
 func (q *Quantile) MergeWindowTo(dst *Sketch) {
 	if q == nil || dst == nil {
 		return
@@ -204,25 +190,6 @@ func (q *Quantile) CumulativeSketch() *Sketch {
 	return q.cum.Clone()
 }
 
-// WindowCount returns the number of observations inside the rolling
-// window (approximate at slot granularity, exact per slot).
-func (q *Quantile) WindowCount() uint64 {
-	if q == nil {
-		return 0
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	horizon := q.now - q.window
-	var n uint64
-	for i, sl := range q.slots {
-		if math.IsNaN(q.starts[i]) || q.starts[i]+q.slotW <= horizon {
-			continue
-		}
-		n += sl.Count()
-	}
-	return n
-}
-
 // Query returns the estimated qq-quantile over the rolling window.
 // With no windowed observations it falls back to the cumulative
 // sketch, so a freshly idle series still answers.
@@ -238,14 +205,4 @@ func (q *Quantile) Query(qq float64) float64 {
 		return q.cum.Quantile(qq)
 	}
 	return dst.Quantile(qq)
-}
-
-// CumulativeQuery returns the estimated qq-quantile since start.
-func (q *Quantile) CumulativeQuery(qq float64) float64 {
-	if q == nil {
-		return 0
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.cum.Quantile(qq)
 }

@@ -6,6 +6,48 @@ import (
 	"testing"
 )
 
+// windowSketch returns a merged copy of the sketches covering the
+// rolling window.
+func (q *Quantile) windowSketch() *Sketch {
+	dst := NewSketch(0)
+	if q == nil {
+		return dst
+	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.windowSketchLocked(dst)
+	return dst
+}
+
+// windowCount returns the number of observations inside the rolling
+// window (approximate at slot granularity, exact per slot).
+func (q *Quantile) windowCount() uint64 {
+	if q == nil {
+		return 0
+	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	horizon := q.now - q.window
+	var n uint64
+	for i, sl := range q.slots {
+		if math.IsNaN(q.starts[i]) || q.starts[i]+q.slotW <= horizon {
+			continue
+		}
+		n += sl.Count()
+	}
+	return n
+}
+
+// cumulativeQuery returns the estimated qq-quantile since start.
+func (q *Quantile) cumulativeQuery(qq float64) float64 {
+	if q == nil {
+		return 0
+	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.cum.Quantile(qq)
+}
+
 func TestQuantileWindowRotation(t *testing.T) {
 	r := NewRegistry()
 	q := r.Quantile("xpro_test_latency_seconds", "test latency.", 60)
@@ -25,7 +67,7 @@ func TestQuantileWindowRotation(t *testing.T) {
 		t.Errorf("after rotation, windowed p99 = %g, want 0.001 (slow era evicted)", got)
 	}
 	// Cumulative still remembers both eras.
-	if got := q.CumulativeQuery(0.99); got != 1.0 {
+	if got := q.cumulativeQuery(0.99); got != 1.0 {
 		t.Errorf("cumulative p99 = %g, want 1.0", got)
 	}
 	if got, want := q.Count(), uint64(1300); got != want {
@@ -40,8 +82,8 @@ func TestQuantileClockJumpClearsWindow(t *testing.T) {
 	}
 	// Jump far past the window: everything windowed is stale.
 	q.Observe(1000, 7)
-	if got := q.WindowCount(); got != 1 {
-		t.Fatalf("WindowCount after jump = %d, want 1", got)
+	if got := q.windowCount(); got != 1 {
+		t.Fatalf("windowCount after jump = %d, want 1", got)
 	}
 	if got := q.Query(0.5); got != 7 {
 		t.Errorf("windowed p50 after jump = %g, want 7", got)
@@ -56,15 +98,15 @@ func TestQuantileEmptyWindowFallsBackToCumulative(t *testing.T) {
 	// rotate happens on Observe, so simulate by a late observation then
 	// checking the early values are out of window.
 	q.Observe(100, 9)
-	if got := q.WindowCount(); got != 1 {
-		t.Fatalf("WindowCount = %d, want 1", got)
+	if got := q.windowCount(); got != 1 {
+		t.Fatalf("windowCount = %d, want 1", got)
 	}
 	// Window has the late observation only.
 	if got := q.Query(0.99); got != 9 {
 		t.Errorf("windowed p99 = %g, want 9", got)
 	}
 	// Cumulative sees all three.
-	if got := q.CumulativeQuery(0.25); got != 3 {
+	if got := q.cumulativeQuery(0.25); got != 3 {
 		t.Errorf("cumulative p25 = %g, want 3", got)
 	}
 }
@@ -87,10 +129,10 @@ func TestQuantileNilSafe(t *testing.T) {
 	var q *Quantile
 	q.Observe(1, 1)
 	q.ObserveWall(1)
-	if q.Query(0.5) != 0 || q.Count() != 0 || q.Gen() != 0 || q.WindowCount() != 0 {
+	if q.Query(0.5) != 0 || q.Count() != 0 || q.Gen() != 0 || q.windowCount() != 0 {
 		t.Error("nil Quantile is not a no-op")
 	}
-	if q.WindowSketch() == nil || q.CumulativeSketch() == nil {
+	if q.windowSketch() == nil || q.CumulativeSketch() == nil {
 		t.Error("nil Quantile sketches should be empty, not nil")
 	}
 }

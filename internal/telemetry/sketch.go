@@ -264,13 +264,3 @@ func (s *Sketch) Quantiles(qs []float64, out []float64) []float64 {
 	}
 	return out
 }
-
-// retained returns the number of items currently held (for tests and
-// occupancy reporting).
-func (s *Sketch) retained() int {
-	n := 0
-	for h := range s.levels {
-		n += len(s.levels[h])
-	}
-	return n
-}

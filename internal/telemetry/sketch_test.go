@@ -10,6 +10,15 @@ import (
 // rankError returns |rank(est) - q*n| / n against the sorted exact
 // sample: how far, as a fraction of the population, the estimate's
 // true rank sits from the requested one.
+// retained returns the number of items currently held.
+func (s *Sketch) retained() int {
+	n := 0
+	for h := range s.levels {
+		n += len(s.levels[h])
+	}
+	return n
+}
+
 func rankError(sorted []float64, q, est float64) float64 {
 	n := len(sorted)
 	// rank(est): number of samples <= est.

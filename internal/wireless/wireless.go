@@ -91,13 +91,6 @@ func WireBits(dataBits int64) int64 {
 	return dataBits + Packets(dataBits)*HeaderBits
 }
 
-// FramedWireBits is WireBits plus extraPerPacketBits of envelope on
-// every packet — the cost of an integrity layer (sequence numbers and
-// checksums) expressed in the same per-packet header currency.
-func FramedWireBits(dataBits, extraPerPacketBits int64) int64 {
-	return WireBits(dataBits) + Packets(dataBits)*extraPerPacketBits
-}
-
 // Transfer is the cost of moving one payload across the link.
 type Transfer struct {
 	DataBits int64
@@ -122,11 +115,6 @@ func (m Model) Cost(dataBits int64) Transfer {
 		Delay:    float64(wire) / m.RateBps,
 	}
 }
-
-// TxEnergyPerBit and RxEnergyPerBit expose the per-bit constants for the
-// s-t graph edge weights.
-func (m Model) TxEnergyPerBit() float64 { return m.TxJPerBit }
-func (m Model) RxEnergyPerBit() float64 { return m.RxJPerBit }
 
 // Channel is a lossy link extension: packets are lost independently with
 // probability Loss and retransmitted up to MaxRetries times each. The

@@ -29,8 +29,8 @@ func TestPaperModelConstants(t *testing.T) {
 			t.Errorf("model %d rate = %v, want 2 Mb/s", i+1, m[i].RateBps)
 		}
 	}
-	if m[0].TxEnergyPerBit() != 2.9e-9 || m[0].RxEnergyPerBit() != 3.3e-9 {
-		t.Error("per-bit accessors wrong")
+	if m[0].TxJPerBit != 2.9e-9 || m[0].RxJPerBit != 3.3e-9 {
+		t.Error("per-bit constants wrong")
 	}
 }
 
@@ -50,10 +50,6 @@ func TestPackets(t *testing.T) {
 		}
 		if got := WireBits(c.data); got != c.wire {
 			t.Errorf("WireBits(%d) = %d, want %d", c.data, got, c.wire)
-		}
-		// A 32-bit integrity envelope rides on every packet.
-		if got, want := FramedWireBits(c.data, 32), c.wire+32*c.packets; got != want {
-			t.Errorf("FramedWireBits(%d, 32) = %d, want %d", c.data, got, want)
 		}
 	}
 }

@@ -64,8 +64,8 @@ func TestWalkAllocBudgets(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		// budget is the measured count: a clean 2-end event allocates
-		// nothing, a tiered one only the hops and the per-hop books its
-		// caller keeps, and a faulty link its reports and errors.
+		// nothing, a tiered one only the per-hop books its caller
+		// keeps, and a faulty link its reports and errors.
 		// before is the count when every event allocated its own
 		// buffers.
 		budget, before float64
@@ -77,8 +77,8 @@ func TestWalkAllocBudgets(t *testing.T) {
 			_, _ = trivial.ClassifyOver(next(), lossy)
 			clock.Advance(0.01)
 		}},
-		{"TieredSystem.ClassifyOver/clean", 4, 60, func() { _, _ = ts.ClassifyOver(next(), nil) }},
-		{"TieredSystem.ClassifyOver/framed", 6, 66, func() {
+		{"TieredSystem.ClassifyOver/clean", 3, 60, func() { _, _ = ts.ClassifyOver(next(), nil) }},
+		{"TieredSystem.ClassifyOver/framed", 5, 66, func() {
 			_, _ = ts.ClassifyOver(next(), framed)
 			clock.Advance(0.01)
 		}},

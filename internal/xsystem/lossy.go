@@ -6,9 +6,9 @@ import "xpro/internal/wireless"
 // paper's evaluation assumes a clean channel; real on-body links drop
 // packets, and every retransmission costs the sensor transmit energy and
 // air time. The expected-cost model below scales the wireless terms of
-// the energy and delay breakdowns by the channel's mean retransmission
-// factor, quantifying how the cross-end trade-off shifts: under loss,
-// cuts that move more data lose ground to compute-heavy cuts.
+// the energy breakdown by the channel's mean retransmission factor,
+// quantifying how the cross-end trade-off shifts: under loss, cuts that
+// move more data lose ground to compute-heavy cuts.
 
 // LossyEnergy returns the per-event energy breakdown when the link runs
 // over ch: both ends' wireless terms inflate by the expected
@@ -21,14 +21,6 @@ func (s *System) LossyEnergy(ch *wireless.Channel) Energy {
 	e.AggRx *= f
 	e.AggTx *= f
 	return e
-}
-
-// LossyDelay returns the per-event delay breakdown over ch: the wireless
-// component inflates by the expected retransmission factor.
-func (s *System) LossyDelay(ch *wireless.Channel) Delay {
-	d := s.DelayPerEvent()
-	d.Wireless *= ch.ExpectedInflation()
-	return d
 }
 
 // LossyLifetimeHours estimates sensor battery life over ch.

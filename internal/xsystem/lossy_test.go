@@ -27,14 +27,6 @@ func TestLossyInflatesWirelessOnly(t *testing.T) {
 	if lossy.SensorCompute != clean.SensorCompute || lossy.Sensing != clean.Sensing {
 		t.Error("compute and sensing must not change under loss")
 	}
-	d := s.LossyDelay(ch)
-	dc := s.DelayPerEvent()
-	if math.Abs(d.Wireless-dc.Wireless*factor) > 1e-15 {
-		t.Error("wireless delay must inflate")
-	}
-	if d.FrontEnd != dc.FrontEnd || d.BackEnd != dc.BackEnd {
-		t.Error("compute delays must not change under loss")
-	}
 }
 
 func TestLossyShortensLifetime(t *testing.T) {

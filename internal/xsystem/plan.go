@@ -137,8 +137,10 @@ type arena struct {
 	// crossing read quantized to the wire.
 	xfx, qfx []fixed.Num
 	xfl, qfl []float64
-	// legs grows to the deepest chain the arena has walked.
+	// legs grows to the deepest chain the arena has walked, and hops to
+	// the longest: the k-tier entry point builds its hops there.
 	legs []leg
+	hops []hop
 	// flags is each cell's lost flag, then each in-edge's avail flag.
 	flags []bool
 	// ints, air and outage back the per-hop books of the 2-end entry
@@ -169,6 +171,7 @@ func (gp *graphPlan) take() *arena { return gp.arenas.Get().(*arena) }
 
 func (gp *graphPlan) put(a *arena) {
 	a.ev.rawFloat = nil
+	clear(a.hops) // keep no caller's link or breaker alive
 	gp.arenas.Put(a)
 }
 

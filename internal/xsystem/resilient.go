@@ -148,8 +148,10 @@ func (s *System) ClassifyOver(seg biosig.Segment, opt *ResilientOptions) (Outcom
 	if opt == nil {
 		opt = &ResilientOptions{}
 	}
+	a := s.plan.take()
+	defer s.plan.put(a)
 	hops := [1]hop{{Hop: partition.Hop{Link: s.Link}, tr: opt.Transport, breaker: opt.Breaker}}
-	return s.walk(seg, s.plan.chain, hops[:], TieredOptions{
+	return s.walk(a, seg, s.plan.chain, hops[:], TieredOptions{
 		Plan: opt.Plan, Clock: opt.Clock, Policy: opt.Policy, Integrity: opt.Integrity,
 	}, spanSink{}, nil)
 }

@@ -18,7 +18,7 @@ func newTieredSystem(t testing.TB) *TieredSystem {
 // own link as the body hop, Model 3 above it.
 func threeTier(t testing.TB, s *System) *TieredSystem {
 	t.Helper()
-	tiers, hops := partition.DefaultThreeTier(s.Link, wireless.Model3())
+	tiers, hops := partition.DefaultChain(3, s.Link, wireless.Model3())
 	ts, err := NewTiered(s, tiers, hops)
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +156,7 @@ func TestNewTieredValidation(t *testing.T) {
 	if _, err := NewTiered(nil, nil, nil); err == nil {
 		t.Error("nil system accepted")
 	}
-	tiers, hops := partition.DefaultThreeTier(s.Link, wireless.Model3())
+	tiers, hops := partition.DefaultChain(3, s.Link, wireless.Model3())
 	if _, err := NewTiered(s, tiers[:1], hops[:0]); err == nil {
 		t.Error("single-tier chain accepted")
 	}

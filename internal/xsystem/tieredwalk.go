@@ -358,7 +358,12 @@ func (ts *TieredSystem) ClassifyOver(seg biosig.Segment, opt *TieredOptions) (Ti
 	if len(opt.Hops) > nh {
 		return TieredOutcome{}, fmt.Errorf("xsystem: %d hop transports for a %d-hop chain", len(opt.Hops), nh)
 	}
-	hops := make([]hop, nh)
+	a := ts.plan.take()
+	defer ts.plan.put(a)
+	if len(a.hops) < nh {
+		a.hops = make([]hop, nh)
+	}
+	hops := a.hops[:nh]
 	for h := range hops {
 		hops[h] = hop{Hop: ts.Tiered.Hops[h], tiered: true}
 		if h < len(opt.Hops) && opt.Hops[h].Link != nil {
@@ -367,7 +372,7 @@ func (ts *TieredSystem) ClassifyOver(seg biosig.Segment, opt *TieredOptions) (Ti
 	}
 	var out TieredOutcome
 	var err error
-	out.Outcome, err = ts.walk(seg, ts.tplan, hops, *opt, spanSink{}, &out)
+	out.Outcome, err = ts.walk(a, seg, ts.tplan, hops, *opt, spanSink{}, &out)
 	return out, err
 }
 
@@ -420,10 +425,11 @@ func (sk spanSink) cell(pl *placementPlan, c topology.Cell, t0 time.Time, err er
 // hop h through hops[h] under opt's node-level plan, clock, policy and
 // framing (opt.Hops is the entry point's business, not the walk's), and
 // records each executed cell's span into spans. Its buffers come from
-// an arena of the plan's pool. When books is set, the per-hop books are
-// allocated into its Hop* slices for the caller to keep; nil books (a
-// 2-end walk, one hop) are kept in the arena and dropped with it.
-func (s *System) walk(seg biosig.Segment, tp *tierPlan, hops []hop, opt TieredOptions, spans spanSink, books *TieredOutcome) (Outcome, error) {
+// a, an arena the caller took from the plan's pool and puts back when
+// the walk returns. When books is set, the per-hop books are allocated
+// into its Hop* slices for the caller to keep; nil books (a 2-end walk,
+// one hop) are kept in the arena and dropped with it.
+func (s *System) walk(a *arena, seg biosig.Segment, tp *tierPlan, hops []hop, opt TieredOptions, spans spanSink, books *TieredOutcome) (Outcome, error) {
 	nh := len(hops)
 	if s.Ens == nil {
 		return Outcome{}, errors.New("xsystem: cost-analysis-only system has no classifier (built with nil ensemble)")
@@ -434,8 +440,6 @@ func (s *System) walk(seg biosig.Segment, tp *tierPlan, hops []hop, opt TieredOp
 	g := s.Graph
 	tpl := tp.tiers
 	pl := s.plan
-	a := pl.take()
-	defer pl.put(a)
 
 	r := &trun{opt: opt}
 	out := &r.out

@@ -379,31 +379,6 @@ func (s *System) MaxSustainableEventRate() float64 {
 	return 1 / bottleneck
 }
 
-// MaxSampleRateForLifetime returns the highest biosignal sampling rate
-// (Hz) at which the sensor battery still reaches the target lifetime —
-// the inverse of the lifetime question, bounded by the pipelining
-// throughput of the placement. Returns an error for unreachable targets.
-func (s *System) MaxSampleRateForLifetime(hours float64) (float64, error) {
-	if hours <= 0 {
-		return 0, errors.New("xsystem: non-positive lifetime target")
-	}
-	// Energy per event is rate-independent except for the sensing term,
-	// which is a fixed power draw; solve for the event rate directly:
-	// capacity/hours = rate·E_event(no sensing) + SensingPower.
-	budget := battery.SensorBattery().EnergyJ() / (hours * 3600)
-	e := s.EnergyPerEvent()
-	perEvent := e.SensorTotal() - e.Sensing
-	available := budget - sensornode.SensingPower
-	if available <= 0 || perEvent <= 0 {
-		return 0, fmt.Errorf("xsystem: lifetime target %v h unreachable (sensing floor alone exceeds the budget)", hours)
-	}
-	rate := available / perEvent // events/s
-	if cap := s.MaxSustainableEventRate(); rate > cap {
-		rate = cap
-	}
-	return rate * float64(s.Graph.SegLen), nil
-}
-
 // SensorAvgPower returns the sensor node's average power draw at the
 // configured event rate.
 func (s *System) SensorAvgPower() float64 {
@@ -482,8 +457,10 @@ func (s *System) Classify(seg biosig.Segment) (int, error) {
 	if spans.tr != nil {
 		spans.event = spans.tr.NextEvent()
 	}
+	a := s.plan.take()
+	defer s.plan.put(a)
 	hops := [1]hop{{Hop: partition.Hop{Link: s.Link}}}
-	out, err := s.walk(seg, s.plan.chain, hops[:], TieredOptions{}, spans, nil)
+	out, err := s.walk(a, seg, s.plan.chain, hops[:], TieredOptions{}, spans, nil)
 	m := s.metrics()
 	if err != nil {
 		m.Counter("xpro_classify_errors_total",

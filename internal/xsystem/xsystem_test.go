@@ -342,36 +342,3 @@ func TestMaxSustainableEventRate(t *testing.T) {
 		}
 	}
 }
-
-func TestMaxSampleRateForLifetime(t *testing.T) {
-	f := getFixture(t)
-	s := newSystem(t, f, partition.InSensor(f.graph))
-	// The configured setup's own lifetime must be achievable at ≈ the
-	// configured rate.
-	life, err := s.SensorLifetimeHours()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rate, err := s.MaxSampleRateForLifetime(life)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(rate-s.SampleRateHz) > 0.05*s.SampleRateHz {
-		t.Errorf("rate for own lifetime = %v Hz, want ≈ %v", rate, s.SampleRateHz)
-	}
-	// Halving the lifetime target roughly doubles the allowed rate
-	// (sensing floor is small), up to the pipelining cap.
-	rate2, err := s.MaxSampleRateForLifetime(life / 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rate2 <= rate {
-		t.Errorf("smaller target must allow a higher rate (%v vs %v)", rate2, rate)
-	}
-	if _, err := s.MaxSampleRateForLifetime(0); err == nil {
-		t.Error("non-positive target should error")
-	}
-	if _, err := s.MaxSampleRateForLifetime(1e12); err == nil {
-		t.Error("unreachable target should error")
-	}
-}
