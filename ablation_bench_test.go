@@ -51,7 +51,7 @@ func BenchmarkAblationALUMode(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = sensornode.Characterize(g, celllib.P90)
 	}
-	for _, mode := range []celllib.Mode{celllib.Serial, celllib.Parallel, celllib.Pipeline} {
+	for _, mode := range celllib.Modes {
 		forced := sensornode.CharacterizeWithMode(g, celllib.P90, mode).TotalComputeEnergy(all)
 		b.ReportMetric(forced/best, "x-vs-best-"+mode.String())
 	}

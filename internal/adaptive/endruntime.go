@@ -111,14 +111,14 @@ const (
 )
 
 // EndEvent is one event served by an EndRuntime. A fallback event's
-// Outcome carries the serving rung's label and votes; the failed
-// attempt's retries, lost transfers and deadline flag; its time (the
-// in-sensor cut's time when the attempt spent none), to which the
-// software fallback adds the raw segment's air time over every try and
-// the ensemble's compute on the aggregator; and the attempt's sensor
-// energy plus what the fallback spent beyond the one sensing (the
-// software fallback's transmit energy, and the sensing when no attempt
-// sensed the segment).
+// Outcome carries the serving rung's label and votes, and the failed
+// attempt's retries, lost transfers and deadline flag. Its time and
+// sensor energy start from the attempt's (0 when none ran). The sensor
+// fallback takes the in-sensor cut's time when the attempt spent none,
+// and adds the cut's sensor energy, less the sensing when the attempt
+// sensed the segment. The software fallback adds the raw segment's air
+// time and transmit energy over every try, the ensemble's compute time
+// on the aggregator, and the sensing when no attempt sensed the segment.
 type EndEvent struct {
 	xsystem.Outcome
 	Rung EndRung

@@ -53,6 +53,9 @@ const (
 	Pipeline
 )
 
+// Modes lists all ALU modes; BestMode prefers the earlier one on a tie.
+var Modes = []Mode{Serial, Parallel, Pipeline}
+
 func (m Mode) String() string {
 	switch m {
 	case Serial:
@@ -443,9 +446,8 @@ func Characterize(spec Spec, mode Mode, proc Process) Profile {
 // BestMode returns the energy-minimal monotonic ALU mode for spec
 // (design rule 2 — the red stars of Fig. 4) and its profile.
 func BestMode(spec Spec, proc Process) (Mode, Profile) {
-	best := Characterize(spec, Serial, proc)
-	bestMode := Serial
-	for _, m := range []Mode{Parallel, Pipeline} {
+	bestMode, best := Modes[0], Characterize(spec, Modes[0], proc)
+	for _, m := range Modes[1:] {
 		p := Characterize(spec, m, proc)
 		if p.Energy() < best.Energy() {
 			best, bestMode = p, m

@@ -8,9 +8,6 @@ import (
 	"xpro/internal/stats"
 )
 
-// modes lists every ALU mode.
-var modes = []Mode{Serial, Parallel, Pipeline}
-
 func featSpec(f stats.Feature, n int) Spec { return Spec{Kind: KindFeature, Feat: f, N: n} }
 
 // Figure 4 of the paper: serial is the energy-optimal ALU mode for most
@@ -77,7 +74,7 @@ func TestProcessScalingMonotonic(t *testing.T) {
 		{Kind: KindSVM, SVs: 50, Dim: 12},
 	}
 	for _, s := range specs {
-		for _, m := range modes {
+		for _, m := range Modes {
 			e130 := Characterize(s, m, P130).Energy()
 			e90 := Characterize(s, m, P90).Energy()
 			e45 := Characterize(s, m, P45).Energy()
@@ -92,7 +89,7 @@ func TestProcessScalingMonotonic(t *testing.T) {
 // 16 MHz (§4.3), so only energy changes across nodes.
 func TestDelayIndependentOfProcess(t *testing.T) {
 	s := featSpec(stats.Var, 128)
-	for _, m := range modes {
+	for _, m := range Modes {
 		d130 := Characterize(s, m, P130).Delay()
 		d45 := Characterize(s, m, P45).Delay()
 		if d130 != d45 {
@@ -144,7 +141,7 @@ func TestEnergyPositive(t *testing.T) {
 		featSpec(stats.Max, 4), {Kind: KindStdStage}, {Kind: KindDWT, N: 8},
 		{Kind: KindSVM, SVs: 1, Dim: 1}, {Kind: KindFusion, Bases: 1},
 	} {
-		for _, m := range modes {
+		for _, m := range Modes {
 			for _, p := range Processes {
 				pr := Characterize(s, m, p)
 				if pr.Energy() <= 0 || pr.Delay() <= 0 || pr.Power() <= 0 {
@@ -210,7 +207,7 @@ func TestSoftwareOps(t *testing.T) {
 func TestQuickSVMEnergyMonotonic(t *testing.T) {
 	f := func(raw uint8, mraw uint8) bool {
 		v := int(raw%100) + 1
-		m := modes[int(mraw)%len(modes)]
+		m := Modes[int(mraw)%len(Modes)]
 		small := Characterize(Spec{Kind: KindSVM, SVs: v, Dim: 12}, m, P90)
 		large := Characterize(Spec{Kind: KindSVM, SVs: v + 10, Dim: 12}, m, P90)
 		return large.Energy() > small.Energy() && large.Cycles > small.Cycles
@@ -227,7 +224,7 @@ func TestQuickBestModeIsMin(t *testing.T) {
 		feat := stats.AllFeatures[int(fRaw)%len(stats.AllFeatures)]
 		s := featSpec(feat, n)
 		_, best := BestMode(s, P90)
-		for _, m := range modes {
+		for _, m := range Modes {
 			if Characterize(s, m, P90).Energy() < best.Energy() {
 				return false
 			}

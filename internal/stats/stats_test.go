@@ -154,19 +154,23 @@ func TestFixedMatchesFloat(t *testing.T) {
 	}
 }
 
-// The reuse path: computeAllFixed's Std must equal sqrt of its Var output.
+// The reuse path (design rule 3): a Std stage appended to the Var cell
+// takes the square root of the Var output, so the Std cell must equal it.
 func TestFixedStdReusesVar(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	x := make([]fixed.Num, 64)
 	for i := range x {
 		x[i] = fixed.FromFloat(rng.Float64())
 	}
-	all := computeAllFixed(x)
-	if all[Std] != fixed.Sqrt(all[Var]) {
-		t.Error("Std must be the square root of the shared Var output")
+	v := ComputeFixed(Var, x)
+	if v != VarFixed(x) {
+		t.Error("the Var dispatch must equal the Var cell")
 	}
-	if all[Std] != StdFixed(x) {
-		t.Error("reused Std must equal the standalone Std cell")
+	if got := ComputeFixed(Std, x); got != fixed.Sqrt(v) {
+		t.Errorf("Std = %v, want the square root of the Var output %v", got, fixed.Sqrt(v))
+	}
+	if StdFixed(x) != fixed.Sqrt(VarFixed(x)) {
+		t.Error("the Std cell must be the square root of the Var cell")
 	}
 }
 

@@ -7,9 +7,6 @@ import (
 	"testing"
 )
 
-// rankError returns |rank(est) - q*n| / n against the sorted exact
-// sample: how far, as a fraction of the population, the estimate's
-// true rank sits from the requested one.
 // retained returns the number of items currently held.
 func (s *Sketch) retained() int {
 	n := 0
@@ -19,6 +16,9 @@ func (s *Sketch) retained() int {
 	return n
 }
 
+// rankError returns |rank(est) - q*n| / n against the sorted exact
+// sample: how far, as a fraction of the population, the estimate's
+// true rank sits from the requested one.
 func rankError(sorted []float64, q, est float64) float64 {
 	n := len(sorted)
 	// rank(est): number of samples <= est.
