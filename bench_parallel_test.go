@@ -16,9 +16,7 @@ import (
 //	go test -bench Fleet -benchtime 2s -run - .
 //
 // The parallel/sequential ratio scales with cores: on a single-core
-// runner the pooled path only pays its coordination overhead, on an
-// 8-core runner ClassifyBatchParallel is expected >= 3x sequential for
-// E1 (the acceptance target of the serving PR).
+// runner the pooled path only pays its coordination overhead.
 
 var benchEngines sync.Map // case symbol -> *Engine
 

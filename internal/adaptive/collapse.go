@@ -92,6 +92,18 @@ type HopHealth struct {
 	Probation int
 }
 
+// validate checks a snapshot's hop: non-negative streaks and probation,
+// and a finite, non-negative probe schedule.
+func (h HopHealth) validate() error {
+	if h.Failures < 0 || h.Successes < 0 || h.Probation < 0 {
+		return fmt.Errorf("adaptive: negative streaks or probation %d/%d/%d", h.Failures, h.Successes, h.Probation)
+	}
+	if err := checkSeconds("next probe", h.NextProbeAt); err != nil {
+		return err
+	}
+	return checkSeconds("probe interval", h.ProbeInterval)
+}
+
 // CollapseLadder tracks every hop's health and derives the serving
 // rung. It is not goroutine-safe; the serving loop owns it.
 type CollapseLadder struct {

@@ -3,6 +3,7 @@ package adaptive
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"xpro/internal/biosig"
 	"xpro/internal/faults"
@@ -137,7 +138,8 @@ var (
 // that produced no label. A FailFast runtime returns the attempt's
 // *xsystem.NoResultError, which carries its bill, or a
 // *faults.ErrLinkDown while the breaker is open. Any other error is a
-// genuine pipeline failure, ErrNoPath or ErrFallback.
+// genuine pipeline failure, or ErrNoPath or ErrFallback, which come
+// with the failed rung and the event's bill.
 func (rt *EndRuntime) Serve(sys *xsystem.System, seg biosig.Segment, browned bool) (EndEvent, error) {
 	now := rt.opt.Clock.Now()
 	state := rt.opt.Plan.At(now)
@@ -176,18 +178,20 @@ func (rt *EndRuntime) Serve(sys *xsystem.System, seg biosig.Segment, browned boo
 }
 
 // fallBack serves an event the cross-end cut did not; attempt is the
-// failed attempt's bill (zero when none ran).
+// failed attempt's bill (zero when none ran). An event no rung can
+// serve returns its bill with ErrNoPath or ErrFallback.
 func (rt *EndRuntime) fallBack(seg biosig.Segment, state faults.State, attempt xsystem.Outcome) (EndEvent, error) {
 	ev := EndEvent{Outcome: xsystem.Outcome{
 		Retries: attempt.Retries, LostTransfers: attempt.LostTransfers,
 		DeadlineExceeded: attempt.DeadlineExceeded, SpentSeconds: attempt.SpentSeconds,
 		SensorEnergy: attempt.SensorEnergy,
-	}}
+	}, Rung: RungFallbackSensor}
 	if state.Brownout {
 		// Sensing survives a brownout: stream the raw segment under the
 		// retry policy, every try draining the battery and taking its
 		// air time, and classify in software on the aggregator, which
 		// takes the in-aggregator engine's back-end time.
+		ev.Rung = RungFallbackSoftware
 		sent := false
 		for try := 0; try <= rt.opt.Policy.MaxRetries && !sent; try++ {
 			tr, err := rt.link.Send(rt.fallback.Graph.SourceBits)
@@ -199,21 +203,21 @@ func (rt *EndRuntime) fallBack(seg biosig.Segment, state faults.State, attempt x
 			ev.SensorEnergy += rt.fallback.Problem().SensingEnergy
 		}
 		if !sent {
-			return EndEvent{}, ErrNoPath
+			return ev, ErrNoPath
 		}
 		label, err := rt.fallback.Ens.Predict(seg)
 		if err != nil {
 			return EndEvent{}, err
 		}
 		ev.SpentSeconds += rt.fallback.DelayOf(partition.InAggregator(rt.fallback.Graph)).BackEnd
-		ev.Label, ev.Rung = label, RungFallbackSoftware
+		ev.Label = label
 		return ev, nil
 	}
 	out, err := rt.fallback.ClassifyOver(seg, &rt.fbOpt)
 	if err != nil {
-		return EndEvent{}, fmt.Errorf("%w: %w", ErrFallback, err)
+		return ev, fmt.Errorf("%w: %w", ErrFallback, err)
 	}
-	ev.Label, ev.Rung = out.Label, RungFallbackSensor
+	ev.Label = out.Label
 	ev.VotesUsed, ev.VotesTotal = out.VotesUsed, out.VotesTotal
 	if ev.SpentSeconds == 0 {
 		ev.SpentSeconds = out.SpentSeconds
@@ -266,18 +270,40 @@ func (rt *EndRuntime) Snapshot() EndState {
 	return st
 }
 
-// Validate checks a snapshot without applying it.
+// Validate checks a snapshot without applying it: the clock, the
+// breaker and RNG cursor, and the estimate.
 func (st EndState) Validate() error {
-	if err := st.Breaker.Validate(); err != nil {
+	if err := checkSeconds("clock", st.ClockSeconds); err != nil {
 		return err
 	}
-	if st.Draws > faults.MaxRNGDraws {
-		return fmt.Errorf("adaptive: RNG cursor %d exceeds the restorable maximum", st.Draws)
+	if err := checkLink(st.Breaker, st.Draws); err != nil {
+		return err
 	}
 	// Restoring onto a throwaway estimator checks the estimate without
 	// touching the live one.
 	var scratch Estimator
 	return scratch.Restore(st.Estimator)
+}
+
+// checkLink checks the durable pair of one seeded link, which EndState
+// holds once and TierState once per hop: its breaker snapshot and its
+// RNG cursor.
+func checkLink(b faults.BreakerSnapshot, draws uint64) error {
+	if err := b.Validate(); err != nil {
+		return err
+	}
+	if draws > faults.MaxRNGDraws {
+		return fmt.Errorf("adaptive: RNG cursor %d exceeds the restorable maximum", draws)
+	}
+	return nil
+}
+
+// checkSeconds checks a modeled time or interval of a snapshot.
+func checkSeconds(name string, v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+		return fmt.Errorf("adaptive: %s %v must be finite and non-negative", name, v)
+	}
+	return nil
 }
 
 // Restore rewinds the runtime onto a snapshot: the clock jumps to the

@@ -266,44 +266,55 @@ func (rt *TierRuntime) Snapshot() TierState {
 	return st
 }
 
+// Validate checks a snapshot without applying it: the clock, the
+// steady cap, the ladder counters, and every hop's breaker, RNG cursor,
+// health and probe schedule.
+func (st TierState) Validate() error {
+	if err := checkSeconds("clock", st.ClockSeconds); err != nil {
+		return err
+	}
+	if nh := len(st.Hops); st.Steady < 0 || int(st.Steady) > nh {
+		return fmt.Errorf("adaptive: snapshot steady cap %d outside [0,%d]", st.Steady, nh)
+	}
+	if st.Collapses < 0 || st.Recoveries < 0 || st.Rollbacks < 0 {
+		return fmt.Errorf("adaptive: negative ladder counters %d/%d/%d", st.Collapses, st.Recoveries, st.Rollbacks)
+	}
+	for h, hs := range st.Hops {
+		if err := checkLink(hs.Breaker, hs.Draws); err != nil {
+			return fmt.Errorf("adaptive: hop %d: %w", h, err)
+		}
+		if err := hs.Health.validate(); err != nil {
+			return fmt.Errorf("adaptive: hop %d: %w", h, err)
+		}
+	}
+	return nil
+}
+
 // Restore rewinds the runtime onto a snapshot of the same chain: every
 // link's RNG is fast-forwarded to its cursor, the breakers and the
 // ladder resume their state, and the clock jumps to the snapshot time.
-// Every field is checked before any is applied, so a rejected snapshot
-// leaves the runtime as it was.
+// The snapshot is checked before any of it is applied, so a rejected
+// one leaves the runtime as it was, and the parts cannot reject what
+// Validate passed.
 func (rt *TierRuntime) Restore(st TierState) error {
 	nh := len(rt.opt.Hops)
 	if len(st.Hops) != nh {
 		return fmt.Errorf("adaptive: snapshot covers %d hops, chain has %d", len(st.Hops), nh)
 	}
-	if st.Steady < 0 || int(st.Steady) > nh {
-		return fmt.Errorf("adaptive: snapshot steady cap %d outside [0,%d]", st.Steady, nh)
-	}
-	for h, hs := range st.Hops {
-		if err := hs.Breaker.Validate(); err != nil {
-			return fmt.Errorf("adaptive: hop %d: %w", h, err)
-		}
-		if hs.Draws > faults.MaxRNGDraws {
-			return fmt.Errorf("adaptive: hop %d: RNG cursor %d exceeds the restorable maximum", h, hs.Draws)
-		}
+	if err := st.Validate(); err != nil {
+		return err
 	}
 	ls := LadderState{
 		Hops:      make([]HopHealth, nh),
 		Collapses: st.Collapses, Recoveries: st.Recoveries, Rollbacks: st.Rollbacks,
 	}
 	for h, hs := range st.Hops {
-		if err := rt.opt.Hops[h].Breaker.Restore(hs.Breaker); err != nil {
-			return err
-		}
-		if err := rt.opt.Hops[h].Link.RestoreDraws(hs.Draws); err != nil {
-			return err
-		}
+		_ = rt.opt.Hops[h].Breaker.Restore(hs.Breaker)
+		_ = rt.opt.Hops[h].Link.RestoreDraws(hs.Draws)
 		ls.Hops[h] = hs.Health
 		rt.outages[h] = hs.Outages
 	}
-	if err := rt.ladder.Restore(ls); err != nil {
-		return err
-	}
+	_ = rt.ladder.Restore(ls)
 	rt.opt.Clock.Restore(st.ClockSeconds)
 	rt.steady = st.Steady
 	return nil

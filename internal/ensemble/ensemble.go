@@ -277,6 +277,51 @@ func (e *Ensemble) Normalize(full []float64) []float64 {
 // FeatureRange returns the normalization of one feature.
 func (e *Ensemble) FeatureRange(fs FeatureSpec) Range { return e.Norm[SpecIndex(fs)] }
 
+// Validate checks the shape an ensemble read from outside the program
+// must have before a topology is built on it and events are scored:
+// at least one base, one fusion weight per base plus the bias, one
+// normalization range per feature, and for every base a model of a
+// known kernel over a non-empty subset of known features, whose weight
+// vector and support vectors match the subset and whose coefficients
+// match its support vectors.
+func (e *Ensemble) Validate() error {
+	if len(e.Bases) == 0 {
+		return errors.New("ensemble: no base classifiers")
+	}
+	if len(e.Weights) != len(e.Bases)+1 {
+		return fmt.Errorf("ensemble: %d fusion weights for %d bases, want %d", len(e.Weights), len(e.Bases), len(e.Bases)+1)
+	}
+	if n := NumDomains * stats.NumFeatures; len(e.Norm) != n {
+		return fmt.Errorf("ensemble: %d normalization ranges, want %d", len(e.Norm), n)
+	}
+	for i, b := range e.Bases {
+		m, dim := b.Model, len(b.Subset)
+		switch {
+		case m == nil:
+			return fmt.Errorf("ensemble: base %d has no model", i)
+		case dim == 0:
+			return fmt.Errorf("ensemble: base %d has no features", i)
+		case m.Kernel != svm.Linear && m.Kernel != svm.RBF:
+			return fmt.Errorf("ensemble: base %d has unknown kernel %d", i, int(m.Kernel))
+		case m.W != nil && len(m.W) != dim:
+			return fmt.Errorf("ensemble: base %d weighs %d features, its subset has %d", i, len(m.W), dim)
+		case len(m.Coeffs) != len(m.Vectors):
+			return fmt.Errorf("ensemble: base %d has %d coefficients for %d support vectors", i, len(m.Coeffs), len(m.Vectors))
+		}
+		for _, fs := range b.Subset {
+			if fs.Domain < 0 || fs.Domain >= NumDomains || fs.Feat < 0 || int(fs.Feat) >= stats.NumFeatures {
+				return fmt.Errorf("ensemble: base %d uses unknown feature (domain %d, feature %d)", i, fs.Domain, int(fs.Feat))
+			}
+		}
+		for _, v := range m.Vectors {
+			if len(v) != dim {
+				return fmt.Errorf("ensemble: base %d has a %d-dimensional support vector for %d features", i, len(v), dim)
+			}
+		}
+	}
+	return nil
+}
+
 // ErrTooFewSegments reports a dataset too small to train on.
 var ErrTooFewSegments = errors.New("ensemble: dataset too small to train")
 

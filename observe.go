@@ -102,8 +102,11 @@ type LogEvent struct {
 	// Wall is the host wall-clock time of the record.
 	Wall time.Time
 	// Kind is "classify", "recut-swap", "recut-rollback", "breaker",
-	// "quarantine" or "brownout" (a fleet brownout transition; Detail
-	// carries "enter", "exit" or "rollback").
+	// "quarantine", "brownout" (a fleet brownout transition; Detail
+	// carries "enter", "exit" or "rollback"), "node-crash" (Detail
+	// "power-loss" or "graceful-reboot") or "node-recover" (Detail
+	// "warm", "amnesiac" without a store, or "amnesiac-corrupt-store"
+	// when the attached store could not be restored).
 	Kind string
 	// Subject names the fleet subject, when known.
 	Subject string

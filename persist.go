@@ -23,7 +23,6 @@ const persistVersion = 1
 
 // snapshotMagic opens the checksummed snapshot envelope: magic, then
 // the gob payload, then a big-endian CRC-32 (IEEE) of the payload.
-// Load still accepts bare legacy snapshots (no magic, no checksum).
 var snapshotMagic = []byte("xprosnap\x01")
 
 // SnapshotIntegrityError reports a snapshot whose payload does not
@@ -91,27 +90,27 @@ func (e *Engine) Save(w io.Writer) error {
 // verified (mismatches return *SnapshotIntegrityError), then the
 // topology and simulated hardware are rebuilt from the snapshot's
 // classifier and placement, and the held-out test set is regenerated
-// deterministically from the saved configuration. Snapshots written
-// before the checksummed envelope (bare gob) still load.
+// deterministically from the saved configuration. Input without the
+// envelope's magic is refused.
 func Load(r io.Reader) (*Engine, error) {
 	buf, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("xpro: reading snapshot: %w", err)
 	}
-	if bytes.HasPrefix(buf, snapshotMagic) {
-		body := buf[len(snapshotMagic):]
-		if len(body) < 4 {
-			return nil, fmt.Errorf("xpro: snapshot truncated inside the envelope (%d bytes)", len(buf))
-		}
-		payload, sum := body[:len(body)-4], body[len(body)-4:]
-		want := binary.BigEndian.Uint32(sum)
-		if got := crc32.ChecksumIEEE(payload); got != want {
-			return nil, &SnapshotIntegrityError{Want: want, Got: got}
-		}
-		buf = payload
+	if !bytes.HasPrefix(buf, snapshotMagic) {
+		return nil, fmt.Errorf("xpro: not an engine snapshot (bad magic)")
+	}
+	body := buf[len(snapshotMagic):]
+	if len(body) < 4 {
+		return nil, fmt.Errorf("xpro: snapshot truncated inside the envelope (%d bytes)", len(buf))
+	}
+	payload, sum := body[:len(body)-4], body[len(body)-4:]
+	want := binary.BigEndian.Uint32(sum)
+	if got := crc32.ChecksumIEEE(payload); got != want {
+		return nil, &SnapshotIntegrityError{Want: want, Got: got}
 	}
 	var ep enginePersist
-	if err := gob.NewDecoder(bytes.NewReader(buf)).Decode(&ep); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&ep); err != nil {
 		return nil, fmt.Errorf("xpro: decoding engine: %w", err)
 	}
 	if ep.Version > persistVersion {
@@ -120,8 +119,11 @@ func Load(r io.Reader) (*Engine, error) {
 	if ep.Version != persistVersion {
 		return nil, fmt.Errorf("xpro: snapshot version %d, this build reads %d", ep.Version, persistVersion)
 	}
-	if ep.Ens == nil || len(ep.Ens.Bases) == 0 {
+	if ep.Ens == nil {
 		return nil, fmt.Errorf("xpro: snapshot has no classifier")
+	}
+	if err := ep.Ens.Validate(); err != nil {
+		return nil, fmt.Errorf("xpro: snapshot classifier: %w", err)
 	}
 	cfg := ep.Config
 	spec, err := biosig.CaseBySymbol(cfg.Case)

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"xpro/internal/ensemble"
 	"xpro/internal/partition"
 )
 
@@ -101,9 +102,9 @@ func TestLoadDetectsCorruptSnapshot(t *testing.T) {
 	}
 }
 
-func TestLoadAcceptsLegacySnapshot(t *testing.T) {
-	// Snapshots written before the checksummed envelope are bare gob;
-	// they must still restore.
+// Snapshots written before the checksummed envelope are bare gob; they
+// are refused, not decoded without a checksum.
+func TestLoadRejectsBareGob(t *testing.T) {
 	eng, err := New(Config{Case: "M2"})
 	if err != nil {
 		t.Fatal(err)
@@ -119,13 +120,21 @@ func TestLoadAcceptsLegacySnapshot(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	enveloped := sealSnapshot(legacy.Bytes())
 	restored, err := Load(&legacy)
-	if err != nil {
-		t.Fatalf("legacy bare-gob snapshot failed to load: %v", err)
+	if err == nil || restored != nil {
+		t.Fatalf("bare-gob snapshot: Load returned engine %t and error %v, want only an error", restored != nil, err)
 	}
-	if a, b := eng.Report(), restored.Report(); a != b {
-		t.Errorf("legacy restore diverged:\n  orig     %+v\n  restored %+v", a, b)
+	// The same payload inside the envelope loads.
+	if _, err := Load(bytes.NewReader(enveloped)); err != nil {
+		t.Fatalf("enveloped payload failed to load: %v", err)
 	}
+}
+
+// sealSnapshot wraps a gob payload in the envelope Save writes.
+func sealSnapshot(payload []byte) []byte {
+	snap := append(append([]byte(nil), snapshotMagic...), payload...)
+	return binary.BigEndian.AppendUint32(snap, crc32.ChecksumIEEE(payload))
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
@@ -166,7 +175,7 @@ func TestLoadRejectsNewerVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Load(&buf)
+	_, err = Load(bytes.NewReader(sealSnapshot(buf.Bytes())))
 	if err == nil {
 		t.Fatal("newer snapshot version must be rejected")
 	}
@@ -176,6 +185,51 @@ func TestLoadRejectsNewerVersion(t *testing.T) {
 	}
 	if !strings.Contains(msg, fmt.Sprint(persistVersion+1)) || !strings.Contains(msg, fmt.Sprintf("max %d", persistVersion)) {
 		t.Errorf("error should name both versions: %q", msg)
+	}
+}
+
+// A snapshot whose checksum is intact but whose classifier has the
+// wrong shape must fail to load, not panic while the topology is built
+// or an event is scored.
+func TestLoadRejectsMalformedClassifier(t *testing.T) {
+	eng, err := New(Config{Case: "C1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, spoil := range map[string]func(e *ensemble.Ensemble){
+		"nil model":          func(e *ensemble.Ensemble) { e.Bases[0].Model = nil },
+		"no fusion bias":     func(e *ensemble.Ensemble) { e.Weights = e.Weights[:len(e.Bases)] },
+		"short norm":         func(e *ensemble.Ensemble) { e.Norm = e.Norm[:1] },
+		"coefficients":       func(e *ensemble.Ensemble) { e.Bases[0].Model.Coeffs = nil },
+		"vector width":       func(e *ensemble.Ensemble) { e.Bases[0].Model.Vectors[0] = nil },
+		"unknown feature":    func(e *ensemble.Ensemble) { e.Bases[0].Subset[0].Domain = 99 },
+		"unknown kernel":     func(e *ensemble.Ensemble) { e.Bases[0].Model.Kernel = 9 },
+		"empty feature list": func(e *ensemble.Ensemble) { e.Bases[0].Subset = nil },
+	} {
+		// A gob round trip deep-copies the trained ensemble.
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(eng.ens); err != nil {
+			t.Fatal(err)
+		}
+		var ens ensemble.Ensemble
+		if err := gob.NewDecoder(&buf).Decode(&ens); err != nil {
+			t.Fatal(err)
+		}
+		if len(ens.Bases[0].Model.Vectors) == 0 {
+			t.Fatal("base 0 has no support vectors; the vector cases would test nothing")
+		}
+		spoil(&ens)
+		var payload bytes.Buffer
+		if err := gob.NewEncoder(&payload).Encode(enginePersist{
+			Version: persistVersion, Config: eng.cfg, Ens: &ens, Gen: eng.gen,
+			Placement: eng.sys().Placement, Accuracy: eng.acc,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		restored, err := Load(bytes.NewReader(sealSnapshot(payload.Bytes())))
+		if err == nil || restored != nil {
+			t.Errorf("%s: Load returned engine %t and error %v, want only an error", name, restored != nil, err)
+		}
 	}
 }
 
@@ -208,9 +262,7 @@ func TestLoadRejectsInvalidPlacement(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		snap := append(append([]byte(nil), snapshotMagic...), payload.Bytes()...)
-		snap = binary.BigEndian.AppendUint32(snap, crc32.ChecksumIEEE(payload.Bytes()))
-		restored, err := Load(bytes.NewReader(snap))
+		restored, err := Load(bytes.NewReader(sealSnapshot(payload.Bytes())))
 		if err == nil || restored != nil {
 			t.Fatalf("%s: Load returned engine %t and error %v, want only an error", name, restored != nil, err)
 		}

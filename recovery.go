@@ -89,12 +89,12 @@ func (e *RecoveryError) Error() string {
 // Is makes errors.Is(err, ErrRecoveryCorrupt) match.
 func (e *RecoveryError) Is(target error) bool { return target == ErrRecoveryCorrupt }
 
-// SubjectState is the durable per-subject mutable state: everything a
-// node crash wipes and a recovery must reconstruct for the seeded
-// timeline to continue bit-identically. It is deliberately tiny — the
-// trained classifier, topology and placement are immutable and rebuilt
-// from Config (or a persist.go snapshot); this record is the part that
-// changes per event.
+// SubjectState is a view of the durable per-subject mutable state:
+// everything a node crash wipes and a recovery must reconstruct for the
+// seeded timeline to continue bit-identically. It is deliberately tiny —
+// the trained classifier, topology and placement are immutable and
+// rebuilt from Config (or a persist.go snapshot); this record is the
+// part that changes per event.
 type SubjectState struct {
 	// Seq counts the events applied to the modeled timeline (served,
 	// degraded or quarantined — everything that advanced the clock
@@ -133,12 +133,70 @@ type SubjectState struct {
 	// and rejoined.
 	Crashes    uint64
 	Recoveries uint64
-	// Tiered is the armed tier runtime's per-hop state (nil on a 2-end
-	// engine or before Arm). It rides in the same CRC envelope as an
-	// optional extension block, so a tiered engine's checkpoint rewinds
-	// the whole ladder — hop breakers, per-hop RNG cursors, probe
-	// schedule, steady rung — not just the 2-end core.
-	Tiered *TieredSubjectState
+}
+
+// ledgers are the root's durable counters. seq numbers every event
+// applied to the timeline; energyJ, quarantined and imputed are the
+// battery and integrity ledgers; crashes and recoveries count the
+// node-down windows entered and rejoined.
+type ledgers struct {
+	seq         uint64
+	energyJ     float64
+	quarantined uint64
+	imputed     uint64
+	crashes     uint64
+	recoveries  uint64
+}
+
+// record is the durable record: the 2-end runtime's snapshot, the
+// root's ledgers and, while a tier plan is armed, the tier runtime's
+// snapshot. The codec reads and writes it, and restoreLocked installs
+// it.
+type record struct {
+	ledgers
+	end  adaptive.EndState
+	tier *adaptive.TierState
+}
+
+// validate is the one rule for a valid record: the runtimes' own checks
+// plus the check on the root's ledgers. The encoder, the decoder and
+// every restore call it.
+func (rec *record) validate() error {
+	if err := rec.end.Validate(); err != nil {
+		return err
+	}
+	if rec.tier != nil {
+		if err := rec.tier.Validate(); err != nil {
+			return err
+		}
+	}
+	if e := rec.energyJ; math.IsNaN(e) || math.IsInf(e, 0) || e < 0 {
+		return fmt.Errorf("energy ledger %v must be finite and non-negative", e)
+	}
+	return nil
+}
+
+// public is the record's SubjectState view.
+func (rec *record) public() SubjectState {
+	est := rec.end.Estimator
+	return SubjectState{
+		Seq:                      rec.seq,
+		ClockSeconds:             rec.end.ClockSeconds,
+		Breaker:                  rec.end.Breaker.State.String(),
+		BreakerFailures:          rec.end.Breaker.Failures,
+		BreakerOpenedAtSeconds:   rec.end.Breaker.OpenedAt,
+		RNGDraws:                 rec.end.Draws,
+		EstimatedLoss:            est.Loss,
+		EstimatedOutage:          est.Outage,
+		EstimatorSamples:         est.Samples,
+		EstimatorPendingAttempts: est.PendAttempts,
+		EstimatorPendingFailed:   est.PendFailed,
+		EnergySpentJoules:        rec.energyJ,
+		QuarantinedEvents:        rec.quarantined,
+		ImputedValues:            rec.imputed,
+		Crashes:                  rec.crashes,
+		Recoveries:               rec.recoveries,
+	}
 }
 
 // The wire encoding is fixed-width big-endian — deterministic bytes
@@ -146,6 +204,9 @@ type SubjectState struct {
 // magic + payload + CRC-32 (IEEE) envelope persist.go snapshots use.
 // subjectStateBytes is the v1 core; an armed tier plan appends the
 // recovery_tiered.go extension block after it, inside the envelope.
+// The codec checks only the byte shape: lengths, magic, enum and flag
+// bytes, and that every count fits the int its field decodes into.
+// What a valid value is, record.validate alone decides.
 const subjectStateBytes = 117
 
 var (
@@ -164,179 +225,231 @@ const (
 	JournalRecordBytes = 4 + 4 + subjectStateBytes + 4
 )
 
-var breakerNames = map[string]faults.BreakerState{
-	"closed":    faults.BreakerClosed,
-	"half-open": faults.BreakerHalfOpen,
-	"open":      faults.BreakerOpen,
+// wire appends a record's fields. A count too wide for its field is
+// written truncated and kept in err, so seal refuses the record.
+type wire struct {
+	buf []byte
+	err error
 }
 
-func encodeState(st SubjectState) ([]byte, error) {
-	code, ok := breakerNames[st.Breaker]
-	if !ok {
-		return nil, fmt.Errorf("xpro: unknown breaker state %q", st.Breaker)
-	}
-	buf := make([]byte, 0, subjectStateBytes)
-	u64 := func(v uint64) { buf = binary.BigEndian.AppendUint64(buf, v) }
-	f64 := func(v float64) { buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(v)) }
-	u64(st.Seq)
-	f64(st.ClockSeconds)
-	buf = append(buf, byte(code))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(st.BreakerFailures))
-	f64(st.BreakerOpenedAtSeconds)
-	u64(st.RNGDraws)
-	f64(st.EstimatedLoss)
-	f64(st.EstimatedOutage)
-	u64(uint64(st.EstimatorSamples))
-	u64(uint64(st.EstimatorPendingAttempts))
-	u64(uint64(st.EstimatorPendingFailed))
-	f64(st.EnergySpentJoules)
-	u64(st.QuarantinedEvents)
-	u64(st.ImputedValues)
-	u64(st.Crashes)
-	u64(st.Recoveries)
-	if st.Tiered != nil {
-		return appendTieredExt(buf, st.Tiered)
-	}
-	return buf, nil
+func (w *wire) u64(v uint64)  { w.buf = binary.BigEndian.AppendUint64(w.buf, v) }
+func (w *wire) f64(v float64) { w.u64(math.Float64bits(v)) }
+
+// count32 writes a count as 4 bytes, count64 as 8; each must lie in
+// [0, max], the range the decoder reads it back under.
+func (w *wire) count32(v int) {
+	w.fits(int64(v), math.MaxInt32)
+	w.buf = binary.BigEndian.AppendUint32(w.buf, uint32(v))
 }
 
-// decodeState parses and validates one fixed-width payload. Every
-// range check lives here, so a CRC-valid but hostile record cannot
-// smuggle NaN clocks, negative streaks or an unrestorable RNG cursor
-// into a live engine.
-func decodeState(buf []byte) (SubjectState, error) {
-	var st SubjectState
-	if len(buf) < subjectStateBytes {
-		return st, fmt.Errorf("payload is %d bytes, want at least %d", len(buf), subjectStateBytes)
-	}
-	off := 0
-	u64 := func() uint64 { v := binary.BigEndian.Uint64(buf[off:]); off += 8; return v }
-	f64 := func() float64 { return math.Float64frombits(u64()) }
-	st.Seq = u64()
-	st.ClockSeconds = f64()
-	code := faults.BreakerState(buf[off])
-	off++
-	failures := binary.BigEndian.Uint32(buf[off:])
-	off += 4
-	st.BreakerOpenedAtSeconds = f64()
-	st.RNGDraws = u64()
-	st.EstimatedLoss = f64()
-	st.EstimatedOutage = f64()
-	samples := u64()
-	pendA := u64()
-	pendF := u64()
-	st.EnergySpentJoules = f64()
-	st.QuarantinedEvents = u64()
-	st.ImputedValues = u64()
-	st.Crashes = u64()
-	st.Recoveries = u64()
+func (w *wire) count64(v, max int64) {
+	w.fits(v, max)
+	w.u64(uint64(v))
+}
 
-	switch code {
+func (w *wire) fits(v, max int64) {
+	if (v < 0 || v > max) && w.err == nil {
+		w.err = fmt.Errorf("xpro: count %d does not fit its field [0,%d]", v, max)
+	}
+}
+
+// link writes the 21 bytes one seeded link takes, the same in the v1
+// core and in every XPTS hop: breaker code, breaker failures, opened-at
+// and RNG cursor.
+func (w *wire) link(b faults.BreakerSnapshot, draws uint64) {
+	w.buf = append(w.buf, byte(b.State))
+	w.count32(b.Failures)
+	w.f64(b.OpenedAt)
+	w.u64(draws)
+}
+
+// envelope writes rec as [magic][len u32][payload][crc32 u32]: the
+// persist.go discipline with an explicit length for streamed journal
+// records. The payload is the v1 core, then the XPTS block when rec
+// carries a tier snapshot.
+func (w *wire) envelope(magic []byte, rec *record) {
+	w.buf = append(w.buf, magic...)
+	w.buf = append(w.buf, 0, 0, 0, 0) // the payload length, stamped below
+	start := len(w.buf)
+	w.u64(rec.seq)
+	w.f64(rec.end.ClockSeconds)
+	w.link(rec.end.Breaker, rec.end.Draws)
+	est := rec.end.Estimator
+	w.f64(est.Loss)
+	w.f64(est.Outage)
+	w.count64(int64(est.Samples), math.MaxInt32)
+	w.count64(est.PendAttempts, math.MaxInt64)
+	w.count64(est.PendFailed, math.MaxInt64)
+	w.f64(rec.energyJ)
+	w.u64(rec.quarantined)
+	w.u64(rec.imputed)
+	w.u64(rec.crashes)
+	w.u64(rec.recoveries)
+	if rec.tier != nil {
+		w.tier(rec.tier)
+	}
+	payload := w.buf[start:]
+	binary.BigEndian.PutUint32(w.buf[start-4:], uint32(len(payload)))
+	w.buf = binary.BigEndian.AppendUint32(w.buf, crc32.ChecksumIEEE(payload))
+}
+
+// seal validates rec and encodes it in one envelope, so no record the
+// decoder would refuse is ever written.
+func seal(magic []byte, rec *record) ([]byte, error) {
+	if err := rec.validate(); err != nil {
+		return nil, err
+	}
+	n := len(magic) + 4 + subjectStateBytes + 4
+	if rec.tier != nil {
+		n += TieredStateBytes(len(rec.tier.Hops))
+	}
+	w := wire{buf: make([]byte, 0, n)}
+	w.envelope(magic, rec)
+	if w.err != nil {
+		return nil, w.err
+	}
+	return w.buf, nil
+}
+
+// reader reads a payload whose length was checked first. A byte or a
+// count its field cannot hold is kept in err.
+type reader struct {
+	buf []byte
+	off int
+	err error
+}
+
+func (r *reader) u8() byte {
+	b := r.buf[r.off]
+	r.off++
+	return b
+}
+
+func (r *reader) u64() uint64 {
+	v := binary.BigEndian.Uint64(r.buf[r.off:])
+	r.off += 8
+	return v
+}
+
+func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
+
+func (r *reader) count32() int {
+	v := binary.BigEndian.Uint32(r.buf[r.off:])
+	r.off += 4
+	r.fits(uint64(v), math.MaxInt32)
+	return int(v)
+}
+
+func (r *reader) count64(max int64) int64 {
+	v := r.u64()
+	r.fits(v, uint64(max))
+	return int64(v)
+}
+
+func (r *reader) fits(v, max uint64) {
+	if v > max {
+		r.failf("count %d out of range [0,%d]", v, max)
+	}
+}
+
+func (r *reader) failf(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf(format, args...)
+	}
+}
+
+// link reads the 21 bytes wire.link writes.
+func (r *reader) link() (faults.BreakerSnapshot, uint64) {
+	var b faults.BreakerSnapshot
+	b.State = faults.BreakerState(r.u8())
+	switch b.State {
 	case faults.BreakerClosed, faults.BreakerHalfOpen, faults.BreakerOpen:
-		st.Breaker = code.String()
 	default:
-		return st, fmt.Errorf("invalid breaker state code %d", int(code))
+		r.failf("invalid breaker state code %d", int(b.State))
 	}
-	if failures > math.MaxInt32 {
-		return st, fmt.Errorf("breaker failure streak %d out of range", failures)
+	b.Failures = r.count32()
+	b.OpenedAt = r.f64()
+	return b, r.u64()
+}
+
+// decodeRecord parses one payload: its byte shape, then the one rule.
+func decodeRecord(buf []byte) (record, error) {
+	var rec record
+	if len(buf) < subjectStateBytes {
+		return rec, fmt.Errorf("payload is %d bytes, want at least %d", len(buf), subjectStateBytes)
 	}
-	st.BreakerFailures = int(failures)
-	if !finite(st.ClockSeconds) || st.ClockSeconds < 0 {
-		return st, fmt.Errorf("clock %v must be finite and non-negative", st.ClockSeconds)
-	}
-	if !finite(st.BreakerOpenedAtSeconds) || st.BreakerOpenedAtSeconds < 0 {
-		return st, fmt.Errorf("breaker opened-at %v must be finite and non-negative", st.BreakerOpenedAtSeconds)
-	}
-	if st.RNGDraws > faults.MaxRNGDraws {
-		return st, fmt.Errorf("RNG cursor %d exceeds the restorable maximum", st.RNGDraws)
-	}
-	if !(st.EstimatedLoss >= 0 && st.EstimatedLoss <= 1) || !(st.EstimatedOutage >= 0 && st.EstimatedOutage <= 1) {
-		return st, fmt.Errorf("estimator loss %v / outage %v outside [0,1]", st.EstimatedLoss, st.EstimatedOutage)
-	}
-	if samples > math.MaxInt32 || pendA > math.MaxInt64 || pendF > math.MaxInt64 {
-		return st, fmt.Errorf("estimator counters out of range")
-	}
-	st.EstimatorSamples = int(samples)
-	st.EstimatorPendingAttempts = int64(pendA)
-	st.EstimatorPendingFailed = int64(pendF)
-	if !finite(st.EnergySpentJoules) || st.EnergySpentJoules < 0 {
-		return st, fmt.Errorf("energy ledger %v must be finite and non-negative", st.EnergySpentJoules)
+	r := reader{buf: buf[:subjectStateBytes]}
+	rec.seq = r.u64()
+	rec.end.ClockSeconds = r.f64()
+	rec.end.Breaker, rec.end.Draws = r.link()
+	est := &rec.end.Estimator
+	est.Loss = r.f64()
+	est.Outage = r.f64()
+	est.Samples = int(r.count64(math.MaxInt32))
+	est.PendAttempts = r.count64(math.MaxInt64)
+	est.PendFailed = r.count64(math.MaxInt64)
+	rec.energyJ = r.f64()
+	rec.quarantined = r.u64()
+	rec.imputed = r.u64()
+	rec.crashes = r.u64()
+	rec.recoveries = r.u64()
+	if r.err != nil {
+		return record{}, r.err
 	}
 	if len(buf) > subjectStateBytes {
-		ts, err := decodeTieredExt(buf[subjectStateBytes:])
+		ts, err := decodeTier(buf[subjectStateBytes:])
 		if err != nil {
-			return st, err
+			return record{}, err
 		}
-		st.Tiered = ts
+		rec.tier = ts
 	}
-	return st, nil
-}
-
-func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
-
-// envelope wraps a payload as [magic][len u32][payload][crc32 u32],
-// the persist.go discipline with an explicit length for streamed
-// journal records.
-func envelope(magic, payload []byte) []byte {
-	buf := make([]byte, 0, len(magic)+4+len(payload)+4)
-	buf = append(buf, magic...)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = append(buf, payload...)
-	buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
-	return buf
-}
-
-func encodeCheckpoint(st SubjectState) ([]byte, error) {
-	payload, err := encodeState(st)
-	if err != nil {
-		return nil, err
+	if err := rec.validate(); err != nil {
+		return record{}, err
 	}
-	return envelope(checkpointMagic, payload), nil
-}
-
-func encodeJournalRecord(st SubjectState) ([]byte, error) {
-	payload, err := encodeState(st)
-	if err != nil {
-		return nil, err
-	}
-	return envelope(journalMagic, payload), nil
+	return rec, nil
 }
 
 // decodeCheckpoint parses one checkpoint envelope. Unlike journal
 // tails, a damaged checkpoint is never tolerated: it is the recovery
 // base, and a wrong base corrupts everything replayed on top.
-func decodeCheckpoint(buf []byte) (SubjectState, error) {
-	fail := func(reason string) (SubjectState, error) {
-		return SubjectState{}, &RecoveryError{Section: "checkpoint", Reason: reason}
+func decodeCheckpoint(buf []byte) (record, error) {
+	n, rec, reason := openRecord(checkpointMagic, buf)
+	if reason == "" && n != len(buf) {
+		reason = fmt.Sprintf("%d trailing bytes after the envelope", len(buf)-n)
 	}
-	if !bytes.HasPrefix(buf, checkpointMagic) {
-		return fail("bad magic")
+	if reason != "" {
+		return record{}, &RecoveryError{Section: "checkpoint", Reason: reason}
 	}
-	body := buf[len(checkpointMagic):]
-	if len(body) < 4 {
-		return fail("truncated before the length field")
+	return rec, nil
+}
+
+// openRecord decodes the envelope at the head of buf, returning the
+// bytes it spans and its record, or a non-empty reason on failure.
+func openRecord(magic, buf []byte) (int, record, string) {
+	if len(buf) < len(magic)+4 {
+		return 0, record{}, "truncated before the length field"
 	}
-	n := int(binary.BigEndian.Uint32(body))
+	if !bytes.HasPrefix(buf, magic) {
+		return 0, record{}, "bad magic"
+	}
+	n := int(binary.BigEndian.Uint32(buf[len(magic):]))
 	if n < subjectStateBytes || n > maxDurablePayload {
-		return fail(fmt.Sprintf("payload length %d outside [%d,%d]", n, subjectStateBytes, maxDurablePayload))
+		return 0, record{}, fmt.Sprintf("payload length %d outside [%d,%d]", n, subjectStateBytes, maxDurablePayload)
 	}
-	body = body[4:]
-	if len(body) < n+4 {
-		return fail(fmt.Sprintf("truncated payload (%d of %d bytes)", len(body), n+4))
+	total := len(magic) + 4 + n + 4
+	if len(buf) < total {
+		return 0, record{}, fmt.Sprintf("truncated envelope (%d of %d bytes)", len(buf), total)
 	}
-	if len(body) > n+4 {
-		return fail(fmt.Sprintf("%d trailing bytes after the envelope", len(body)-n-4))
-	}
-	payload, sum := body[:n], body[n:]
-	want := binary.BigEndian.Uint32(sum)
+	payload := buf[len(magic)+4 : total-4]
+	want := binary.BigEndian.Uint32(buf[total-4:])
 	if got := crc32.ChecksumIEEE(payload); got != want {
-		return fail(fmt.Sprintf("checksum mismatch (stored %#08x, computed %#08x)", want, got))
+		return 0, record{}, fmt.Sprintf("checksum mismatch (stored %#08x, computed %#08x)", want, got)
 	}
-	st, err := decodeState(payload)
+	rec, err := decodeRecord(payload)
 	if err != nil {
-		return fail(err.Error())
+		return 0, record{}, err.Error()
 	}
-	return st, nil
+	return total, rec, ""
 }
 
 // RecoveryReport summarizes what Recover reconstructed.
@@ -356,15 +469,15 @@ type RecoveryReport struct {
 	TornTail bool
 }
 
-// decodeDurable reconstructs the subject state from checkpoint and
+// decodeDurable reconstructs the durable record from checkpoint and
 // journal bytes. A damaged final record is tolerated as a torn tail;
 // damage anywhere else — bad magic mid-stream, checksum mismatch with
 // intact records after it, a sequence gap or duplicate — returns a
 // typed *RecoveryError and no state. Either input may be empty, but
 // not both.
-func decodeDurable(ckpt, jrnl []byte) (SubjectState, RecoveryReport, error) {
+func decodeDurable(ckpt, jrnl []byte) (record, RecoveryReport, error) {
 	var (
-		st   SubjectState
+		st   record
 		rep  RecoveryReport
 		base bool
 	)
@@ -372,31 +485,31 @@ func decodeDurable(ckpt, jrnl []byte) (SubjectState, RecoveryReport, error) {
 		var err error
 		st, err = decodeCheckpoint(ckpt)
 		if err != nil {
-			return SubjectState{}, rep, err
+			return record{}, rep, err
 		}
-		rep.CheckpointSeq = st.Seq
+		rep.CheckpointSeq = st.seq
 		base = true
 	}
 	off := 0
 	for rec := 0; off < len(jrnl); rec++ {
-		next, parsed, perr := parseJournalRecord(jrnl[off:])
+		next, parsed, perr := openRecord(journalMagic, jrnl[off:])
 		if perr != "" {
 			// A later intact record proves the damage is structural
 			// corruption, not a torn final append.
 			if rest := jrnl[off:]; laterIntactRecord(rest) {
-				return SubjectState{}, RecoveryReport{}, &RecoveryError{Section: "journal", Record: rec, Reason: perr}
+				return record{}, RecoveryReport{}, &RecoveryError{Section: "journal", Record: rec, Reason: perr}
 			}
 			rep.TornTail = true
 			break
 		}
 		if base || rec > 0 {
 			switch {
-			case parsed.Seq == st.Seq:
-				return SubjectState{}, RecoveryReport{}, &RecoveryError{Section: "journal", Record: rec,
-					Reason: fmt.Sprintf("duplicate record for event %d", parsed.Seq)}
-			case parsed.Seq != st.Seq+1:
-				return SubjectState{}, RecoveryReport{}, &RecoveryError{Section: "journal", Record: rec,
-					Reason: fmt.Sprintf("sequence gap: record carries event %d after %d", parsed.Seq, st.Seq)}
+			case parsed.seq == st.seq:
+				return record{}, RecoveryReport{}, &RecoveryError{Section: "journal", Record: rec,
+					Reason: fmt.Sprintf("duplicate record for event %d", parsed.seq)}
+			case parsed.seq != st.seq+1:
+				return record{}, RecoveryReport{}, &RecoveryError{Section: "journal", Record: rec,
+					Reason: fmt.Sprintf("sequence gap: record carries event %d after %d", parsed.seq, st.seq)}
 			}
 		}
 		st = parsed
@@ -405,39 +518,10 @@ func decodeDurable(ckpt, jrnl []byte) (SubjectState, RecoveryReport, error) {
 		off += next
 	}
 	if !base {
-		return SubjectState{}, rep, &RecoveryError{Section: "checkpoint", Reason: "no intact durable state (empty checkpoint and journal)"}
+		return record{}, rep, &RecoveryError{Section: "checkpoint", Reason: "no intact durable state (empty checkpoint and journal)"}
 	}
-	rep.Seq = st.Seq
+	rep.Seq = st.seq
 	return st, rep, nil
-}
-
-// parseJournalRecord decodes one record at the head of buf, returning
-// the bytes consumed, or a non-empty reason on failure.
-func parseJournalRecord(buf []byte) (int, SubjectState, string) {
-	if len(buf) < len(journalMagic)+4 {
-		return 0, SubjectState{}, "truncated record header"
-	}
-	if !bytes.HasPrefix(buf, journalMagic) {
-		return 0, SubjectState{}, "bad record magic"
-	}
-	n := int(binary.BigEndian.Uint32(buf[len(journalMagic):]))
-	if n < subjectStateBytes || n > maxDurablePayload {
-		return 0, SubjectState{}, fmt.Sprintf("payload length %d outside [%d,%d]", n, subjectStateBytes, maxDurablePayload)
-	}
-	total := len(journalMagic) + 4 + n + 4
-	if len(buf) < total {
-		return 0, SubjectState{}, fmt.Sprintf("truncated record (%d of %d bytes)", len(buf), total)
-	}
-	payload := buf[len(journalMagic)+4 : len(journalMagic)+4+n]
-	want := binary.BigEndian.Uint32(buf[total-4:])
-	if got := crc32.ChecksumIEEE(payload); got != want {
-		return 0, SubjectState{}, fmt.Sprintf("checksum mismatch (stored %#08x, computed %#08x)", want, got)
-	}
-	st, err := decodeState(payload)
-	if err != nil {
-		return 0, SubjectState{}, err.Error()
-	}
-	return total, st, ""
 }
 
 // laterIntactRecord reports whether any intact record starts after the
@@ -449,7 +533,7 @@ func laterIntactRecord(buf []byte) bool {
 			return false
 		}
 		off += i
-		if n, _, reason := parseJournalRecord(buf[off:]); reason == "" && n > 0 {
+		if n, _, reason := openRecord(journalMagic, buf[off:]); reason == "" && n > 0 {
 			return true
 		}
 		off++
@@ -523,7 +607,8 @@ func (e *Engine) SubjectState() (SubjectState, error) {
 	}
 	e.res.mu.Lock()
 	defer e.res.mu.Unlock()
-	return e.res.durableLocked(e), nil
+	rec := record{ledgers: e.res.ledgers, end: e.res.rt.Snapshot()}
+	return rec.public(), nil
 }
 
 // Checkpoint serializes the durable subject state to w as one
@@ -586,14 +671,14 @@ func (e *Engine) Recover(checkpoint, journal io.Reader) (RecoveryReport, error) 
 	if err != nil {
 		return RecoveryReport{}, fmt.Errorf("xpro: reading journal: %w", err)
 	}
-	st, rep, err := decodeDurable(ckpt, jrnl)
+	rec, rep, err := decodeDurable(ckpt, jrnl)
 	if err != nil {
 		return rep, err
 	}
 	r := e.res
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if err := r.applyLocked(e, st, true); err != nil {
+	if err := r.restoreLocked(e, rec, true); err != nil {
 		return rep, err
 	}
 	e.obs.reg.Counter("xpro_recover_total",
@@ -625,81 +710,53 @@ func (e *Engine) RecoverFrom(s *DurableStore) (RecoveryReport, error) {
 
 // --- resilient-side plumbing (caller holds r.mu) ---
 
-// stateLocked assembles the durable record from the live layer.
-func (r *resilient) stateLocked() SubjectState {
-	rs := r.rt.Snapshot()
-	return SubjectState{
-		Seq:                      r.seq,
-		ClockSeconds:             rs.ClockSeconds,
-		Breaker:                  rs.Breaker.State.String(),
-		BreakerFailures:          rs.Breaker.Failures,
-		BreakerOpenedAtSeconds:   rs.Breaker.OpenedAt,
-		RNGDraws:                 rs.Draws,
-		EstimatedLoss:            rs.Estimator.Loss,
-		EstimatedOutage:          rs.Estimator.Outage,
-		EstimatorSamples:         rs.Estimator.Samples,
-		EstimatorPendingAttempts: rs.Estimator.PendAttempts,
-		EstimatorPendingFailed:   rs.Estimator.PendFailed,
-		EnergySpentJoules:        r.energyJ,
-		QuarantinedEvents:        r.quarantined,
-		ImputedValues:            r.imputed,
-		Crashes:                  r.crashes,
-		Recoveries:               r.recoveries,
+// restoreLocked installs a record: the one path for a process-level
+// Recover and an in-timeline warm rejoin. restoreClock rewinds both
+// runtimes' clocks, the 2-end one and the armed tier plan's, to the
+// record's instants; without it (a warm rejoin: the node kept living
+// through modeled time while down) both keep their clocks and only the
+// volatile state is restored. The whole record is checked before any
+// of it is applied, so a rejected one leaves the engine and its tier
+// plan as they were.
+func (r *resilient) restoreLocked(e *Engine, rec record, restoreClock bool) error {
+	fail := func(reason string) error { return &RecoveryError{Section: "checkpoint", Reason: reason} }
+	if err := rec.validate(); err != nil {
+		return fail(err.Error())
 	}
-}
-
-// applyLocked installs a decoded record. restoreClock distinguishes a
-// process-level Recover (rewind the clock to the record's instant)
-// from an in-timeline warm rejoin (the node kept living through
-// modeled time while down; only its volatile state is restored). The
-// whole record is checked before any of it is applied, so a rejected
-// one leaves the engine as it was.
-func (r *resilient) applyLocked(e *Engine, st SubjectState, restoreClock bool) error {
-	code, ok := breakerNames[st.Breaker]
-	if !ok {
-		return &RecoveryError{Section: "checkpoint", Reason: fmt.Sprintf("unknown breaker state %q", st.Breaker)}
-	}
-	rs := adaptive.EndState{
-		ClockSeconds: st.ClockSeconds,
-		Breaker:      faults.BreakerSnapshot{State: code, Failures: st.BreakerFailures, OpenedAt: st.BreakerOpenedAtSeconds},
-		Draws:        st.RNGDraws,
-		Estimator: adaptive.EstimatorState{
-			Loss: st.EstimatedLoss, Outage: st.EstimatedOutage, Samples: st.EstimatorSamples,
-			PendAttempts: st.EstimatorPendingAttempts, PendFailed: st.EstimatorPendingFailed,
-		},
+	var tp *TierPlan
+	if rec.tier != nil {
+		if tp = e.tier.Load(); tp == nil {
+			return fail("record carries tiered hop state but no tier plan is armed")
+		}
+		// The plan lock nests under r.mu, as in recordLocked.
+		tp.mu.Lock()
+		defer tp.mu.Unlock()
+		if nh := int(tp.rt.FullCap()); len(rec.tier.Hops) != nh {
+			return fail(fmt.Sprintf("record covers %d hops, the armed chain has %d", len(rec.tier.Hops), nh))
+		}
 	}
 	if !restoreClock {
-		rs.ClockSeconds = r.rt.Clock().Now()
-	}
-	if err := rs.Validate(); err != nil {
-		return err
-	}
-	if st.Tiered != nil {
-		// RestoreTieredState checks its snapshot before applying it too.
-		tp := e.tier.Load()
-		if tp == nil || !tp.Armed() {
-			return &RecoveryError{Section: "checkpoint",
-				Reason: "record carries tiered hop state but no tier plan is armed"}
-		}
-		if err := tp.RestoreTieredState(*st.Tiered); err != nil {
-			return &RecoveryError{Section: "checkpoint", Reason: err.Error()}
+		rec.end.ClockSeconds = r.rt.Clock().Now()
+		if tp != nil {
+			ts := *rec.tier
+			ts.ClockSeconds = tp.rt.Options().Clock.Now()
+			rec.tier = &ts
 		}
 	}
-	if err := r.rt.Restore(rs); err != nil {
-		return err
+	// Neither runtime rejects what validate and the hop count passed.
+	_ = r.rt.Restore(rec.end)
+	if tp != nil {
+		before := tp.rt.Steady()
+		_ = tp.rt.Restore(*rec.tier)
+		if tp.rt.Steady() != before {
+			tp.bump()
+		}
 	}
-	r.seq = st.Seq
-	r.energyJ = st.EnergySpentJoules
-	r.quarantined = st.QuarantinedEvents
-	r.imputed = st.ImputedValues
 	// Crash bookkeeping merges monotonically: a warm rejoin must not
 	// let a pre-crash record roll back the crash it just survived.
-	if st.Crashes > r.crashes {
-		r.crashes = st.Crashes
-	}
-	if st.Recoveries > r.recoveries {
-		r.recoveries = st.Recoveries
-	}
+	crashes, recoveries := max(r.crashes, rec.crashes), max(r.recoveries, rec.recoveries)
+	r.ledgers = rec.ledgers
+	r.crashes, r.recoveries = crashes, recoveries
 	r.lastState = r.plan.At(r.rt.Clock().Now())
 	e.epoch.Add(1)
 	return nil
@@ -709,7 +766,8 @@ func (r *resilient) applyLocked(e *Engine, st SubjectState, restoreClock bool) e
 // is a *DurableStore, and stamps the checkpoint age the health report
 // serves.
 func (r *resilient) checkpointLocked(e *Engine, w io.Writer) error {
-	buf, err := encodeCheckpoint(r.durableLocked(e))
+	rec := r.recordLocked(e)
+	buf, err := seal(checkpointMagic, &rec)
 	if err != nil {
 		return err
 	}
@@ -752,13 +810,13 @@ func (r *resilient) ledgerLocked(e *Engine, res Result, err error) {
 // failure is counted, not fatal: the engine keeps serving and the
 // operator sees the durability gap on /metrics.
 func (r *resilient) journalLocked(e *Engine) {
-	rec, err := encodeJournalRecord(r.durableLocked(e))
+	rec := r.recordLocked(e)
+	buf, err := seal(journalMagic, &rec)
 	if err == nil {
-		_, err = r.store.Write(rec)
+		_, err = r.store.Write(buf)
 	}
 	if err != nil {
-		e.obs.reg.Counter("xpro_journal_errors_total",
-			"Journal records that failed to encode or append.").Inc()
+		journalErrors(e).Inc()
 		return
 	}
 	e.obs.reg.Counter("xpro_journal_records_total",
@@ -788,21 +846,32 @@ func (r *resilient) crashLocked(e *Engine, graceful bool, now float64) {
 	})
 }
 
+// journalErrors counts durable-store failures of both kinds.
+func journalErrors(e *Engine) *telemetry.Counter {
+	return e.obs.reg.Counter("xpro_journal_errors_total",
+		"Durable-store failures: journal records that failed to encode or append, and stores a rejoining node could not restore.")
+}
+
 // rejoinLocked runs at the first event after a node-down window: the
 // node comes back warm from its durable store when it has one and the
-// store decodes, amnesiac otherwise (volatile state reset to birth).
+// store restores, amnesiac otherwise (volatile state reset to birth).
+// The event log tells a node without a store ("amnesiac") from one
+// whose store was refused ("amnesiac-corrupt-store").
 func (r *resilient) rejoinLocked(e *Engine, now float64) {
 	r.down = false
 	r.recoveries++
 	e.epoch.Add(1)
 	detail := "amnesiac"
 	if r.store != nil {
-		st, _, err := decodeDurable(r.store.Checkpoint(), r.store.Journal())
-		if err == nil && r.applyLocked(e, st, false) == nil {
+		rec, _, err := decodeDurable(r.store.Checkpoint(), r.store.Journal())
+		if err == nil {
+			err = r.restoreLocked(e, rec, false)
+		}
+		if err == nil {
 			detail = "warm"
 		} else {
-			e.obs.reg.Counter("xpro_journal_errors_total",
-				"Journal records that failed to encode or append.").Inc()
+			detail = "amnesiac-corrupt-store"
+			journalErrors(e).Inc()
 			r.amnesiaLocked(e)
 		}
 	} else {
@@ -823,10 +892,7 @@ func (r *resilient) rejoinLocked(e *Engine, now float64) {
 // remembers it. Crash/recovery bookkeeping also survives — it models
 // the fleet's view of the node, not the node's own memory.
 func (r *resilient) amnesiaLocked(e *Engine) {
-	r.seq = 0
-	r.energyJ = 0
-	r.quarantined = 0
-	r.imputed = 0
+	r.ledgers = ledgers{crashes: r.crashes, recoveries: r.recoveries}
 	_ = r.rt.Restore(adaptive.EndState{ClockSeconds: r.rt.Clock().Now()})
 	e.epoch.Add(1)
 }

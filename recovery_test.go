@@ -774,7 +774,7 @@ func FuzzRecoverJournal(f *testing.F) {
 		}
 		// Whatever decoded must survive re-encoding: the validation the
 		// decoder applied is the same one the encoder enforces.
-		if _, eerr := encodeState(st); eerr != nil {
+		if _, eerr := seal(journalMagic, &st); eerr != nil {
 			t.Fatalf("decoded state fails re-validation: %v (%+v, report %+v)", eerr, st, rep)
 		}
 	})

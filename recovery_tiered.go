@@ -1,22 +1,22 @@
 package xpro
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 
-	"xpro/internal/faults"
+	"xpro/internal/adaptive"
+	"xpro/internal/partition"
 )
 
-// This file extends the durable subject-state record with the armed
-// tier runtime's per-hop state. The 117-byte v1 core stays exactly as
-// it was — a 2-end engine encodes and decodes records that are
-// bit-identical to every checkpoint written before tiers existed —
-// and an armed TierPlan appends one optional extension block inside
-// the same CRC envelope: a sub-magic, the ladder header, then one
-// fixed-width record per hop. Old readers reject extended records
-// loudly (length check), never silently drop the hop state; new
-// readers accept both shapes.
+// This file extends the durable record with the armed tier runtime's
+// snapshot. The 117-byte v1 core stays exactly as it was — a 2-end
+// engine encodes and decodes records that are bit-identical to every
+// checkpoint written before tiers existed — and an armed TierPlan
+// appends one optional extension block inside the same CRC envelope: a
+// sub-magic, the ladder header, then one fixed-width record per hop,
+// which opens with the same 21 link bytes as the core. Old readers
+// reject extended records loudly (length check), never silently drop
+// the hop state; new readers accept both shapes.
 
 // tieredExtMagic opens the tiered extension block inside a durable
 // payload, immediately after the v1 core.
@@ -26,8 +26,8 @@ const (
 	// tieredExtHeaderBytes: modeled clock (f64), steady cap (u32),
 	// collapse/recovery/rollback counters (3×u64), hop count (u32).
 	tieredExtHeaderBytes = 8 + 4 + 3*8 + 4
-	// tieredHopBytes: breaker code (1), breaker failures (u32),
-	// opened-at (f64), RNG draws (u64), ladder failures/successes
+	// tieredHopBytes: the link (breaker code, breaker failures,
+	// opened-at, RNG draws: 1+4+8+8), ladder failures/successes
 	// (2×u32), dead flag (1), next-probe-at and probe-interval (2×f64),
 	// probation (u32), outage events (u64).
 	tieredHopBytes = 1 + 4 + 8 + 8 + 4 + 4 + 1 + 8 + 8 + 4 + 8
@@ -46,146 +46,99 @@ func TieredStateBytes(hops int) int {
 	return len(tieredExtMagic) + tieredExtHeaderBytes + hops*tieredHopBytes
 }
 
-// appendTieredExt encodes the extension block onto buf.
-func appendTieredExt(buf []byte, ts *TieredSubjectState) ([]byte, error) {
-	if len(ts.Hops) == 0 || len(ts.Hops) > maxTieredHops {
-		return nil, fmt.Errorf("xpro: tiered state covers %d hops, want 1..%d", len(ts.Hops), maxTieredHops)
+// tier writes the extension block.
+func (w *wire) tier(ts *adaptive.TierState) {
+	if n := len(ts.Hops); (n == 0 || n > maxTieredHops) && w.err == nil {
+		w.err = fmt.Errorf("xpro: tiered state covers %d hops, want 1..%d", n, maxTieredHops)
 	}
-	if ts.SteadyCap < 0 || ts.SteadyCap > len(ts.Hops) {
-		return nil, fmt.Errorf("xpro: tiered steady cap %d outside [0,%d]", ts.SteadyCap, len(ts.Hops))
-	}
-	u64 := func(v uint64) { buf = binary.BigEndian.AppendUint64(buf, v) }
-	u32 := func(v uint32) { buf = binary.BigEndian.AppendUint32(buf, v) }
-	f64 := func(v float64) { buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(v)) }
-	buf = append(buf, tieredExtMagic...)
-	f64(ts.ClockSeconds)
-	u32(uint32(ts.SteadyCap))
-	u64(uint64(ts.Collapses))
-	u64(uint64(ts.Recoveries))
-	u64(uint64(ts.Rollbacks))
-	u32(uint32(len(ts.Hops)))
+	w.buf = append(w.buf, tieredExtMagic...)
+	w.f64(ts.ClockSeconds)
+	w.count32(int(ts.Steady))
+	w.count64(int64(ts.Collapses), math.MaxInt32)
+	w.count64(int64(ts.Recoveries), math.MaxInt32)
+	w.count64(int64(ts.Rollbacks), math.MaxInt32)
+	w.count32(len(ts.Hops))
 	for h := range ts.Hops {
 		hs := &ts.Hops[h]
-		code, ok := breakerNames[hs.Breaker]
-		if !ok {
-			return nil, fmt.Errorf("xpro: hop %d has unknown breaker state %q", h, hs.Breaker)
+		w.link(hs.Breaker, hs.Draws)
+		w.count32(hs.Health.Failures)
+		w.count32(hs.Health.Successes)
+		dead := byte(0)
+		if hs.Health.Dead {
+			dead = 1
 		}
-		buf = append(buf, byte(code))
-		u32(uint32(hs.BreakerFailures))
-		f64(hs.BreakerOpenedAtSeconds)
-		u64(hs.RNGDraws)
-		u32(uint32(hs.Failures))
-		u32(uint32(hs.Successes))
-		if hs.Dead {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
-		f64(hs.NextProbeAtSeconds)
-		f64(hs.ProbeIntervalSeconds)
-		u32(uint32(hs.ProbationEvents))
-		u64(hs.OutageEvents)
+		w.buf = append(w.buf, dead)
+		w.f64(hs.Health.NextProbeAt)
+		w.f64(hs.Health.ProbeInterval)
+		w.count32(hs.Health.Probation)
+		w.u64(hs.Outages)
 	}
-	return buf, nil
 }
 
-// decodeTieredExt parses and validates one extension block. The same
-// discipline as decodeState: every range check lives here, and only
-// canonical encodings decode (a dead flag of 2, a breaker code of 7 or
-// a short hop table are corruption, not leniency), so decode→encode
-// round-trips bit-identically — the property FuzzTieredRecover pins.
-func decodeTieredExt(buf []byte) (*TieredSubjectState, error) {
+// decodeTier parses one extension block's byte shape. Only canonical
+// encodings decode (a dead flag of 2, a breaker code of 7 or a short
+// hop table are corruption, not leniency), so decode→encode round-trips
+// bit-identically — the property FuzzTieredRecover pins.
+func decodeTier(buf []byte) (*adaptive.TierState, error) {
 	if len(buf) < len(tieredExtMagic)+tieredExtHeaderBytes {
 		return nil, fmt.Errorf("tiered extension truncated (%d bytes)", len(buf))
 	}
 	if string(buf[:len(tieredExtMagic)]) != string(tieredExtMagic) {
 		return nil, fmt.Errorf("bad tiered extension magic")
 	}
-	off := len(tieredExtMagic)
-	u64 := func() uint64 { v := binary.BigEndian.Uint64(buf[off:]); off += 8; return v }
-	u32 := func() uint32 { v := binary.BigEndian.Uint32(buf[off:]); off += 4; return v }
-	f64 := func() float64 { return math.Float64frombits(u64()) }
-	ts := &TieredSubjectState{}
-	ts.ClockSeconds = f64()
-	cap32 := u32()
-	collapses, recoveries, rollbacks := u64(), u64(), u64()
-	nhops := u32()
-	if !finite(ts.ClockSeconds) || ts.ClockSeconds < 0 {
-		return nil, fmt.Errorf("tiered clock %v must be finite and non-negative", ts.ClockSeconds)
+	r := reader{buf: buf, off: len(tieredExtMagic)}
+	ts := &adaptive.TierState{}
+	ts.ClockSeconds = r.f64()
+	ts.Steady = partition.Tier(r.count32())
+	ts.Collapses = int(r.count64(math.MaxInt32))
+	ts.Recoveries = int(r.count64(math.MaxInt32))
+	ts.Rollbacks = int(r.count64(math.MaxInt32))
+	nhops := r.count32()
+	if r.err != nil {
+		return nil, r.err
 	}
 	if nhops == 0 || nhops > maxTieredHops {
 		return nil, fmt.Errorf("tiered hop count %d outside 1..%d", nhops, maxTieredHops)
 	}
-	if uint64(cap32) > uint64(nhops) {
-		return nil, fmt.Errorf("tiered steady cap %d outside [0,%d]", cap32, nhops)
-	}
-	if collapses > math.MaxInt32 || recoveries > math.MaxInt32 || rollbacks > math.MaxInt32 {
-		return nil, fmt.Errorf("tiered ladder counters out of range")
-	}
-	ts.SteadyCap = int(cap32)
-	ts.Collapses, ts.Recoveries, ts.Rollbacks = int(collapses), int(recoveries), int(rollbacks)
-	if len(buf)-off != int(nhops)*tieredHopBytes {
+	if len(buf)-r.off != nhops*tieredHopBytes {
 		return nil, fmt.Errorf("tiered hop table is %d bytes, want %d for %d hops",
-			len(buf)-off, int(nhops)*tieredHopBytes, nhops)
+			len(buf)-r.off, nhops*tieredHopBytes, nhops)
 	}
-	ts.Hops = make([]TierHopState, nhops)
+	ts.Hops = make([]adaptive.TierHopState, nhops)
 	for h := range ts.Hops {
 		hs := &ts.Hops[h]
-		code := faults.BreakerState(buf[off])
-		off++
-		switch code {
-		case faults.BreakerClosed, faults.BreakerHalfOpen, faults.BreakerOpen:
-			hs.Breaker = code.String()
+		hs.Breaker, hs.Draws = r.link()
+		hs.Health.Failures = r.count32()
+		hs.Health.Successes = r.count32()
+		switch dead := r.u8(); dead {
+		case 0, 1:
+			hs.Health.Dead = dead == 1
 		default:
-			return nil, fmt.Errorf("hop %d: invalid breaker state code %d", h, int(code))
+			r.failf("hop %d: invalid dead flag %d", h, dead)
 		}
-		bf := u32()
-		hs.BreakerOpenedAtSeconds = f64()
-		hs.RNGDraws = u64()
-		lf, lsucc := u32(), u32()
-		dead := buf[off]
-		off++
-		hs.NextProbeAtSeconds = f64()
-		hs.ProbeIntervalSeconds = f64()
-		probation := u32()
-		hs.OutageEvents = u64()
-		if bf > math.MaxInt32 || lf > math.MaxInt32 || lsucc > math.MaxInt32 || probation > math.MaxInt32 {
-			return nil, fmt.Errorf("hop %d: counters out of range", h)
-		}
-		hs.BreakerFailures, hs.Failures, hs.Successes, hs.ProbationEvents = int(bf), int(lf), int(lsucc), int(probation)
-		switch dead {
-		case 0:
-			hs.Dead = false
-		case 1:
-			hs.Dead = true
-		default:
-			return nil, fmt.Errorf("hop %d: invalid dead flag %d", h, dead)
-		}
-		if !finite(hs.BreakerOpenedAtSeconds) || hs.BreakerOpenedAtSeconds < 0 {
-			return nil, fmt.Errorf("hop %d: breaker opened-at %v must be finite and non-negative", h, hs.BreakerOpenedAtSeconds)
-		}
-		if hs.RNGDraws > faults.MaxRNGDraws {
-			return nil, fmt.Errorf("hop %d: RNG cursor %d exceeds the restorable maximum", h, hs.RNGDraws)
-		}
-		if !finite(hs.NextProbeAtSeconds) || hs.NextProbeAtSeconds < 0 ||
-			!finite(hs.ProbeIntervalSeconds) || hs.ProbeIntervalSeconds < 0 {
-			return nil, fmt.Errorf("hop %d: probe schedule %v/%v must be finite and non-negative",
-				h, hs.NextProbeAtSeconds, hs.ProbeIntervalSeconds)
-		}
+		hs.Health.NextProbeAt = r.f64()
+		hs.Health.ProbeInterval = r.f64()
+		hs.Health.Probation = r.count32()
+		hs.Outages = r.u64()
+	}
+	if r.err != nil {
+		return nil, r.err
 	}
 	return ts, nil
 }
 
-// durableLocked assembles the full durable record: the 2-end core plus
-// the tiered extension when a tier plan is armed. Caller holds r.mu;
-// the plan lock nests strictly under it (r.mu → p.mu), and the tiered
-// classify path never takes r.mu, so the order cannot invert.
-func (r *resilient) durableLocked(e *Engine) SubjectState {
-	st := r.stateLocked()
+// recordLocked assembles the durable record: the 2-end runtime's
+// snapshot and the root's ledgers, plus the armed tier runtime's
+// snapshot. Caller holds r.mu; the plan lock nests strictly under it
+// (r.mu → p.mu), and the tiered classify path never takes r.mu, so the
+// order cannot invert.
+func (r *resilient) recordLocked(e *Engine) record {
+	rec := record{ledgers: r.ledgers, end: r.rt.Snapshot()}
 	if tp := e.tier.Load(); tp != nil {
-		if ts, err := tp.TieredState(); err == nil {
-			st.Tiered = &ts
-		}
+		tp.mu.Lock()
+		ts := tp.rt.Snapshot()
+		tp.mu.Unlock()
+		rec.tier = &ts
 	}
-	return st
+	return rec
 }

@@ -6,23 +6,26 @@ import (
 	"fmt"
 	"hash/crc32"
 	"testing"
+
+	"xpro/internal/adaptive"
+	"xpro/internal/faults"
 )
 
 // tieredStateFixture is a hand-built extended record exercising every
 // field of the extension block.
-func tieredStateFixture() SubjectState {
-	return SubjectState{
-		Seq: 7, ClockSeconds: 1.25, Breaker: "closed",
-		RNGDraws: 40, EnergySpentJoules: 0.5,
-		Tiered: &TieredSubjectState{
-			ClockSeconds: 1.25, SteadyCap: 1,
+func tieredStateFixture() record {
+	return record{
+		ledgers: ledgers{seq: 7, energyJ: 0.5},
+		end:     adaptive.EndState{ClockSeconds: 1.25, Draws: 40},
+		tier: &adaptive.TierState{
+			ClockSeconds: 1.25, Steady: 1,
 			Collapses: 1, Recoveries: 0, Rollbacks: 0,
-			Hops: []TierHopState{
-				{Breaker: "closed", RNGDraws: 12, Successes: 9},
-				{Breaker: "open", BreakerFailures: 3, BreakerOpenedAtSeconds: 1.0,
-					RNGDraws: 30, Failures: 2, Dead: true,
-					NextProbeAtSeconds: 1.5, ProbeIntervalSeconds: 0.25,
-					ProbationEvents: 0, OutageEvents: 4},
+			Hops: []adaptive.TierHopState{
+				{Draws: 12, Health: adaptive.HopHealth{Successes: 9}},
+				{Breaker: faults.BreakerSnapshot{State: faults.BreakerOpen, Failures: 3, OpenedAt: 1.0},
+					Draws: 30, Outages: 4,
+					Health: adaptive.HopHealth{Failures: 2, Dead: true,
+						NextProbeAt: 1.5, ProbeInterval: 0.25, Probation: 0}},
 			},
 		},
 	}
@@ -33,7 +36,7 @@ func tieredStateFixture() SubjectState {
 // TieredStateBytes(hops).
 func TestTieredStateCheckpointRoundtrip(t *testing.T) {
 	st := tieredStateFixture()
-	buf, err := encodeCheckpoint(st)
+	buf, err := seal(checkpointMagic, &st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,14 +47,14 @@ func TestTieredStateCheckpointRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Tiered == nil {
+	if back.tier == nil {
 		t.Fatal("tiered extension lost in roundtrip")
 	}
-	if fmt.Sprintf("%+v", *back.Tiered) != fmt.Sprintf("%+v", *st.Tiered) {
-		t.Fatalf("tiered state mismatch:\n got %+v\nwant %+v", *back.Tiered, *st.Tiered)
+	if fmt.Sprintf("%+v", *back.tier) != fmt.Sprintf("%+v", *st.tier) {
+		t.Fatalf("tiered state mismatch:\n got %+v\nwant %+v", *back.tier, *st.tier)
 	}
-	back.Tiered = nil
-	st.Tiered = nil
+	back.tier = nil
+	st.tier = nil
 	if back != st {
 		t.Fatalf("core state mismatch:\n got %+v\nwant %+v", back, st)
 	}
@@ -60,15 +63,16 @@ func TestTieredStateCheckpointRoundtrip(t *testing.T) {
 // A v1 core-only record still encodes to the exact legacy sizes and
 // roundtrips — the pre-tier on-disk format is unchanged.
 func TestTieredStateV1Compat(t *testing.T) {
-	st := SubjectState{Seq: 3, ClockSeconds: 0.5, Breaker: "half-open", RNGDraws: 9}
-	ck, err := encodeCheckpoint(st)
+	st := record{ledgers: ledgers{seq: 3},
+		end: adaptive.EndState{ClockSeconds: 0.5, Breaker: faults.BreakerSnapshot{State: faults.BreakerHalfOpen}, Draws: 9}}
+	ck, err := seal(checkpointMagic, &st)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ck) != CheckpointBytes {
 		t.Fatalf("v1 checkpoint is %d bytes, want %d", len(ck), CheckpointBytes)
 	}
-	jr, err := encodeJournalRecord(st)
+	jr, err := seal(journalMagic, &st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +83,7 @@ func TestTieredStateV1Compat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Tiered != nil {
+	if back.tier != nil {
 		t.Fatal("v1 record decoded with a tiered extension")
 	}
 }
@@ -87,7 +91,8 @@ func TestTieredStateV1Compat(t *testing.T) {
 // Structural damage anywhere in the extension is corruption, typed and
 // matched by ErrRecoveryCorrupt — never a silent partial decode.
 func TestTieredStateExtValidation(t *testing.T) {
-	valid, err := encodeCheckpoint(tieredStateFixture())
+	fx := tieredStateFixture()
+	valid, err := seal(checkpointMagic, &fx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,19 +171,13 @@ func TestTieredCheckpointRecoverResume(t *testing.T) {
 	if err := a.eng.Checkpoint(store); err != nil {
 		t.Fatal(err)
 	}
-	aState, err := a.p.TieredState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	aState := tierState(a.p)
 
 	b := start() // the "rebooted node": same Config, same Arm
 	if _, err := b.eng.RecoverFrom(store); err != nil {
 		t.Fatal(err)
 	}
-	bState, err := b.p.TieredState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	bState := tierState(b.p)
 	if fmt.Sprintf("%+v", bState) != fmt.Sprintf("%+v", aState) {
 		t.Fatalf("recovered tiered state mismatch:\n got %+v\nwant %+v", bState, aState)
 	}
@@ -189,14 +188,7 @@ func TestTieredCheckpointRecoverResume(t *testing.T) {
 	}
 
 	// Final durable states agree with the golden run exactly.
-	gs, err := golden.p.TieredState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bs, err := b.p.TieredState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	gs, bs := tierState(golden.p), tierState(b.p)
 	if fmt.Sprintf("%+v", bs) != fmt.Sprintf("%+v", gs) {
 		t.Fatalf("final tiered state diverged:\n got %+v\nwant %+v", bs, gs)
 	}
@@ -248,8 +240,9 @@ func TestTieredRecoverNeedsArmedPlan(t *testing.T) {
 // re-encoding is bit-identical — the canonical-encoding property the
 // crash-replay battery leans on.
 func FuzzTieredRecover(f *testing.F) {
-	v1, _ := encodeCheckpoint(SubjectState{Breaker: "closed"})
-	ext, _ := encodeCheckpoint(tieredStateFixture())
+	v1, _ := seal(checkpointMagic, &record{})
+	fx := tieredStateFixture()
+	ext, _ := seal(checkpointMagic, &fx)
 	torn := append([]byte(nil), ext[:len(ext)-7]...)
 	flipped := append([]byte(nil), ext...)
 	flipped[len(flipped)/2] ^= 0x40
@@ -265,7 +258,7 @@ func FuzzTieredRecover(f *testing.F) {
 			}
 			return
 		}
-		out, err := encodeCheckpoint(st)
+		out, err := seal(checkpointMagic, &st)
 		if err != nil {
 			t.Fatalf("decoded state fails to re-encode: %v", err)
 		}

@@ -77,6 +77,10 @@ func (m DegradeMode) String() string {
 }
 
 // Result is one classification with its degradation provenance.
+// Returned beside ErrSuspectData, or beside the error of an event no
+// rung of the ladder could serve, it still carries the event's bill:
+// its mode (the quarantine, or the rung that failed), time, energy,
+// retries and lost transfers.
 type Result struct {
 	// Label is the predicted class (0 or 1).
 	Label int
@@ -274,22 +278,15 @@ type resilient struct {
 	// memoized network views rebuild.
 	lastState faults.State
 
-	// The crash-tolerance layer (recovery.go). seq numbers every event
-	// applied to the timeline; the energy/quarantine/imputation ledgers
-	// and the crash bookkeeping make up the durable SubjectState. store
-	// (when attached via EnableRecovery) receives one journal record per
-	// applied event; lastCkpt is the modeled time of the last checkpoint
-	// (-1: never). down marks the node inside a node-crash/reboot
-	// window.
-	seq         uint64
-	energyJ     float64
-	quarantined uint64
-	imputed     uint64
-	crashes     uint64
-	recoveries  uint64
-	down        bool
-	store       *DurableStore
-	lastCkpt    float64
+	// The crash-tolerance layer (recovery.go). The ledgers join the
+	// runtime's snapshot in the durable record. store (when attached via
+	// EnableRecovery) receives one journal record per applied event;
+	// lastCkpt is the modeled time of the last checkpoint (-1: never).
+	// down marks the node inside a node-crash/reboot window.
+	ledgers
+	down     bool
+	store    *DurableStore
+	lastCkpt float64
 
 	// browned is set by the fleet brownout controller: while true,
 	// every event routes straight to the degradation ladder's cheap
@@ -528,10 +525,9 @@ func (r *resilient) classifyLocked(e *Engine, seg biosig.Segment) (Result, error
 		r.lastState = state
 		e.epoch.Add(1)
 	}
+	// An event no rung could serve keeps its bill with the error, as a
+	// quarantined one does, so the energy ledger books its drain.
 	ev, err := r.rt.Serve(e.sys(), seg, r.browned.Load())
-	if err != nil {
-		return Result{}, worded(err)
-	}
 	res := Result{
 		Label: ev.Label, Degraded: ev.Rung != adaptive.RungFull, Mode: rungModes[ev.Rung],
 		VotesUsed: ev.VotesUsed, VotesTotal: ev.VotesTotal,
@@ -539,6 +535,9 @@ func (r *resilient) classifyLocked(e *Engine, seg biosig.Segment) (Result, error
 		DeadlineExceeded: ev.DeadlineExceeded, SpentSeconds: ev.SpentSeconds,
 		CorruptFrames: ev.CorruptFrames, CorruptDelivered: ev.CorruptDelivered,
 		ImputedValues: ev.ImputedValues, SensorEnergyJoules: ev.SensorEnergy,
+	}
+	if err != nil {
+		return res, worded(err)
 	}
 	// The gate's exit check: an event that leaned too hard on
 	// imputation is quarantined — the label it produced rides along for

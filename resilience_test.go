@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"xpro/internal/adaptive"
 	"xpro/internal/faults"
 	"xpro/internal/xsystem"
 )
@@ -224,6 +225,50 @@ func TestResilienceBrownoutSoftwareFallback(t *testing.T) {
 	}
 	if !res.Degraded || res.Mode != ModeFallbackSoftware {
 		t.Errorf("brownout result %+v, want degraded fallback-software", res)
+	}
+}
+
+// An event no rung can serve still drained the battery. Under the flaky
+// scenario (C1, seed 8, 15 s) brownouts overlap outages, so some events
+// find no path to a classification: each returns its bill beside the
+// error, degraded on the software rung it failed on, and the energy
+// ledger books it with every served event's.
+func TestResilienceUnservedEventKeepsBill(t *testing.T) {
+	plan, err := FaultScenario("flaky", 8, 15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := New(Config{Case: "C1", Resilience: DefaultResilience(), FaultPlan: plan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	test := eng.TestSet()
+	var booked float64
+	unserved := 0
+	for i := 0; i < 240; i++ {
+		res, err := eng.ClassifyResult(test[i%len(test)].Samples)
+		booked += res.SensorEnergyJoules
+		if err == nil {
+			continue
+		}
+		if !errors.Is(err, adaptive.ErrNoPath) {
+			t.Fatalf("event %d: %v", i, err)
+		}
+		unserved++
+		if !res.Degraded || res.Mode != ModeFallbackSoftware || !(res.SensorEnergyJoules > 0) || !(res.SpentSeconds > 0) {
+			t.Errorf("event %d: unserved event's result %+v, want its degraded fallback-software bill", i, res)
+		}
+	}
+	if unserved == 0 {
+		t.Fatal("no event went unserved; the scenario no longer overlaps a brownout with an outage")
+	}
+	t.Logf("%d of 240 events unserved", unserved)
+	st, err := eng.SubjectState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.EnergySpentJoules != booked {
+		t.Errorf("energy ledger %g J, want the %g J the events billed", st.EnergySpentJoules, booked)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"xpro/internal/adaptive"
 	"xpro/internal/biosig"
 	"xpro/internal/faults"
-	"xpro/internal/partition"
 	"xpro/internal/telemetry"
 	"xpro/internal/xsystem"
 )
@@ -397,122 +396,4 @@ func (p *TierPlan) hopSLO() []HopSLO {
 		}
 	}
 	return out
-}
-
-// TierHopState is one hop's durable runtime state inside
-// TieredSubjectState.
-type TierHopState struct {
-	// Breaker is the hop breaker's state ("closed", "half-open",
-	// "open"), with its consecutive-failure count and the modeled time
-	// it last opened.
-	Breaker                string
-	BreakerFailures        int
-	BreakerOpenedAtSeconds float64
-	// RNGDraws is the hop link's random-stream position.
-	RNGDraws uint64
-	// Failures / Successes / Dead / NextProbeAtSeconds /
-	// ProbeIntervalSeconds / ProbationEvents mirror the collapse
-	// ladder's per-hop health.
-	Failures             int
-	Successes            int
-	Dead                 bool
-	NextProbeAtSeconds   float64
-	ProbeIntervalSeconds float64
-	ProbationEvents      int
-	// OutageEvents counts hard-down events seen on the hop.
-	OutageEvents uint64
-}
-
-// TieredSubjectState is the armed tier runtime's durable state: the
-// modeled clock, the steady rung, and every hop's breaker, RNG and
-// ladder position. Restoring it onto a freshly armed plan (same chain,
-// same TierResilience) resumes the run bit-identically.
-type TieredSubjectState struct {
-	// ClockSeconds is the runtime's modeled time.
-	ClockSeconds float64
-	// SteadyCap is the rung the plan was serving from (k-1 = full).
-	SteadyCap int
-	// Hops has one entry per hop of the chain.
-	Hops []TierHopState
-	// Collapses / Recoveries / Rollbacks are the ladder's counters.
-	Collapses  int
-	Recoveries int
-	Rollbacks  int
-}
-
-// TieredState snapshots the armed runtime's durable state.
-func (p *TierPlan) TieredState() (TieredSubjectState, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.rt == nil {
-		return TieredSubjectState{}, fmt.Errorf("xpro: plan is not armed")
-	}
-	st := p.rt.Snapshot()
-	out := TieredSubjectState{
-		ClockSeconds: st.ClockSeconds,
-		SteadyCap:    int(st.Steady),
-		Collapses:    st.Collapses, Recoveries: st.Recoveries, Rollbacks: st.Rollbacks,
-	}
-	for _, hs := range st.Hops {
-		out.Hops = append(out.Hops, TierHopState{
-			Breaker:                hs.Breaker.State.String(),
-			BreakerFailures:        hs.Breaker.Failures,
-			BreakerOpenedAtSeconds: hs.Breaker.OpenedAt,
-			RNGDraws:               hs.Draws,
-			Failures:               hs.Health.Failures,
-			Successes:              hs.Health.Successes,
-			Dead:                   hs.Health.Dead,
-			NextProbeAtSeconds:     hs.Health.NextProbeAt,
-			ProbeIntervalSeconds:   hs.Health.ProbeInterval,
-			ProbationEvents:        hs.Health.Probation,
-			OutageEvents:           hs.Outages,
-		})
-	}
-	return out, nil
-}
-
-// RestoreTieredState rewinds an armed plan onto a snapshot: every hop
-// link's RNG is fast-forwarded to its recorded draw count, breakers
-// and the collapse ladder resume their exact state, the modeled clock
-// jumps to the snapshot time, and the steady rung is reinstalled. The
-// plan must be armed for the same chain the snapshot covers. The whole
-// snapshot is checked before any of it is applied: a rejected one
-// leaves the plan as it was.
-func (p *TierPlan) RestoreTieredState(st TieredSubjectState) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.rt == nil {
-		return fmt.Errorf("xpro: plan is not armed")
-	}
-	in := adaptive.TierState{
-		ClockSeconds: st.ClockSeconds,
-		Steady:       partition.Tier(st.SteadyCap),
-		Hops:         make([]adaptive.TierHopState, len(st.Hops)),
-		Collapses:    st.Collapses, Recoveries: st.Recoveries, Rollbacks: st.Rollbacks,
-	}
-	for h, hs := range st.Hops {
-		code, ok := breakerNames[hs.Breaker]
-		if !ok {
-			return fmt.Errorf("xpro: hop %d has unknown breaker state %q", h, hs.Breaker)
-		}
-		in.Hops[h] = adaptive.TierHopState{
-			Breaker: faults.BreakerSnapshot{
-				State: code, Failures: hs.BreakerFailures, OpenedAt: hs.BreakerOpenedAtSeconds,
-			},
-			Draws: hs.RNGDraws, Outages: hs.OutageEvents,
-			Health: adaptive.HopHealth{
-				Failures: hs.Failures, Successes: hs.Successes, Dead: hs.Dead,
-				NextProbeAt: hs.NextProbeAtSeconds, ProbeInterval: hs.ProbeIntervalSeconds,
-				Probation: hs.ProbationEvents,
-			},
-		}
-	}
-	before := p.rt.Steady()
-	if err := p.rt.Restore(in); err != nil {
-		return err
-	}
-	if p.rt.Steady() != before {
-		p.bump()
-	}
-	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"xpro/internal/adaptive"
 	"xpro/internal/biosig"
 	"xpro/internal/faults"
 	"xpro/internal/partition"
@@ -36,6 +37,20 @@ func armedTieredPlan(t *testing.T, eng *Engine, cfg *TierResilience) *TierPlan {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// tierState and restoreTierState read and rewind an armed plan's
+// runtime under the plan's lock.
+func tierState(p *TierPlan) adaptive.TierState {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.rt.Snapshot()
+}
+
+func restoreTierState(p *TierPlan, st adaptive.TierState) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.rt.Restore(st)
 }
 
 // A clean armed chain serves every event full-fidelity from the top
@@ -468,39 +483,30 @@ func TestTieredRestoreChecksWholeSnapshot(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		_, _ = src.ClassifyResult(test[i%len(test)].Samples)
 	}
-	good, err := src.TieredState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	good := tierState(src)
 	dst := armedTieredPlan(t, tieredTestEngine(t), cfg())
-	fresh, err := dst.TieredState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if good.Hops[0].RNGDraws == fresh.Hops[0].RNGDraws {
+	fresh := tierState(dst)
+	if good.Hops[0].Draws == fresh.Hops[0].Draws {
 		t.Fatal("the source run left hop 0's RNG cursor where a fresh plan has it; the check would test nothing")
 	}
 	for _, c := range []struct {
 		name  string
-		spoil func(st *TieredSubjectState)
+		spoil func(st *adaptive.TierState)
 	}{
-		{"unknown breaker", func(st *TieredSubjectState) { st.Hops[1].Breaker = "bogus" }},
-		{"negative failures", func(st *TieredSubjectState) { st.Hops[1].BreakerFailures = -1 }},
-		{"NaN opened-at", func(st *TieredSubjectState) { st.Hops[1].BreakerOpenedAtSeconds = math.NaN() }},
-		{"RNG cursor", func(st *TieredSubjectState) { st.Hops[1].RNGDraws = faults.MaxRNGDraws + 1 }},
-		{"steady cap", func(st *TieredSubjectState) { st.SteadyCap = 3 }},
-		{"hop count", func(st *TieredSubjectState) { st.Hops = st.Hops[:1] }},
+		{"unknown breaker", func(st *adaptive.TierState) { st.Hops[1].Breaker.State = 7 }},
+		{"negative failures", func(st *adaptive.TierState) { st.Hops[1].Breaker.Failures = -1 }},
+		{"NaN opened-at", func(st *adaptive.TierState) { st.Hops[1].Breaker.OpenedAt = math.NaN() }},
+		{"RNG cursor", func(st *adaptive.TierState) { st.Hops[1].Draws = faults.MaxRNGDraws + 1 }},
+		{"steady cap", func(st *adaptive.TierState) { st.Steady = 3 }},
+		{"hop count", func(st *adaptive.TierState) { st.Hops = st.Hops[:1] }},
 	} {
 		st := good
-		st.Hops = append([]TierHopState(nil), good.Hops...)
+		st.Hops = append([]adaptive.TierHopState(nil), good.Hops...)
 		c.spoil(&st)
-		if err := dst.RestoreTieredState(st); err == nil {
+		if err := restoreTierState(dst, st); err == nil {
 			t.Errorf("%s: snapshot accepted", c.name)
 		}
-		after, err := dst.TieredState()
-		if err != nil {
-			t.Fatal(err)
-		}
+		after := tierState(dst)
 		if fmt.Sprintf("%+v", after) != fmt.Sprintf("%+v", fresh) {
 			t.Errorf("%s: rejected snapshot was half-applied:\n got %+v\nwant %+v", c.name, after, fresh)
 		}
